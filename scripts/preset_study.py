@@ -6,7 +6,8 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect roughly ten minutes for the default 21-point grid on one core; the
+Expect about three minutes (elastic) to five (inelastic) for the default
+21-point grid on one core, three quarters of it in the probe scan; the
 positive-exponent points are the slow ones because the pair never
 synchronizes and the probe runs its full horizon.
 """

@@ -20,6 +20,7 @@ import numpy as np
 
 from .oscillator import (
     DEFAULT_SCAN_STEP,
+    EventRecord,
     ImpactOscillatorParams,
     OscState,
     segment_states,
@@ -59,14 +60,29 @@ class JacobiEstimate:
     consistent: bool
 
 
+@dataclass(frozen=True)
+class WindowEstimate(JacobiEstimate):
+    """Event-window Jacobian plus the central run it was differenced against.
+
+    final is the central trajectory's state at the window end and events
+    its impacts inside the window, so callers can advance along the same
+    run instead of simulating the window again.
+    """
+
+    final: OscState
+    events: tuple[EventRecord, ...]
+
+
 def estimate_jacobian(
-    flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA
+    flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA, central=None
 ) -> JacobiEstimate:
     """One-sided difference estimate of d(phi_t)/dx at x0.
 
     Arithmetic follows the dtype of x0 (the realized perturbation, not the
     nominal delta, is used as the divisor), and the result is cast to
-    float64 at the end.  t = 0 returns the identity for any flow.
+    float64 at the end.  t = 0 returns the identity for any flow.  central,
+    when given, is flow(x0, t) already computed by the caller, and saves
+    that evaluation.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
@@ -74,7 +90,7 @@ def estimate_jacobian(
         raise ValueError(f"t must be non-negative, got {t!r}")
     x0 = np.atleast_1d(np.asarray(x0))
     n = x0.shape[0]
-    y0, count0 = flow(x0, t)
+    y0, count0 = flow(x0, t) if central is None else central
     y0 = np.atleast_1d(np.asarray(y0))
     if not np.all(np.isfinite(np.asarray(y0, dtype=float))):
         raise PropagationError("flow returned a non-finite central state")
@@ -132,7 +148,8 @@ def event_window_jacobian(
     s_pre: OscState,
     window: float,
     delta: float = DEFAULT_DELTA,
-) -> JacobiEstimate:
+    central: tuple[OscState, tuple[EventRecord, ...]] | None = None,
+) -> WindowEstimate:
     """Flow Jacobian across a short window containing exactly one impact.
 
     s_pre is the state at the window start (in practice the last scan grid
@@ -141,20 +158,30 @@ def event_window_jacobian(
     inside the window; zero or multiple impacts raise InvalidWindowError.
     A singular estimate raises GrazingSingularityError since the coupling
     correction downstream needs the window propagator's logarithm.
+
+    The central run is simulated once and returned with the estimate;
+    central, the (final, events) of an earlier estimate over the same
+    window, reuses that run instead.
     """
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
     # The window spans at most a couple of scan steps; a finer internal
     # scan keeps sub-window impact ordering exact.
     inner_step = window / 16.0
-    flow = oscillator_flow(p, s_pre.tau, scan_step=inner_step)
-    central, n_central = flow(np.array([s_pre.x, s_pre.v]), window)
-    if n_central != 1:
+    if central is None:
+        final, events = simulate(p, s_pre, window, scan_step=inner_step)
+    else:
+        final, events = central
+    if len(events) != 1:
         raise InvalidWindowError(
             f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "
-            f"{n_central} impacts of the central trajectory; exactly one required"
+            f"{len(events)} impacts of the central trajectory; exactly one required"
         )
-    est = estimate_jacobian(flow, np.array([s_pre.x, s_pre.v]), window, delta)
+    flow = oscillator_flow(p, s_pre.tau, scan_step=inner_step)
+    est = estimate_jacobian(
+        flow, np.array([s_pre.x, s_pre.v]), window, delta,
+        central=(np.array([final.x, final.v]), len(events)),
+    )
     sv = np.linalg.svd(est.phi, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise GrazingSingularityError(
@@ -162,4 +189,6 @@ def event_window_jacobian(
             f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
             f"to grazing for a logarithm to exist"
         )
-    return est
+    return WindowEstimate(
+        est.phi, est.delta_used, est.event_counts, est.consistent, final, tuple(events)
+    )

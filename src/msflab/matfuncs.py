@@ -8,6 +8,7 @@ squaring exponential and inverse-scaling-and-squaring logarithm.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,12 @@ def mat_log(m) -> np.ndarray:
     up to rounding; the imaginary part is kept so callers can audit it.
     Raises NonInvertibleMatrixError when the smallest singular value drops
     below SINGULARITY_RTOL relative to the largest.
+
+    Near-defective matrices whose eigenvalues lie on or straddle the
+    negative real axis get i*pi*I + log(-m): the principal logarithm when
+    those eigenvalues are real, and otherwise the logarithm with both on
+    the +i*pi side, since the principal one then has entries of order
+    1/(eigenvalue gap) and no exponential maps it back to m.
     """
     a = _as_square(m)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -101,5 +108,17 @@ def mat_log(m) -> np.ndarray:
     if dec.vector_condition < EIG_COND_LIMIT:
         r = (dec.vectors * np.log(dec.values.astype(complex))) @ np.linalg.inv(dec.vectors)
     else:
-        r, _ = scipy.linalg.logm(a, disp=False)
+        values = dec.values
+        flip = np.all(values.real < 0.0) and np.all(
+            np.abs(values.imag) < np.abs(values) / EIG_COND_LIMIT
+        )
+        with warnings.catch_warnings():
+            # Without the deprecated disp=False logm warns when its own error
+            # estimate is large; the fallback stays as silent as it was.
+            warnings.filterwarnings(
+                "ignore", message="logm result may be inaccurate", category=RuntimeWarning
+            )
+            r = scipy.linalg.logm(-a if flip else a)
+        if flip:
+            r = r + 1j * np.pi * np.eye(a.shape[0])
     return np.asarray(r, dtype=complex)

@@ -289,7 +289,9 @@ def compute_tle(
 
         est = event_window_jacobian(p, state, window, settings.jacobi_delta)
         if not est.consistent:
-            est = event_window_jacobian(p, state, window, settings.jacobi_delta / 10.0)
+            est = event_window_jacobian(
+                p, state, window, settings.jacobi_delta / 10.0, central=(est.final, est.events)
+            )
             if est.consistent:
                 warnings.append(
                     f"event counts disagreed at tau_c={tau_c:.6f}; "
@@ -314,8 +316,9 @@ def compute_tle(
         log_sum += math.log(nrm)
         xi = xi / nrm
 
-        state, window_events = simulate(p, state, window, scan_step=window / 16.0)
-        for record in window_events:
+        # Advance along the window's central run, which the estimate carries.
+        state = est.final
+        for record in est.events:
             if record.grazing:
                 warnings.append(
                     f"grazing impact at tau_c={record.tau_c:.6f} "

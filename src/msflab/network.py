@@ -28,13 +28,13 @@ import numpy as np
 
 from .msf import MSFQuery, TLEResult, TLESettings, compute_tle, settle_transient
 from .oscillator import (
-    BISECTION_TOL,
     CHATTER_CAP,
     DEFAULT_SCAN_STEP,
     ChatterError,
     ImpactOscillatorParams,
     OscState,
     WALL_POSITION_TOL,
+    bisect_crossing,
     steady_state_coefficients,
 )
 
@@ -395,8 +395,10 @@ def _simulate_coupled(
         lo_dt = float(dts[ci - 1]) if ci > 0 else 0.0
         hi_dt = float(dts[ci])
         tau_c_dt = None
-        for node in np.nonzero(crossings[:, ci])[0]:
-            cand = _bisect_node(segs, modes, anchor_tau, int(node), lo_dt, hi_dt, p.x_w)
+        for node in np.nonzero(crossings[:, ci])[0].tolist():
+            cand = bisect_crossing(
+                lambda dt: segs.position_of(modes, anchor_tau, node, dt) - p.x_w, lo_dt, hi_dt
+            )
             if tau_c_dt is None or cand < tau_c_dt:
                 tau_c_dt = cand
         full = segs.eval_full(modes, anchor_tau, tau_c_dt)
@@ -430,19 +432,6 @@ def _simulate_coupled(
         periods_run=periods_run,
         impact_times=impact_times,
     )
-
-
-def _bisect_node(segs, modes, anchor_tau, node, lo, hi, x_w):
-    """Bisect one node's wall crossing between segment offsets lo < hi."""
-    for _ in range(200):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if segs.position_of(modes, anchor_tau, node, mid) - x_w > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def run_probe(

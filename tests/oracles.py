@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from msflab.oscillator import ImpactOscillatorParams, OscState, simulate
+from msflab.oscillator import (
+    BISECTION_TOL,
+    DEFAULT_SCAN_STEP,
+    ImpactOscillatorParams,
+    OscState,
+    segment_states,
+    simulate,
+)
 
 
 def rk4_integrate(f, t0: float, x0: np.ndarray, t1: float, n_steps: int) -> np.ndarray:
@@ -27,6 +34,42 @@ def rk4_integrate(f, t0: float, x0: np.ndarray, t1: float, n_steps: int) -> np.n
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return x
+
+
+def grid_scan_impact(
+    p: ImpactOscillatorParams,
+    s: OscState,
+    horizon: float,
+    scan_step: float = DEFAULT_SCAN_STEP,
+) -> float | None:
+    """Impact location by direct evaluation: the reference for the fast scan.
+
+    Unlike the rest of this module it uses the package's segment_states on
+    purpose: it evaluates it on the whole scan grid from s (the last sample
+    clamped to the horizon), takes the first sign change of x - x_w, and
+    bisects it with segment_states at every midpoint.  detect_next_impact
+    must return the same time bit for bit.
+    """
+    if not p.wall_enabled or horizon <= 0.0:
+        return None
+    dts = np.arange(1, int(math.ceil(horizon / scan_step)) + 1, dtype=float) * scan_step
+    dts[-1] = min(dts[-1], horizon)
+    gs = segment_states(p, s.x, s.v, s.tau, dts)[0] - p.x_w
+    prev = np.concatenate(([s.x - p.x_w], gs[:-1]))
+    hits = np.nonzero((gs > 0.0) & (prev <= 0.0))[0]
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    lo, hi = (float(dts[i - 1]) if i > 0 else 0.0), float(dts[i])
+    for _ in range(200):
+        if hi - lo < BISECTION_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if segment_states(p, s.x, s.v, s.tau, mid)[0] - p.x_w > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return s.tau + 0.5 * (lo + hi)
 
 
 def oscillator_rhs(p: ImpactOscillatorParams):

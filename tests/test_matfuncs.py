@@ -90,6 +90,13 @@ class TestMatLog:
         back = mat_exp(mat_log(m))
         assert np.max(np.abs(back - m)) < 1e-9
 
+    def test_pair_straddling_negative_axis_round_trip(self):
+        # Eigenvalues -1 +- 1e-15 i: the principal logarithm has entries of
+        # order 1e15, which no exponential maps back to m.
+        m = np.array([[-1.0, 1e-30], [-1.0, -1.0]])
+        back = mat_exp(mat_log(m))
+        assert np.max(np.abs(back - m)) < 1e-9
+
     def test_output_always_complex(self):
         assert np.iscomplexobj(mat_log(np.eye(2)))
 

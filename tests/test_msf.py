@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import smooth_tle_oracle
+from msflab import jacobian, msf
 from msflab.msf import (
     MSFQuery,
     SPRING_COUPLING,
@@ -13,7 +14,7 @@ from msflab.msf import (
     msf_sweep,
     settle_transient,
 )
-from msflab.oscillator import ImpactOscillatorParams, OscState
+from msflab.oscillator import ImpactOscillatorParams, OscState, simulate
 
 
 def _smooth(eta=0.712):
@@ -160,6 +161,49 @@ class TestProtocolMetadata:
         )
         assert len(r.imag_discard_events) >= 1
         assert all(d >= 0.0 for d in r.imag_discard_events)
+
+
+class TestEventWindows:
+    def test_three_flow_runs_and_advance_along_central_run(
+        self, elastic, elastic_base, monkeypatch
+    ):
+        runs, windows, starts = [], [], []
+        real_simulate = jacobian.simulate
+        real_window = msf.event_window_jacobian
+        real_detect = msf.detect_next_impact
+
+        def counting_simulate(*args, **kwargs):
+            runs.append(args[1])
+            return real_simulate(*args, **kwargs)
+
+        def recording_window(p, s_pre, window, *args, **kwargs):
+            before = len(runs)
+            est = real_window(p, s_pre, window, *args, **kwargs)
+            windows.append((s_pre, window, est, len(runs) - before))
+            return est
+
+        def recording_detect(p, s, *args, **kwargs):
+            starts.append(s)
+            return real_detect(p, s, *args, **kwargs)
+
+        monkeypatch.setattr(jacobian, "simulate", counting_simulate)
+        monkeypatch.setattr(msf, "simulate", counting_simulate)
+        monkeypatch.setattr(msf, "event_window_jacobian", recording_window)
+        monkeypatch.setattr(msf, "detect_next_impact", recording_detect)
+        compute_tle(
+            elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0),
+            TLESettings(max_periods=4, sample_window=2), base_state=elastic_base,
+        )
+        assert len(windows) >= 2
+        assert len(runs) == 3 * len(windows)
+        for i, (s_pre, window, est, n_runs) in enumerate(windows):
+            assert n_runs == 3
+            final, events = real_simulate(elastic, s_pre, window, scan_step=window / 16.0)
+            assert est.final == final
+            assert list(est.events) == events
+            # The march resumes from the central run's final state.
+            if i + 1 < len(starts):
+                assert starts[i + 1] == est.final
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oscillator_rhs, rk4_integrate, taylor_expm
+from oracles import grid_scan_impact, oscillator_rhs, rk4_integrate, taylor_expm
 from msflab.oscillator import (
     BISECTION_TOL,
     ChatterError,
@@ -14,6 +14,7 @@ from msflab.oscillator import (
     OscState,
     ResonanceError,
     apply_impact,
+    bisect_crossing,
     detect_next_impact,
     nondimensionalize,
     propagate_free,
@@ -216,6 +217,75 @@ class TestImpacts:
         p = ImpactOscillatorParams(zeta=0.05, eta=0.5975, f=1.0, x_w=0.05, R=0.3)
         with pytest.raises(ChatterError):
             simulate(p, OscState(0.0, 0.0, 0.0), 10 * p.forcing_period, chatter_cap=200)
+
+
+def _trajectory_states(p, base, periods):
+    """States along the trajectory from base, each with a scan step and horizon.
+
+    Per impact: the post-impact state, a mid-flight state, a state whose
+    grid point 300 sits on the crossing (a table sample within the guard
+    band), and a window-style start 1.5 steps before the crossing with the
+    event window's fine scan step.
+    """
+    h = 1e-3
+    _, events = simulate(p, base, periods * p.forcing_period)
+    cases, prev = [], base
+    for e in events:
+        lead = e.tau_c - prev.tau
+        cases.append((prev, h, 3 * p.forcing_period))
+        if lead > 400 * h:
+            mid = propagate_free(p, prev, 0.5 * lead)
+            cases.append((mid, h, 3 * p.forcing_period))
+            cases.append((propagate_free(p, prev, lead - 300 * h), h, 3 * p.forcing_period))
+            start = propagate_free(p, prev, lead - 1.5 * h)
+            cases.append((start, 2 * h / 16.0, 2 * h))
+        prev = OscState(p.x_w, e.v_post, e.tau_c)
+    return cases
+
+
+class TestImpactLocation:
+    """detect_next_impact equals the direct grid scan and bisection, bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    def test_matches_direct_scan(self, preset, request):
+        p = request.getfixturevalue(preset)
+        base = request.getfixturevalue(f"{preset}_base")
+        cases = _trajectory_states(p, base, 60)
+        assert len(cases) >= 150
+        in_guard_band = 0
+        for s, step, horizon in cases:
+            x300, _ = segment_states(p, s.x, s.v, s.tau, 300 * step)
+            in_guard_band += abs(x300 - p.x_w) < 1e-8
+            tau_c = grid_scan_impact(p, s, horizon, step)
+            assert detect_next_impact(p, s, horizon, step) == tau_c
+            if tau_c is None:
+                continue
+            # A horizon that ends inside the crossing's grid cell: the last
+            # sample is clamped onto the horizon and closes the bracket.
+            offset = tau_c - s.tau
+            cell_end = math.ceil(offset / step) * step
+            short = offset + 0.5 * (cell_end - offset)
+            assert detect_next_impact(p, s, short, step) == grid_scan_impact(p, s, short, step)
+        assert in_guard_band >= 10
+
+    def test_horizon_spanning_many_chunks(self):
+        # Undamped and off resonance: the beat envelope keeps the first
+        # crossing of a wall just above the early maxima tens of time
+        # units (and many scan chunks) away.
+        s = OscState(0.2, -0.1, 1.0e4)
+        free = ImpactOscillatorParams(zeta=0.0, eta=0.712, wall_enabled=False)
+        xs, _ = segment_states(free, s.x, s.v, s.tau, np.arange(1, 200_001) * 1e-3)
+        found = []
+        for x_w in (float(xs[:30_000].max()) + 1e-3, float(xs.max()) + 1e-3):
+            p = ImpactOscillatorParams(zeta=0.0, eta=0.712, x_w=x_w)
+            found.append(detect_next_impact(p, s, 200.0))
+            assert found[-1] == grid_scan_impact(p, s, 200.0)
+        assert found[0] - s.tau > 30.0
+        assert found[1] is None
+
+    def test_bisection_converges_on_the_crossing(self):
+        root = bisect_crossing(lambda t: t - 0.3, 0.0, 1.0)
+        assert abs(root - 0.3) < BISECTION_TOL
 
 
 class TestSimulate:
