@@ -148,7 +148,6 @@ def event_window_jacobian(
     s_pre: OscState,
     window: float,
     delta: float = DEFAULT_DELTA,
-    central: tuple[OscState, tuple[EventRecord, ...]] | None = None,
 ) -> WindowEstimate:
     """Flow Jacobian across a short window containing exactly one impact.
 
@@ -159,19 +158,15 @@ def event_window_jacobian(
     A singular estimate raises GrazingSingularityError since the coupling
     correction downstream needs the window propagator's logarithm.
 
-    The central run is simulated once and returned with the estimate;
-    central, the (final, events) of an earlier estimate over the same
-    window, reuses that run instead.
+    The central run is simulated once, differenced against, and returned
+    with the estimate, so the caller can advance along it.
     """
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
     # The window spans at most a couple of scan steps; a finer internal
     # scan keeps sub-window impact ordering exact.
     inner_step = window / 16.0
-    if central is None:
-        final, events = simulate(p, s_pre, window, scan_step=inner_step)
-    else:
-        final, events = central
+    final, events = simulate(p, s_pre, window, scan_step=inner_step)
     if len(events) != 1:
         raise InvalidWindowError(
             f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "

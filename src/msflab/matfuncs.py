@@ -1,4 +1,7 @@
-"""Dense matrix exponentials, principal logarithms and eigendecompositions.
+"""Dense matrix exponentials, logarithms and eigendecompositions.
+
+Logarithms are principal, except for near-defective matrices with a
+conjugate eigenvalue pair straddling the negative real axis (see mat_log).
 
 Sized for the small (2x2 to ~6x6) propagators this package manipulates.
 The primary path diagonalizes in complex arithmetic; matrices whose
@@ -81,7 +84,7 @@ def mat_exp(m) -> np.ndarray:
 
 
 def mat_log(m) -> np.ndarray:
-    """Principal matrix logarithm, always returned complex.
+    """Matrix logarithm, always returned complex; principal but for one case.
 
     Eigenvalues on the negative real axis pick up +i*pi, so a real matrix
     can have a genuinely complex logarithm.  Real matrices whose spectrum
@@ -91,9 +94,10 @@ def mat_log(m) -> np.ndarray:
     below SINGULARITY_RTOL relative to the largest.
 
     Near-defective matrices whose eigenvalues lie on or straddle the
-    negative real axis get i*pi*I + log(-m): the principal logarithm when
-    those eigenvalues are real, and otherwise the logarithm with both on
-    the +i*pi side, since the principal one then has entries of order
+    negative real axis get i*pi*I + log(-m).  That is the principal
+    logarithm when those eigenvalues are real.  For a conjugate pair
+    straddling the axis it is not: both eigenvalues land on the +i*pi
+    side, because the principal logarithm then has entries of order
     1/(eigenvalue gap) and no exponential maps it back to m.
     """
     a = _as_square(m)

@@ -289,9 +289,7 @@ def compute_tle(
 
         est = event_window_jacobian(p, state, window, settings.jacobi_delta)
         if not est.consistent:
-            est = event_window_jacobian(
-                p, state, window, settings.jacobi_delta / 10.0, central=(est.final, est.events)
-            )
+            est = event_window_jacobian(p, state, window, settings.jacobi_delta / 10.0)
             if est.consistent:
                 warnings.append(
                     f"event counts disagreed at tau_c={tau_c:.6f}; "

@@ -18,7 +18,10 @@ wall crossing by bisection.  Long scans read the grid from tables of the
 decay and rotation factors, cached per (zeta, eta, scan step); bisection
 evaluates the position alone through a scalar closed form.  Both give the
 same impact times, bit for bit, as evaluating segment_states on the grid
-and at each midpoint.
+and at each midpoint, wherever math.cos and math.sin round as numpy's cos
+and sin do.  They did on every argument checked on x86-64 with numpy 2.4;
+a numpy build that dispatches its own float64 cos or sin may move impact
+times in the last bit.
 
 All closed-form evaluation helpers preserve the floating dtype of their
 inputs, so callers that need extended precision can pass np.longdouble
@@ -344,7 +347,10 @@ def detect_next_impact(
     with tau (about 1e-11 at tau = 2e4 without damping), so a table sample
     within _SCAN_GUARD times the amplitude of the wall is recomputed with
     the closed form: every sign, and with it the crossing found, is the one
-    segment_states gives on the same grid.
+    segment_states gives on the same grid.  The bisection and the
+    recomputed samples use math.cos and math.sin, so the time returned
+    equals the direct evaluation's bit for bit where those round as
+    numpy's do (see the module docstring).
     """
     if not p.wall_enabled or horizon <= 0.0:
         return None

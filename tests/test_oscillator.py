@@ -243,9 +243,31 @@ def _trajectory_states(p, base, periods):
     return cases
 
 
+@pytest.fixture(scope="module")
+def libm_trig_matches_numpy():
+    """Skip unless math.cos/sin round as numpy's scalar and array cos/sin do.
+
+    detect_next_impact evaluates scalars with math.cos and math.sin where
+    segment_states uses numpy's; bit identity holds only where the two
+    agree, so a host where they differ skips rather than reporting a scan
+    fault.  The arguments span the rotation angles wd*dt and the forcing
+    phases eta*tau the tests reach.
+    """
+    rng = np.random.default_rng(7)
+    args = np.concatenate([rng.uniform(0.0, 10.0, 2000), rng.uniform(0.0, 3e4, 2000)])
+    cos_arr, sin_arr = np.cos(args), np.sin(args)
+    for i, a in enumerate(args.tolist()):
+        if not (math.cos(a) == np.cos(a) == cos_arr[i] and math.sin(a) == np.sin(a) == sin_arr[i]):
+            pytest.skip(
+                f"math and numpy cos/sin round differently at {a!r} on this host, "
+                f"so impact times may differ from segment_states' in the last bit"
+            )
+
+
 class TestImpactLocation:
     """detect_next_impact equals the direct grid scan and bisection, bit for bit."""
 
+    @pytest.mark.usefixtures("libm_trig_matches_numpy")
     @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
     def test_matches_direct_scan(self, preset, request):
         p = request.getfixturevalue(preset)
@@ -268,6 +290,7 @@ class TestImpactLocation:
             assert detect_next_impact(p, s, short, step) == grid_scan_impact(p, s, short, step)
         assert in_guard_band >= 10
 
+    @pytest.mark.usefixtures("libm_trig_matches_numpy")
     def test_horizon_spanning_many_chunks(self):
         # Undamped and off resonance: the beat envelope keeps the first
         # crossing of a wall just above the early maxima tens of time
