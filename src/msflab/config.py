@@ -12,7 +12,7 @@ shorthand ("start:stop:count").
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +36,6 @@ _SECTIONS = {
         "std_tolerance",
         "scan_step",
         "jacobi_delta",
-        "step_mode",
     ),
     "query": ("alpha", "beta"),
     "sweep": ("alphas", "betas", "sigmas"),
@@ -166,7 +165,6 @@ def load_config(path) -> RunConfig:
             std_tolerance=get("tle", "std_tolerance", float, 1e-5),
             scan_step=get("tle", "scan_step", float, 1e-3),
             jacobi_delta=get("tle", "jacobi_delta", float, 1e-7),
-            step_mode=get("tle", "step_mode", str, "grouped"),
         )
         probe = ProbeSettings(
             sigma=get("probe", "sigma", float, 0.5),
@@ -241,7 +239,6 @@ def effective_ini(cfg: RunConfig) -> str:
         f"std_tolerance = {tle.std_tolerance!r}",
         f"scan_step = {tle.scan_step!r}",
         f"jacobi_delta = {tle.jacobi_delta!r}",
-        f"step_mode = {tle.step_mode}",
         "",
         "[query]",
         f"alpha = {cfg.query_alpha!r}",
@@ -277,10 +274,6 @@ def effective_ini(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def write_effective(cfg: RunConfig, path) -> None:
-    Path(path).write_text(effective_ini(cfg))
-
-
 def preset_names() -> list[str]:
     root = resources.files("msflab").joinpath("presets")
     return sorted(p.name[: -len(".ini")] for p in root.iterdir() if p.name.endswith(".ini"))
@@ -305,16 +298,3 @@ def default_config() -> RunConfig:
         probe=ProbeSettings(sigma=0.5),
     )
 
-
-def assert_round_trip(cfg: RunConfig, tmp_path) -> None:
-    """Dump-and-reload helper used by the test suite."""
-    target = Path(tmp_path) / "effective.ini"
-    write_effective(cfg, target)
-    reloaded = load_config(target)
-    if reloaded != cfg:
-        diffs = []
-        for f in fields(RunConfig):
-            a, b = getattr(cfg, f.name), getattr(reloaded, f.name)
-            if a != b:
-                diffs.append(f"{f.name}: {a!r} != {b!r}")
-        raise AssertionError("round trip drifted: " + "; ".join(diffs))

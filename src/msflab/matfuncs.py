@@ -1,26 +1,35 @@
-"""Dense matrix exponentials, logarithms and eigendecompositions.
+"""Closed-form exponential and logarithm of 2x2 matrices.
 
-Logarithms are principal, except for near-defective matrices with a
-conjugate eigenvalue pair straddling the negative real axis (see mat_log).
+Every propagator, generator and step power in this package is 2x2, so both
+functions work in scalar arithmetic from the trace/traceless split
+M = mu*I + N, where mu is half the trace and N*N = s^2*I (Cayley-Hamilton;
+the eigenvalues are mu +- s):
 
-Sized for the small (2x2 to ~6x6) propagators this package manipulates.
-The primary path diagonalizes in complex arithmetic; matrices whose
-eigenvector basis is ill-conditioned fall back to scipy's scaling-and-
-squaring exponential and inverse-scaling-and-squaring logarithm.
+    exp(t*M) = e^(t*mu) * (cosh(t*s)*I + sinh(t*s)/s * N),
+    log(M)   = (log l1 + log l2)/2 * I + (log l1 - log l2)/(l1 - l2) * N,
+
+with sinh(t*s)/s -> t as s -> 0 and the divided difference taken through
+atanh when the eigenvalues are close (Higham, Functions of Matrices, 2008,
+ch. 11).  Both stay exact for defective matrices; there is no
+eigendecomposition and no fallback.
+
+Logarithms are principal, except when both eigenvalues lie within a
+relative AXIS_RTOL of the negative real axis (see mat_log).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+import cmath
+import math
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-# Eigenvector-basis condition number beyond which the Pade fallbacks run.
-EIG_COND_LIMIT = 1e6
 # Relative smallest-singular-value threshold below which no logarithm exists.
 SINGULARITY_RTOL = 1e-12
+# |Im l| <= AXIS_RTOL*|l| on both eigenvalues (with Re l < 0) selects the
+# i*pi*I + log(-M) branch of mat_log.
+AXIS_RTOL = 1e-6
 
 
 class NonInvertibleMatrixError(ValueError):
@@ -32,59 +41,77 @@ class NonInvertibleMatrixError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues, right eigenvectors (columns) and basis conditioning."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    vector_condition: float
-
-
-def _as_square(m) -> np.ndarray:
+def _entries(m) -> tuple[list, bool]:
+    """The four entries of a finite 2x2 matrix as Python scalars, and whether complex."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    if not np.issubdtype(a.dtype, np.complexfloating):
-        a = a.astype(float)
-    return a
+    is_complex = np.iscomplexobj(a)
+    return a.astype(complex if is_complex else float).ravel().tolist(), is_complex
 
 
-def solve_eigen(m) -> EigenDecomposition:
-    """Eigendecomposition with an explicit basis-conditioning figure.
+def exp_flow(m) -> Callable[[float], np.ndarray]:
+    """The one-parameter group t -> exp(t*m) of a 2x2 matrix m.
 
-    vector_condition is the 2-norm condition number of the eigenvector
-    matrix; near-defective inputs produce a large value, which mat_exp and
-    mat_log use to switch to their fallback algorithms.
+    The half trace, the traceless part and s are computed once here; each
+    call then costs a few scalar operations.  Real m gives real matrices.
     """
-    a = _as_square(m)
-    values, vectors = np.linalg.eig(a)
-    try:
-        cond = float(np.linalg.cond(vectors))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond):
-        cond = np.inf
-    return EigenDecomposition(values=values, vectors=vectors, vector_condition=cond)
+    (a, b, c, d), is_complex = _entries(m)
+    mu = 0.5 * (a + d)
+    n0 = 0.5 * (a - d)
+    s2 = n0 * n0 + b * c
+    # exp(t*m) = e^(t*mu) * (base(t*s)*I + sinh(t*s)/s * [[p, b], [c, q]]); in
+    # general base = cosh and (p, q) = (n0, -n0), the traceless part itself.
+    if is_complex:
+        s, exp, sinh, base = cmath.sqrt(s2), cmath.exp, cmath.sinh, cmath.cosh
+        p, q = n0, -n0
+    elif s2 < 0.0:
+        # s = i*w: cosh(i*w*t) = cos(w*t) and sinh(i*w*t)/(i*w) = sin(w*t)/w.
+        s, exp, sinh, base = math.sqrt(-s2), math.exp, math.sin, math.cos
+        p, q = n0, -n0
+    else:
+        # cosh(x) + n0/s*sinh(x) = e^-x + (s + n0)/s*sinh(x), and s - |n0| =
+        # b*c/(s + |n0|) has no cancellation: with b*c >= 0 each diagonal
+        # entry is a sum of nonnegative terms, however large s*t is.
+        s, exp, sinh = math.sqrt(s2), math.exp, math.sinh
+        base = lambda x: math.exp(-x)
+        big = s + abs(n0)
+        small = b * c / big if big else 0.0
+        p, q = (big, small) if n0 >= 0.0 else (small, big)
+
+    def at(t: float) -> np.ndarray:
+        e = exp(t * mu)
+        e0 = e * base(t * s)
+        sh = e * (sinh(t * s) / s if s else t)
+        return np.array([[e0 + sh * p, sh * b], [sh * c, e0 + sh * q]])
+
+    return at
 
 
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential; real input yields real output."""
-    a = _as_square(m)
-    dec = solve_eigen(a)
-    if dec.vector_condition < EIG_COND_LIMIT:
-        r = (dec.vectors * np.exp(dec.values)) @ np.linalg.inv(dec.vectors)
-    else:
-        r = scipy.linalg.expm(a)
-    if not np.issubdtype(a.dtype, np.complexfloating):
-        return np.real(r) if np.iscomplexobj(r) else r
-    return r
+    """Matrix exponential of a 2x2 matrix; real input yields real output."""
+    return exp_flow(m)(1.0)
+
+
+def _log_coefficients(mu, s, l1, l2) -> tuple[complex, complex]:
+    """(g0, g1) with log(mu*I + N) = g0*I + g1*N, for eigenvalues l1,2 = mu +- s."""
+    log1, log2 = cmath.log(l1), cmath.log(l2)
+    g0 = 0.5 * (log1 + log2)
+    if s == 0.0:
+        return g0, 1.0 / mu
+    if abs(s) < 0.5 * abs(mu):
+        # log l1 - log l2 = 2*atanh(s/mu) + 2*pi*i*u; the atanh form has no
+        # cancellation, and u (the unwinding number) keeps the principal branch.
+        w = cmath.atanh(s / mu)
+        u = round((log1 - log2 - 2.0 * w).imag / (2.0 * math.pi))
+        return g0, (w + 1j * math.pi * u) / s
+    return g0, (log1 - log2) / (2.0 * s)
 
 
 def mat_log(m) -> np.ndarray:
-    """Matrix logarithm, always returned complex; principal but for one case.
+    """Logarithm of a 2x2 matrix, always complex; principal but for one case.
 
     Eigenvalues on the negative real axis pick up +i*pi, so a real matrix
     can have a genuinely complex logarithm.  Real matrices whose spectrum
@@ -93,36 +120,53 @@ def mat_log(m) -> np.ndarray:
     Raises NonInvertibleMatrixError when the smallest singular value drops
     below SINGULARITY_RTOL relative to the largest.
 
-    Near-defective matrices whose eigenvalues lie on or straddle the
-    negative real axis get i*pi*I + log(-m).  That is the principal
-    logarithm when those eigenvalues are real.  For a conjugate pair
-    straddling the axis it is not: both eigenvalues land on the +i*pi
-    side, because the principal logarithm then has entries of order
-    1/(eigenvalue gap) and no exponential maps it back to m.
+    When both eigenvalues have negative real part and |Im l| <= AXIS_RTOL*|l|
+    (1e-6), the result is i*pi*I + log(-m), which puts both eigenvalues on
+    the +i*pi side.  For real eigenvalues that is the principal logarithm.
+    For a conjugate pair straddling the axis it is not: there the principal
+    logarithm has entries of order |m - mu*I|/|Im l|, which no exponential
+    maps back to m when the pair is near-defective.
+
+    The eigenvalues are taken stably, l1 = mu + s with the sign of s that
+    avoids cancellation and l2 = det/l1.  Real eigenvalues of a real
+    matrix get a +0.0 imaginary part, so a negative one takes +i*pi.
     """
-    a = _as_square(m)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] < SINGULARITY_RTOL * sv[0] or sv[0] == 0.0:
+    (a, b, c, d), is_complex = _entries(m)
+    det = a * d - b * c
+    # Singular values: sv_max^2 + sv_min^2 = |m|_F^2 and sv_max*sv_min = |det|.
+    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    gap2 = max((fro2 - 2.0 * abs(det)) * (fro2 + 2.0 * abs(det)), 0.0)
+    sv_max = math.sqrt(0.5 * (fro2 + math.sqrt(gap2)))
+    sv_min = abs(det) / sv_max if sv_max else 0.0
+    if sv_max == 0.0 or sv_min < SINGULARITY_RTOL * sv_max:
         raise NonInvertibleMatrixError(
             f"matrix is numerically singular (smallest/largest singular value "
-            f"= {sv[-1]:.3e}/{sv[0]:.3e}); the flow map lost rank, so no "
+            f"= {sv_min:.3e}/{sv_max:.3e}); the flow map lost rank, so no "
             f"logarithm exists"
         )
-    dec = solve_eigen(a)
-    if dec.vector_condition < EIG_COND_LIMIT:
-        r = (dec.vectors * np.log(dec.values.astype(complex))) @ np.linalg.inv(dec.vectors)
+    mu = 0.5 * (a + d)
+    n0 = 0.5 * (a - d)
+    s2 = n0 * n0 + b * c
+    if not is_complex and s2 >= 0.0:
+        s = math.copysign(math.sqrt(s2), mu)
+        l1 = mu + s
+        l1, l2 = complex(l1, 0.0), complex(det / l1, 0.0)
+    elif not is_complex:
+        s = 1j * math.sqrt(-s2)
+        l1 = mu + s
+        l2 = l1.conjugate()
     else:
-        values = dec.values
-        flip = np.all(values.real < 0.0) and np.all(
-            np.abs(values.imag) < np.abs(values) / EIG_COND_LIMIT
-        )
-        with warnings.catch_warnings():
-            # Without the deprecated disp=False logm warns when its own error
-            # estimate is large; the fallback stays as silent as it was.
-            warnings.filterwarnings(
-                "ignore", message="logm result may be inaccurate", category=RuntimeWarning
-            )
-            r = scipy.linalg.logm(-a if flip else a)
-        if flip:
-            r = r + 1j * np.pi * np.eye(a.shape[0])
-    return np.asarray(r, dtype=complex)
+        s = cmath.sqrt(s2)
+        if (mu.conjugate() * s).real < 0.0:
+            s = -s
+        l1 = mu + s
+        l2 = det / l1
+    if all(z.real < 0.0 and abs(z.imag) <= AXIS_RTOL * abs(z) for z in (l1, l2)):
+        # log(-m) = g0*I + g1*(-N) for -m = (-mu)*I + (-N).
+        g0, g1 = _log_coefficients(-mu, -s, -l1, -l2)
+        g0, g1 = g0 + 1j * math.pi, -g1
+    else:
+        g0, g1 = _log_coefficients(mu, s, l1, l2)
+    return np.array(
+        [[g0 + g1 * n0, g1 * b], [g1 * c, g0 - g1 * n0]], dtype=complex
+    )

@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jacobian import InvalidWindowError, event_window_jacobian
-from .matfuncs import EIG_COND_LIMIT, mat_exp, mat_log, solve_eigen
+from .matfuncs import exp_flow, mat_exp, mat_log
 from .oscillator import (
     DEFAULT_SCAN_STEP,
     ImpactOscillatorParams,
@@ -64,11 +64,7 @@ class TLESettings:
     Defaults reproduce the reference protocol: a 500 forcing-period
     transient, sampling the running average once per period, convergence
     when the standard deviation of the last 100 samples drops below 1e-5,
-    and a hard cap of 2000 periods.  step_mode selects how a constant
-    impact-free step propagator is applied: "grouped" raises it to the
-    stretch power through its eigendecomposition, "direct" multiplies step
-    by step; both produce identical samples to rounding and are
-    cross-checked in the test suite.
+    and a hard cap of 2000 periods.
     """
 
     transient_periods: int = 500
@@ -77,7 +73,6 @@ class TLESettings:
     std_tolerance: float = 1e-5
     scan_step: float = DEFAULT_SCAN_STEP
     jacobi_delta: float = 1e-7
-    step_mode: str = "grouped"
 
     def __post_init__(self):
         for name in ("transient_periods", "max_periods", "sample_window"):
@@ -91,8 +86,6 @@ class TLESettings:
                 f"sample_window ({self.sample_window}) cannot exceed max_periods "
                 f"({self.max_periods})"
             )
-        if self.step_mode not in ("grouped", "direct"):
-            raise ValueError(f"step_mode must be 'grouped' or 'direct', got {self.step_mode!r}")
 
 
 @dataclass
@@ -120,6 +113,14 @@ class TLEResult:
     imag_discard_events: list[float] = field(default_factory=list, repr=False)
 
 
+def _coupled_generator(phi_single, coupling, query: MSFQuery, h: float) -> np.ndarray:
+    """log(phi_single) + (alpha + i*beta)*coupling*h, the step's coupled generator."""
+    if h <= 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
+    coupling = np.asarray(coupling, dtype=float)
+    return mat_log(phi_single) + (query.alpha + 1j * query.beta) * coupling * h
+
+
 def coupled_step_propagator(
     phi_single, coupling, query: MSFQuery, h: float
 ) -> tuple[np.ndarray, float]:
@@ -131,47 +132,11 @@ def coupled_step_propagator(
     auditing; for beta != 0 the complex matrix is returned unchanged with a
     reported magnitude of 0.
     """
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h!r}")
-    coupling = np.asarray(coupling, dtype=float)
-    generator = mat_log(phi_single) + (query.alpha + 1j * query.beta) * coupling * h
-    prop = mat_exp(generator)
+    prop = mat_exp(_coupled_generator(phi_single, coupling, query, h))
     if query.beta == 0.0:
         discarded = float(np.linalg.norm(np.imag(prop)))
         return np.real(prop).copy(), discarded
     return prop, 0.0
-
-
-class _PowerStepper:
-    """Applies a constant step propagator k times with per-step renorm.
-
-    Per-step renormalization only rescales, so the unit direction and the
-    accumulated log growth after k steps equal those of M^k applied once;
-    grouped mode exploits that through the eigendecomposition of M, and
-    falls back to the literal loop when the eigenbasis is ill-conditioned.
-    """
-
-    def __init__(self, mat: np.ndarray, mode: str):
-        self.mat = np.asarray(mat, dtype=complex)
-        self._eig = None
-        if mode == "grouped":
-            dec = solve_eigen(self.mat)
-            if dec.vector_condition < EIG_COND_LIMIT:
-                self._eig = (dec.values, dec.vectors, np.linalg.inv(dec.vectors))
-
-    def advance(self, xi: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-        if self._eig is not None:
-            values, vectors, inv_vectors = self._eig
-            y = vectors @ (values**k * (inv_vectors @ xi))
-            nrm = float(np.linalg.norm(y))
-            return y / nrm, math.log(nrm)
-        growth = 0.0
-        for _ in range(k):
-            xi = self.mat @ xi
-            nrm = float(np.linalg.norm(xi))
-            growth += math.log(nrm)
-            xi = xi / nrm
-        return xi, growth
 
 
 def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscState:
@@ -211,9 +176,11 @@ def compute_tle(
     t0 = base_state.tau
     real_query = query.beta == 0.0
 
-    phi_free = segment_propagator(p, h)
-    m_free, discard_free = coupled_step_propagator(phi_free, coupling, query, h)
-    stepper = _PowerStepper(m_free, settings.step_mode)
+    # k impact-free steps with per-step renormalization leave the same unit
+    # direction and log growth as exp(k*G) applied once, G the free step's
+    # coupled generator.
+    free_steps = exp_flow(_coupled_generator(segment_propagator(p, h), coupling, query, h))
+    discard_free = float(np.linalg.norm(np.imag(free_steps(1.0))))
 
     if initial_perturbation is None:
         xi = np.array([1.0, 0.0], dtype=complex)
@@ -257,9 +224,11 @@ def compute_tle(
         nonlocal j, xi, log_sum
         while n_steps > 0 and not converged and len(samples) < settings.max_periods:
             take = min(n_steps, next_sample_j - j)
-            xi_new, growth = stepper.advance(xi, take)
-            xi = xi_new
-            log_sum += growth
+            step = free_steps(take)
+            xi = (step.real if real_query else step) @ xi
+            nrm = float(np.linalg.norm(xi))
+            log_sum += math.log(nrm)
+            xi = xi / nrm
             j += take
             n_steps -= take
             emit_samples()
@@ -349,15 +318,27 @@ class SweepPoint:
     error: str | None = None
 
 
-def _sweep_worker(args) -> tuple[int, SweepPoint]:
-    index, p, coupling, query, settings, base_state = args
+def _run_grid(worker, tasks: list, jobs: int | None) -> list:
+    """worker(task) for every task, in task order, serially or in a process pool.
+
+    jobs=None uses one process per task, up to the CPU count; the order of
+    the results never depends on the worker count.
+    """
+    if jobs is None:
+        jobs = min(len(tasks), os.cpu_count() or 1)
+    if jobs <= 1 or len(tasks) <= 1:
+        return [worker(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks))
+
+
+def _sweep_worker(args) -> SweepPoint:
+    p, coupling, query, settings, base_state = args
     try:
         result = compute_tle(p, coupling, query, settings, base_state=base_state)
-        return index, SweepPoint(query.alpha, query.beta, result=result)
+        return SweepPoint(query.alpha, query.beta, result=result)
     except Exception as exc:
-        return index, SweepPoint(
-            query.alpha, query.beta, error=f"{type(exc).__name__}: {exc}"
-        )
+        return SweepPoint(query.alpha, query.beta, error=f"{type(exc).__name__}: {exc}")
 
 
 def msf_sweep(
@@ -381,19 +362,6 @@ def msf_sweep(
         base_state = settle_transient(p, settings)
     coupling = np.asarray(coupling, dtype=float)
     tasks = [
-        (i * len(betas) + k, p, coupling, MSFQuery(a, b), settings, base_state)
-        for i, a in enumerate(alphas)
-        for k, b in enumerate(betas)
+        (p, coupling, MSFQuery(a, b), settings, base_state) for a in alphas for b in betas
     ]
-    if jobs is None:
-        jobs = min(len(tasks), os.cpu_count() or 1)
-    points: list[SweepPoint | None] = [None] * len(tasks)
-    if jobs <= 1 or len(tasks) == 1:
-        for task in tasks:
-            index, point = _sweep_worker(task)
-            points[index] = point
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, point in pool.map(_sweep_worker, tasks):
-                points[index] = point
-    return points  # type: ignore[return-value]
+    return _run_grid(_sweep_worker, tasks, jobs)

@@ -19,14 +19,12 @@ are exact and only impacts require event handling.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .msf import MSFQuery, TLEResult, TLESettings, compute_tle, settle_transient
+from .msf import MSFQuery, TLEResult, TLESettings, _run_grid, compute_tle, settle_transient
 from .oscillator import (
     CHATTER_CAP,
     DEFAULT_SCAN_STEP,
@@ -450,11 +448,7 @@ def run_probe(
     local maxima of |x^(1) - x^(2)| over the final record window.
     """
     if base_state is None:
-        tle_like = TLESettings(
-            transient_periods=settings.transient_periods,
-            scan_step=settings.scan_step,
-        )
-        base_state = settle_transient(p, tle_like)
+        base_state = _settle_for_probe(p, settings)
     rng = np.random.default_rng(settings.rng_seed)
     angle = rng.uniform(0.0, 2.0 * math.pi)
     dx = settings.perturbation_magnitude * math.cos(angle)
@@ -468,15 +462,20 @@ def run_probe(
     return _simulate_coupled(p, graph, coupling, settings.sigma, x0, base_state.tau, settings)
 
 
-def _probe_worker(args) -> tuple[int, "BifurcationPoint"]:
-    index, p, coupling, settings, base_state = args
+def _settle_for_probe(p: ImpactOscillatorParams, settings: ProbeSettings) -> OscState:
+    """The shared post-transient state, settled with the probe's own protocol."""
+    return settle_transient(
+        p, TLESettings(transient_periods=settings.transient_periods, scan_step=settings.scan_step)
+    )
+
+
+def _probe_worker(args) -> "BifurcationPoint":
+    p, coupling, settings, base_state = args
     try:
         result = run_probe(p, coupling, settings, base_state=base_state)
-        return index, BifurcationPoint(settings.sigma, result=result)
+        return BifurcationPoint(settings.sigma, result=result)
     except Exception as exc:
-        return index, BifurcationPoint(
-            settings.sigma, error=f"{type(exc).__name__}: {exc}"
-        )
+        return BifurcationPoint(settings.sigma, error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -504,30 +503,10 @@ def bifurcation_scan(
     """
     sigmas = [float(s) for s in np.atleast_1d(sigmas)]
     if base_state is None:
-        tle_like = TLESettings(
-            transient_periods=settings.transient_periods,
-            scan_step=settings.scan_step,
-        )
-        base_state = settle_transient(p, tle_like)
+        base_state = _settle_for_probe(p, settings)
+    coupling = np.asarray(coupling, dtype=float)
     tasks = [
-        (
-            i,
-            p,
-            np.asarray(coupling, dtype=float),
-            replace(settings, sigma=s, rng_seed=(settings.rng_seed, i)),
-            base_state,
-        )
+        (p, coupling, replace(settings, sigma=s, rng_seed=(settings.rng_seed, i)), base_state)
         for i, s in enumerate(sigmas)
     ]
-    if jobs is None:
-        jobs = min(len(tasks), os.cpu_count() or 1)
-    points: list[BifurcationPoint | None] = [None] * len(tasks)
-    if jobs <= 1 or len(tasks) == 1:
-        for task in tasks:
-            index, point = _probe_worker(task)
-            points[index] = point
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, point in pool.map(_probe_worker, tasks):
-                points[index] = point
-    return points  # type: ignore[return-value]
+    return _run_grid(_probe_worker, tasks, jobs)

@@ -480,33 +480,28 @@ def sample_trajectory(
     sample_step: float = DEFAULT_SCAN_STEP,
     scan_step: float = DEFAULT_SCAN_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[EventRecord]]:
-    """Event-driven run that also returns the trajectory on a sample grid.
+    """simulate() that also returns the trajectory on a sample grid.
 
     Returns (taus, xs, vs, events) with samples at s0.tau + k*sample_step.
-    Mostly a diagnostics and plotting aid; the dynamics is identical to
-    simulate().
+    The run is simulate()'s up to the last sample, so it raises
+    ChatterError exactly as simulate does; each segment's samples are
+    evaluated in closed form from the state that starts it (s0, or the
+    post-impact state of an event).  A sample at an impact time belongs to
+    the segment that ends there.  Mostly a diagnostics and plotting aid.
     """
     n = int(math.floor(duration / sample_step + 1e-9))
-    taus = s0.tau + np.arange(n + 1) * sample_step
+    offsets = np.arange(n + 1) * sample_step
+    taus = s0.tau + offsets
+    _, events = simulate(p, s0, offsets[-1], scan_step)
     xs = np.empty(n + 1)
     vs = np.empty(n + 1)
     xs[0], vs[0] = s0.x, s0.v
-    state = s0
-    events: list[EventRecord] = []
-    filled = 1
-    while filled <= n:
-        tau_c = detect_next_impact(p, state, taus[-1] - state.tau, scan_step)
-        seg_end = taus[-1] if tau_c is None else tau_c
-        in_seg = np.nonzero((taus[filled:] <= seg_end))[0]
-        if in_seg.size:
-            idx = filled + in_seg
-            x_seg, v_seg = segment_states(p, state.x, state.v, state.tau, taus[idx] - state.tau)
-            xs[idx], vs[idx] = x_seg, v_seg
-            filled = int(idx[-1]) + 1
-        if tau_c is None:
-            break
-        state = propagate_free(p, state, tau_c - state.tau)
-        state = OscState(p.x_w, state.v, tau_c)
-        state, record = apply_impact(p, state)
-        events.append(record)
+    starts = [s0] + [OscState(p.x_w, e.v_post, e.tau_c) for e in events]
+    ends = np.searchsorted(taus, [e.tau_c for e in events], side="right").tolist() + [n + 1]
+    lo = 1
+    for start, hi in zip(starts, ends):
+        xs[lo:hi], vs[lo:hi] = segment_states(
+            p, start.x, start.v, start.tau, taus[lo:hi] - start.tau
+        )
+        lo = hi
     return taus, xs, vs, events

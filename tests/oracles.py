@@ -99,6 +99,36 @@ def taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:
     return result
 
 
+def literal_steps(mat: np.ndarray, xi: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Apply mat k times with per-step renormalization: (unit vector, log growth)."""
+    growth = 0.0
+    for _ in range(k):
+        xi = mat @ xi
+        nrm = float(np.linalg.norm(xi))
+        growth += math.log(nrm)
+        xi = xi / nrm
+    return xi, growth
+
+
+def literal_march_samples(
+    step: np.ndarray, xi: np.ndarray, h: float, period: float, n_periods: int
+) -> np.ndarray:
+    """Running exponent log_growth/elapsed once per period, one step at a time.
+
+    The impact-free march of compute_tle: the sample of period k is taken
+    at the first grid index j >= k*period/h.
+    """
+    xi = np.asarray(xi, dtype=complex) / np.linalg.norm(xi)
+    log_sum, j, samples = 0.0, 0, []
+    for k in range(1, n_periods + 1):
+        target = int(math.ceil(k * period / h))
+        xi, growth = literal_steps(step, xi, target - j)
+        log_sum += growth
+        j = target
+        samples.append(log_sum / (j * h))
+    return np.array(samples)
+
+
 def smooth_tle_oracle(zeta: float, alpha: float) -> float:
     """max Re eig(J + alpha*H) from the characteristic polynomial.
 

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,14 +12,13 @@ from msflab.cli import (
 )
 from msflab.config import (
     ConfigError,
-    assert_round_trip,
+    RunConfig,
     default_config,
     effective_ini,
     load_config,
     load_preset,
     parse_grid,
     preset_names,
-    write_effective,
 )
 
 SMOOTH_INI = """\
@@ -40,6 +40,17 @@ def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def assert_round_trip(cfg: RunConfig, tmp_path) -> None:
+    """Dump the effective configuration, reload it, and require the same RunConfig."""
+    reloaded = load_config(_write(tmp_path, effective_ini(cfg), "effective.ini"))
+    drifted = [
+        f"{f.name}: {getattr(cfg, f.name)!r} != {getattr(reloaded, f.name)!r}"
+        for f in fields(RunConfig)
+        if getattr(cfg, f.name) != getattr(reloaded, f.name)
+    ]
+    assert not drifted, "round trip drifted: " + "; ".join(drifted)
 
 
 class TestConfig:
@@ -78,6 +89,11 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = _write(tmp_path, "[oscillator]\nzeta = 0.05\nxw = 2.0\n")
         with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+    def test_removed_step_mode_key_rejected(self, tmp_path):
+        path = _write(tmp_path, "[tle]\nstep_mode = grouped\n")
+        with pytest.raises(ConfigError, match="unknown key 'step_mode'"):
             load_config(path)
 
     def test_bad_float_names_the_key(self, tmp_path):

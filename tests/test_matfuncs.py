@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import taylor_expm
 from msflab.matfuncs import (
-    EIG_COND_LIMIT,
+    AXIS_RTOL,
     NonInvertibleMatrixError,
     mat_exp,
     mat_log,
-    solve_eigen,
 )
 
 entry = st.floats(-4.0, 4.0, allow_nan=False)
@@ -50,6 +52,12 @@ class TestMatExp:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             mat_exp(np.ones((2, 3)))
+
+    def test_rejects_larger_than_2x2(self):
+        with pytest.raises(ValueError):
+            mat_exp(np.eye(3))
+        with pytest.raises(ValueError):
+            mat_log(np.eye(3))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -100,21 +108,42 @@ class TestMatLog:
     def test_output_always_complex(self):
         assert np.iscomplexobj(mat_log(np.eye(2)))
 
+    def test_distinct_negative_eigenvalues_take_plus_i_pi(self):
+        # Eigenvalues -2 and -0.5 of a non-diagonal matrix: both logarithms
+        # need +i*pi; a -0.0 imaginary part would put one on -i*pi.
+        m = np.array([[-2.0, 1.0], [0.0, -0.5]])
+        lg = mat_log(m)
+        assert np.max(np.abs(lg - scipy.linalg.logm(m))) < 1e-14
+        assert np.allclose(np.diag(lg).imag, np.pi, atol=1e-14)
 
-class TestSolveEigen:
-    def test_reports_conditioning(self):
-        well = solve_eigen(np.diag([1.0, 2.0]))
-        assert well.vector_condition < 10.0
-        near_defective = solve_eigen(np.array([[-1.0, 1e-9], [0.0, -1.0]]))
-        assert near_defective.vector_condition > EIG_COND_LIMIT
+    def test_grazing_like_round_trip(self):
+        # det = 1 with the 1/v_pre stretch of a near-grazing window, as far
+        # as SINGULARITY_RTOL admits: singular values 4e5 and 2.5e-6.
+        def stretched(big):
+            rot = lambda a: np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            return -rot(0.3) @ np.diag([big, 1.0 / big]) @ rot(-1.1)
 
-    def test_eigen_relation(self):
-        m = np.array([[0.3, -1.1], [0.9, 0.4]])
-        dec = solve_eigen(m)
-        for i in range(2):
-            lhs = m @ dec.vectors[:, i]
-            rhs = dec.values[i] * dec.vectors[:, i]
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+        m = stretched(4e5)
+        assert abs(np.linalg.det(m) - 1.0) < 1e-3
+        back = mat_exp(mat_log(m))
+        assert np.max(np.abs(back - m)) < 1e-9 * np.linalg.norm(m)
+        # At singular values 4e7 and 2.5e-8 the same matrix has no logarithm.
+        with pytest.raises(NonInvertibleMatrixError):
+            mat_log(stretched(4e7))
+
+    @pytest.mark.parametrize("gap, flipped", [(1e-7, True), (1e-3, False)])
+    def test_axis_threshold_picks_the_branch(self, gap, flipped):
+        # Eigenvalues -1 +- i*gap: inside AXIS_RTOL both logarithms sit on
+        # +i*pi; outside it the logarithm is principal (here real).
+        assert (gap <= AXIS_RTOL) == flipped
+        m = np.array([[-1.0, gap], [-gap, -1.0]])
+        lg = mat_log(m)
+        log_eigs = np.linalg.eigvals(lg)
+        if flipped:
+            assert np.allclose(log_eigs.imag, np.pi, atol=1e-9)
+        else:
+            assert np.max(np.abs(lg - scipy.linalg.logm(m))) < 1e-12
+        assert np.max(np.abs(mat_exp(lg) - m)) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,3 +162,38 @@ def test_round_trip_property(m):
 @given(m=matrices)
 def test_det_trace_property(m):
     assert np.linalg.det(mat_exp(m)) == pytest.approx(np.exp(np.trace(m)), rel=1e-8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=matrices)
+def test_exp_matches_scipy(m):
+    ref = scipy.linalg.expm(m)
+    assert np.max(np.abs(mat_exp(m) - ref)) < 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+def _principal_branch_applies(m) -> bool:
+    """Away from singularity and from the pairs that mat_log puts on +i*pi.
+
+    The band is widened tenfold past AXIS_RTOL so that eigenvalues from
+    numpy and from the closed form cannot fall on opposite sides of it.
+    """
+    if abs(np.linalg.det(m)) < 1e-4 * max(np.linalg.norm(m) ** 2, 1.0):
+        return False
+    eigs = np.linalg.eigvals(m)
+    return not all(
+        z.real < 0.0 and 0.0 < abs(z.imag) <= 10 * AXIS_RTOL * abs(z) for z in eigs
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=matrices)
+def test_log_matches_scipy(m):
+    assume(_principal_branch_applies(m))
+    with warnings.catch_warnings():
+        # logm warns when its own error estimate is large: no reference there.
+        warnings.filterwarnings("error", "logm result may be inaccurate", RuntimeWarning)
+        try:
+            ref = scipy.linalg.logm(m)
+        except RuntimeWarning:
+            assume(False)
+    assert np.max(np.abs(mat_log(m) - ref)) < 1e-8 * max(1.0, np.linalg.norm(ref))

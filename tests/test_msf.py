@@ -1,20 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import smooth_tle_oracle
+from oracles import literal_march_samples, literal_steps, smooth_tle_oracle
 from msflab import jacobian, msf
+from msflab.matfuncs import exp_flow, mat_log
 from msflab.msf import (
     MSFQuery,
     SPRING_COUPLING,
     TLESettings,
-    _PowerStepper,
     compute_tle,
     coupled_step_propagator,
     msf_sweep,
     settle_transient,
 )
-from msflab.oscillator import ImpactOscillatorParams, OscState, simulate
+from msflab.oscillator import ImpactOscillatorParams, OscState, segment_propagator, simulate
 
 
 def _smooth(eta=0.712):
@@ -55,25 +60,37 @@ class TestCoupledStepPropagator:
         assert discard2 >= 0.0
 
 
-class TestPowerStepper:
+class TestFreeMarch:
     @settings(max_examples=60, deadline=None)
     @given(
         a=st.floats(-1.2, 1.2), b=st.floats(-1.2, 1.2),
         c=st.floats(-1.2, 1.2), d=st.floats(-1.2, 1.2),
         k=st.integers(1, 200),
     )
-    def test_grouped_equals_direct(self, a, b, c, d, k):
+    def test_group_power_equals_literal_steps(self, a, b, c, d, k):
+        # exp(k*log(m)) applied once, renormalized, against m applied k times.
         m = np.array([[a, b], [c, d]]) * 0.1 + np.eye(2)
         xi = np.array([0.6, -0.8])
-        g_xi, g_log = _PowerStepper(m, "grouped").advance(xi.copy(), k)
-        d_xi, d_log = _PowerStepper(m, "direct").advance(xi.copy(), k)
-        assert g_log == pytest.approx(d_log, abs=1e-8)
-        assert np.max(np.abs(g_xi - d_xi)) < 1e-8
+        y = exp_flow(mat_log(m))(k) @ xi
+        nrm = np.linalg.norm(y)
+        ref_xi, ref_log = literal_steps(m, xi, k)
+        assert np.log(nrm) == pytest.approx(ref_log, abs=1e-8)
+        assert np.max(np.abs(y / nrm - ref_xi)) < 1e-8
 
-    def test_unit_norm_output(self):
-        m = np.array([[1.01, 0.02], [0.0, 0.97]])
-        xi, _ = _PowerStepper(m, "grouped").advance(np.array([1.0, 0.0]), 50)
-        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("query", [MSFQuery(-0.6, 0.0), MSFQuery(-0.4, 0.6)])
+    def test_march_matches_literal_steps(self, query):
+        p = ImpactOscillatorParams(zeta=0.05, eta=3.0, wall_enabled=False)
+        s = TLESettings(max_periods=20, sample_window=20)
+        xi = np.array([0.3, 0.9])
+        r = compute_tle(
+            p, SPRING_COUPLING, query, s,
+            base_state=OscState(0.1, -0.2, 0.0), initial_perturbation=xi,
+        )
+        m_free, _ = coupled_step_propagator(
+            segment_propagator(p, s.scan_step), SPRING_COUPLING, query, s.scan_step
+        )
+        want = literal_march_samples(m_free, xi, s.scan_step, p.forcing_period, 20)
+        assert np.max(np.abs(np.array(r.samples) - want)) < 1e-10
 
 
 class TestSettings:
@@ -87,7 +104,6 @@ class TestSettings:
             dict(std_tolerance=0.0),
             dict(scan_step=-1e-3),
             dict(jacobi_delta=0.0),
-            dict(step_mode="sideways"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -214,13 +230,6 @@ class TestDeterminism:
         assert a.tle == b.tle
         assert a.samples == b.samples
 
-    def test_step_modes_agree(self, elastic, elastic_base):
-        s_g = TLESettings(max_periods=60, sample_window=50, step_mode="grouped")
-        s_d = TLESettings(max_periods=60, sample_window=50, step_mode="direct")
-        a = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s_g, base_state=elastic_base)
-        b = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s_d, base_state=elastic_base)
-        assert a.tle == pytest.approx(b.tle, abs=1e-10)
-
     def test_sweep_worker_counts_agree(self, elastic, elastic_base):
         s = TLESettings(max_periods=60, sample_window=50)
         alphas = [-0.6, -0.2, 0.0]
@@ -263,3 +272,21 @@ class TestTransient:
         s = TLESettings(max_periods=30, sample_window=20)
         r = compute_tle(elastic, SPRING_COUPLING, MSFQuery(0.0, 0.0), s, base_state=elastic_base)
         assert r.transient_periods == 500
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: the package must import and run an
+    # impacting exponent with every scipy import failing.
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from msflab import MSFQuery, SPRING_COUPLING, TLESettings, compute_tle, load_preset\n"
+        "s = TLESettings(transient_periods=50, max_periods=30, sample_window=20)\n"
+        "r = compute_tle(load_preset('elastic').oscillator, SPRING_COUPLING, MSFQuery(-0.5), s)\n"
+        "assert r.periods_used == 30 and r.imag_discard_events, r\n"
+    )
+    src = str(Path(msf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr

@@ -364,6 +364,15 @@ class TestSimulate:
         duration = 15 * elastic.forcing_period
         taus, xs, vs, ev_a = sample_trajectory(elastic, OscState(0.0, 0.0, 0.0), duration)
         s_direct, ev_b = simulate(elastic, OscState(0.0, 0.0, 0.0), taus[-1])
-        assert len(ev_a) == len(ev_b)
+        assert ev_a == ev_b
         assert xs[-1] == pytest.approx(s_direct.x, abs=1e-9)
         assert vs[-1] == pytest.approx(s_direct.v, abs=1e-9)
+
+    def test_sample_trajectory_raises_chatter_like_simulate(self):
+        # A catalogue point whose impacts accumulate near tau = 19.
+        p = ImpactOscillatorParams(
+            zeta=0.07424109529981779, eta=0.34478727863484854,
+            x_w=0.5666034302401003, R=0.5409710972632726,
+        )
+        with pytest.raises(ChatterError):
+            sample_trajectory(p, OscState(0.0, 0.0, 0.0), 20.0, sample_step=0.1)
