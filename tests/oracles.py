@@ -110,6 +110,14 @@ def literal_steps(mat: np.ndarray, xi: np.ndarray, k: int) -> tuple[np.ndarray, 
     return xi, growth
 
 
+def literal_power(mat: np.ndarray, k: int) -> np.ndarray:
+    """mat multiplied into the identity k times, one product at a time."""
+    out = np.eye(2, dtype=mat.dtype)
+    for _ in range(k):
+        out = mat @ out
+    return out
+
+
 def literal_march_samples(
     step: np.ndarray, xi: np.ndarray, h: float, period: float, n_periods: int
 ) -> np.ndarray:

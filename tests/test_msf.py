@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import literal_march_samples, literal_steps, smooth_tle_oracle
+from oracles import literal_march_samples, literal_power, literal_steps, smooth_tle_oracle
 from msflab import jacobian, msf
-from msflab.matfuncs import exp_flow, mat_log
+from msflab.matfuncs import exp_flow, mat_exp, mat_log
 from msflab.msf import (
     MSFQuery,
     SPRING_COUPLING,
@@ -60,14 +60,14 @@ class TestCoupledStepPropagator:
         assert discard2 >= 0.0
 
 
-class TestFreeMarch:
+class TestPowerStepper:
     @settings(max_examples=60, deadline=None)
     @given(
         a=st.floats(-1.2, 1.2), b=st.floats(-1.2, 1.2),
         c=st.floats(-1.2, 1.2), d=st.floats(-1.2, 1.2),
         k=st.integers(1, 200),
     )
-    def test_group_power_equals_literal_steps(self, a, b, c, d, k):
+    def test_grouped_equals_direct(self, a, b, c, d, k):
         # exp(k*log(m)) applied once, renormalized, against m applied k times.
         m = np.array([[a, b], [c, d]]) * 0.1 + np.eye(2)
         xi = np.array([0.6, -0.8])
@@ -76,6 +76,16 @@ class TestFreeMarch:
         ref_xi, ref_log = literal_steps(m, xi, k)
         assert np.log(nrm) == pytest.approx(ref_log, abs=1e-8)
         assert np.max(np.abs(y / nrm - ref_xi)) < 1e-8
+
+    def test_unit_norm_output(self):
+        # The march's power step, renormalized once, leaves a unit vector
+        # along the direction of the literal loop.
+        m = np.array([[1.01, 0.02], [0.0, 0.97]])
+        y = exp_flow(mat_log(m))(50).real @ np.array([1.0, 0.0])
+        xi = y / float(np.linalg.norm(y))
+        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+        ref_xi, _ = literal_steps(m, np.array([1.0, 0.0]), 50)
+        assert np.max(np.abs(xi - ref_xi)) < 1e-12
 
     @pytest.mark.parametrize("query", [MSFQuery(-0.6, 0.0), MSFQuery(-0.4, 0.6)])
     def test_march_matches_literal_steps(self, query):
@@ -229,6 +239,18 @@ class TestDeterminism:
         b = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
         assert a.tle == b.tle
         assert a.samples == b.samples
+
+    def test_step_modes_agree(self, elastic, elastic_base, monkeypatch):
+        # The grouped march against one in which each impact-free stretch
+        # applies the free step literally, step by step, on an impacting run.
+        s = TLESettings(max_periods=60, sample_window=50)
+        a = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
+        monkeypatch.setattr(
+            msf, "exp_flow", lambda g: (lambda k: literal_power(mat_exp(g), int(k)))
+        )
+        b = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
+        assert len(a.samples) == len(b.samples)
+        assert a.tle == pytest.approx(b.tle, abs=1e-10)
 
     def test_sweep_worker_counts_agree(self, elastic, elastic_base):
         s = TLESettings(max_periods=60, sample_window=50)
