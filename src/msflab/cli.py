@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from .config import (
     effective_ini,
     load_config,
     load_preset,
-    preset_names,
 )
-from .msf import SPRING_COUPLING, MSFQuery, TLESettings, compute_tle, msf_sweep
+from .msf import SPRING_COUPLING, MSFQuery, compute_tle, msf_sweep
 from .network import (
     CouplingGraph,
     TWO_NODE_GRAPH,
@@ -72,17 +72,6 @@ def _write_csv(path: Path, header: str, rows, footer: str | None = None) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    chosen = args.out or cfg.out_dir or os.environ.get("MSFLAB_OUT") or "."
-    out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dump_effective(cfg: RunConfig, out: Path) -> None:
-    (out / "effective.ini").write_text(effective_ini(cfg))
-
-
 def _maybe_plot(args, out: Path, name: str, **kwargs) -> None:
     if not args.plot:
         return
@@ -108,10 +97,9 @@ def _resolve_graph(spec: str) -> CouplingGraph:
     return load_graph(spec)
 
 
-def _cmd_tle(cfg: RunConfig, args) -> int:
+def _cmd_tle(cfg: RunConfig, args, out: Path) -> int:
     alpha = cfg.query_alpha if args.alpha is None else args.alpha
     beta = cfg.query_beta if args.beta is None else args.beta
-    out = _out_dir(args, cfg)
     result = compute_tle(
         cfg.oscillator, SPRING_COUPLING, MSFQuery(alpha, beta), cfg.tle
     )
@@ -120,7 +108,6 @@ def _cmd_tle(cfg: RunConfig, args) -> int:
         "alpha,beta,tle,converged,periods_used",
         [(result.alpha, result.beta, result.tle, result.converged, result.periods_used)],
     )
-    _dump_effective(cfg, out)
     _maybe_plot(
         args,
         out,
@@ -141,10 +128,9 @@ def _cmd_tle(cfg: RunConfig, args) -> int:
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> int:
+def _cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.alphas:
         raise ConfigError("msf-sweep needs a non-empty [sweep] alphas grid")
-    out = _out_dir(args, cfg)
     points = msf_sweep(
         cfg.oscillator,
         SPRING_COUPLING,
@@ -167,7 +153,6 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
                 unconverged += 1
             rows.append((r.alpha, r.beta, r.tle, r.converged, r.periods_used))
     _write_csv(out / "msf_sweep.csv", "alpha,beta,tle,converged,periods_used", rows)
-    _dump_effective(cfg, out)
     if len(cfg.betas) == 1:
         good = [pt for pt in points if pt.result is not None]
         _maybe_plot(
@@ -190,13 +175,10 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_UNCONVERGED if unconverged else EXIT_OK
 
 
-def _cmd_probe(cfg: RunConfig, args) -> int:
+def _cmd_probe(cfg: RunConfig, args, out: Path) -> int:
     probe = cfg.probe
     if args.sigma is not None:
-        from dataclasses import replace
-
         probe = replace(probe, sigma=args.sigma)
-    out = _out_dir(args, cfg)
     result = run_probe(cfg.oscillator, SPRING_COUPLING, probe)
     _write_csv(
         out / "probe.csv",
@@ -208,7 +190,6 @@ def _cmd_probe(cfg: RunConfig, args) -> int:
         "sigma,local_max",
         [(result.sigma, m) for m in result.local_maxima],
     )
-    _dump_effective(cfg, out)
     _maybe_plot(
         args,
         out,
@@ -230,10 +211,9 @@ def _cmd_probe(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_bifurcation(cfg: RunConfig, args) -> int:
+def _cmd_bifurcation(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.sigmas:
         raise ConfigError("bifurcation needs a non-empty [sweep] sigmas grid")
-    out = _out_dir(args, cfg)
     points = bifurcation_scan(
         cfg.oscillator, SPRING_COUPLING, cfg.sigmas, cfg.probe, jobs=args.jobs
     )
@@ -247,7 +227,6 @@ def _cmd_bifurcation(cfg: RunConfig, args) -> int:
         for m in pt.result.local_maxima:
             rows.append((pt.sigma, m))
     _write_csv(out / "bifurcation.csv", "sigma,local_max", rows)
-    _dump_effective(cfg, out)
     _maybe_plot(
         args,
         out,
@@ -267,10 +246,9 @@ def _cmd_bifurcation(cfg: RunConfig, args) -> int:
     return EXIT_POINT_FAILURES if failures else EXIT_OK
 
 
-def _cmd_network(cfg: RunConfig, args) -> int:
+def _cmd_network(cfg: RunConfig, args, out: Path) -> int:
     sigma = cfg.network_sigma if args.sigma is None else args.sigma
     graph = _resolve_graph(cfg.graph_spec)
-    out = _out_dir(args, cfg)
     spectrum = analyze_network(cfg.oscillator, SPRING_COUPLING, graph, sigma, cfg.tle)
     verdict = sync_verdict(spectrum)
     rows = []
@@ -287,7 +265,6 @@ def _cmd_network(cfg: RunConfig, args) -> int:
         rows,
         footer=f"# verdict: {verdict}",
     )
-    _dump_effective(cfg, out)
     _maybe_plot(
         args,
         out,
@@ -306,11 +283,10 @@ def _cmd_network(cfg: RunConfig, args) -> int:
     return EXIT_UNCONVERGED if unconverged else EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig, args) -> int:
+def _cmd_simulate(cfg: RunConfig, args, out: Path) -> int:
     periods = cfg.simulate_periods if args.periods is None else args.periods
     if periods <= 0:
         raise ConfigError(f"periods must be positive, got {periods}")
-    out = _out_dir(args, cfg)
     p = cfg.oscillator
     duration = periods * p.forcing_period
     sample_step = p.forcing_period / cfg.samples_per_period
@@ -325,7 +301,6 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
         "tau_c,v_pre,v_post",
         [(e.tau_c, e.v_pre, e.v_post) for e in events],
     )
-    _dump_effective(cfg, out)
     _maybe_plot(
         args,
         out,
@@ -404,10 +379,6 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         return load_config(args.config)
     if args.preset:
-        if args.preset not in preset_names():
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; available: {', '.join(preset_names())}"
-            )
         return load_preset(args.preset)
     return default_config()
 
@@ -417,7 +388,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.handler(cfg, args)
+        out = Path(args.out or cfg.out_dir or os.environ.get("MSFLAB_OUT") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.handler(cfg, args, out)
+        (out / "effective.ini").write_text(effective_ini(cfg))
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

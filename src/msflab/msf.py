@@ -56,6 +56,11 @@ class MSFQuery:
     alpha: float
     beta: float = 0.0
 
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class TLESettings:

@@ -122,8 +122,8 @@ class ImpactOscillatorParams:
             )
         if not self.eta > 0.0:
             raise InvalidParameterError(f"eta must be positive, got {self.eta!r}")
-        if self.f < 0.0:
-            raise InvalidParameterError(f"f must be non-negative, got {self.f!r}")
+        if not 0.0 <= self.f < math.inf:
+            raise InvalidParameterError(f"f must be finite and non-negative, got {self.f!r}")
         if not 0.0 < self.R <= 1.0:
             raise InvalidParameterError(f"R must lie in (0, 1], got {self.R!r}")
         if self.wall_enabled and not math.isfinite(self.x_w):
@@ -489,6 +489,10 @@ def sample_trajectory(
     post-impact state of an event).  A sample at an impact time belongs to
     the segment that ends there.  Mostly a diagnostics and plotting aid.
     """
+    if duration < 0.0:
+        raise InvalidParameterError(f"duration must be non-negative, got {duration!r}")
+    if not sample_step > 0.0:
+        raise InvalidParameterError(f"sample_step must be positive, got {sample_step!r}")
     n = int(math.floor(duration / sample_step + 1e-9))
     offsets = np.arange(n + 1) * sample_step
     taus = s0.tau + offsets

@@ -36,6 +36,75 @@ alpha = 0.0
 """
 
 
+# The exact effective.ini of default_config(); "\x20" keeps the trailing
+# space after an empty value visible.
+DEFAULT_EFFECTIVE = """\
+[oscillator]
+zeta = 0.05
+eta = 0.712
+f = 1.0
+x_w = 2.0
+R = 1.0
+wall_enabled = true
+
+[tle]
+transient_periods = 500
+max_periods = 2000
+sample_window = 100
+std_tolerance = 1e-05
+scan_step = 0.001
+jacobi_delta = 1e-07
+
+[query]
+alpha = 0.0
+beta = 0.0
+
+[sweep]
+alphas =\x20
+betas = 0.0
+sigmas =\x20
+
+[probe]
+sigma = 0.5
+perturbation_magnitude = 0.001
+rng_seed = 12345
+max_periods = 2000
+sync_threshold = 1e-10
+record_window = 100
+transient_periods = 500
+scan_step = 0.001
+
+[network]
+graph = two_node
+sigma = 0.5
+
+[simulate]
+periods = 10
+samples_per_period = 256
+
+[output]
+directory =\x20
+"""
+
+PRESET_SWEEP = (
+    "alphas = 0.0,-0.125,-0.25,-0.375,-0.5,-0.625,-0.75,-0.875,-1.0,-1.125,"
+    "-1.25,-1.375,-1.5,-1.625,-1.75,-1.875,-2.0,-2.125,-2.25,-2.375,-2.5,"
+    "-2.625,-2.75,-2.875,-3.0\n"
+    "betas = 0.0\n"
+    "sigmas = 0.0,0.0625,0.125,0.1875,0.25,0.3125,0.375,0.4375,0.5,0.5625,"
+    "0.625,0.6875,0.75,0.8125,0.875,0.9375,1.0,1.0625,1.125,1.1875,1.25\n"
+)
+
+ELASTIC_EFFECTIVE = DEFAULT_EFFECTIVE.replace(
+    "alphas =\x20\nbetas = 0.0\nsigmas =\x20\n", PRESET_SWEEP
+)
+
+INELASTIC_EFFECTIVE = ELASTIC_EFFECTIVE.replace(
+    "eta = 0.712\nf = 1.0\nx_w = 2.0\nR = 1.0\n",
+    "eta = 0.5975\nf = 1.0\nx_w = 1.5\nR = 0.9\n",
+)
+
+
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -132,6 +201,20 @@ class TestConfig:
         path = _write(tmp_path, SMOOTH_INI)
         assert_round_trip(load_config(path), tmp_path)
 
+    def test_effective_ini_golden_text(self):
+        assert effective_ini(default_config()) == DEFAULT_EFFECTIVE
+        assert effective_ini(load_preset("elastic")) == ELASTIC_EFFECTIVE
+        assert effective_ini(load_preset("inelastic")) == INELASTIC_EFFECTIVE
+
+    def test_empty_ini_is_default_config(self, tmp_path):
+        assert load_config(_write(tmp_path, "")) == default_config()
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_non_finite_query_rejected(self, tmp_path, key):
+        path = _write(tmp_path, f"[query]\n{key} = nan\n")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(path)
+
 
 class TestParseGrid:
     def test_comma_list(self):
@@ -154,6 +237,11 @@ class TestParseGrid:
     def test_bad_linspace_arity(self):
         with pytest.raises(ConfigError):
             parse_grid("0:1")
+
+    @pytest.mark.parametrize("spec", ["nan,0.0", "0.0,inf", "0:-inf:3"])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_grid(spec)
 
 
 class TestCli:
@@ -204,6 +292,16 @@ class TestCli:
     def test_missing_sweep_grid_is_config_error(self, tmp_path):
         cfg = _write(tmp_path, SMOOTH_INI)
         assert main(["msf-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["periods", "samples_per_period"])
+    def test_zero_simulate_value_is_config_error(self, tmp_path, key):
+        cfg = _write(tmp_path, f"[simulate]\n{key} = 0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+
+    def test_zero_periods_override_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), "--periods", "0"]) == EXIT_CONFIG
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["tle", "--preset", "bouncy", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -120,6 +120,19 @@ class TestSettings:
         with pytest.raises(ValueError):
             TLESettings(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(alpha=float("nan")), "alpha"),
+            (dict(alpha=float("-inf")), "alpha"),
+            (dict(alpha=0.0, beta=float("inf")), "beta"),
+            (dict(alpha=0.0, beta=float("nan")), "beta"),
+        ],
+    )
+    def test_query_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            MSFQuery(**kwargs)
+
     def test_protocol_defaults(self):
         s = TLESettings()
         assert s.transient_periods == 500

@@ -77,6 +77,8 @@ class TestValidation:
             dict(zeta=0.05, eta=0.0, x_w=2.0),
             dict(zeta=0.05, eta=-1.0, x_w=2.0),
             dict(zeta=0.05, eta=1.0, f=-0.5, x_w=2.0),
+            dict(zeta=0.05, eta=1.0, f=math.nan, x_w=2.0),
+            dict(zeta=0.05, eta=1.0, f=math.inf, x_w=2.0),
             dict(zeta=0.05, eta=1.0, R=0.0, x_w=2.0),
             dict(zeta=0.05, eta=1.0, R=1.5, x_w=2.0),
             dict(zeta=0.05, eta=1.0, x_w=math.inf),
@@ -343,6 +345,11 @@ class TestSimulate:
     def test_negative_duration_rejected(self, elastic):
         with pytest.raises(InvalidParameterError):
             simulate(elastic, OscState(0.0, 0.0, 0.0), -1.0)
+
+    @pytest.mark.parametrize("duration, sample_step", [(-1.0, 0.1), (1.0, -0.1), (1.0, 0.0)])
+    def test_bad_sample_grid_rejected(self, elastic, duration, sample_step):
+        with pytest.raises(InvalidParameterError):
+            sample_trajectory(elastic, OscState(0.0, 0.0, 0.0), duration, sample_step)
 
     @settings(max_examples=25, deadline=None)
     @given(
