@@ -6,8 +6,9 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect about three minutes (elastic) to five (inelastic) for the default
-21-point grid on one core, three quarters of it in the probe scan; the
+Expect about one minute (elastic) to one and a half (inelastic) for the
+default 21-point grid on one core (53 s and 85 s measured on a 2-vCPU
+x86-64 VM), a little under half of it in the probe scan; the
 positive-exponent points are the slow ones because the pair never
 synchronizes and the probe runs its full horizon.
 """

@@ -98,11 +98,8 @@ def _resolve_graph(spec: str) -> CouplingGraph:
 
 
 def _cmd_tle(cfg: RunConfig, args, out: Path) -> int:
-    alpha = cfg.query_alpha if args.alpha is None else args.alpha
-    beta = cfg.query_beta if args.beta is None else args.beta
-    result = compute_tle(
-        cfg.oscillator, SPRING_COUPLING, MSFQuery(alpha, beta), cfg.tle
-    )
+    query = MSFQuery(cfg.query_alpha, cfg.query_beta)
+    result = compute_tle(cfg.oscillator, SPRING_COUPLING, query, cfg.tle)
     _write_csv(
         out / "tle.csv",
         "alpha,beta,tle,converged,periods_used",
@@ -114,13 +111,13 @@ def _cmd_tle(cfg: RunConfig, args, out: Path) -> int:
         "tle_convergence.svg",
         xs=np.arange(1, len(result.samples) + 1),
         ys=result.samples,
-        title=f"running exponent, alpha={alpha:g} beta={beta:g}",
+        title=f"running exponent, alpha={query.alpha:g} beta={query.beta:g}",
         xlabel="forcing periods",
         ylabel="running average exponent",
     )
     status = "converged" if result.converged else "NOT converged"
     print(
-        f"alpha={alpha:g} beta={beta:g}: tle={result.tle!r} "
+        f"alpha={query.alpha:g} beta={query.beta:g}: tle={result.tle!r} "
         f"({status} after {result.periods_used} periods)"
     )
     for w in result.warnings:
@@ -176,10 +173,7 @@ def _cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_probe(cfg: RunConfig, args, out: Path) -> int:
-    probe = cfg.probe
-    if args.sigma is not None:
-        probe = replace(probe, sigma=args.sigma)
-    result = run_probe(cfg.oscillator, SPRING_COUPLING, probe)
+    result = run_probe(cfg.oscillator, SPRING_COUPLING, cfg.probe)
     _write_csv(
         out / "probe.csv",
         "sigma,synchronized,sync_time",
@@ -247,7 +241,7 @@ def _cmd_bifurcation(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_network(cfg: RunConfig, args, out: Path) -> int:
-    sigma = cfg.network_sigma if args.sigma is None else args.sigma
+    sigma = cfg.network_sigma
     graph = _resolve_graph(cfg.graph_spec)
     spectrum = analyze_network(cfg.oscillator, SPRING_COUPLING, graph, sigma, cfg.tle)
     verdict = sync_verdict(spectrum)
@@ -284,9 +278,7 @@ def _cmd_network(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, args, out: Path) -> int:
-    periods = cfg.simulate_periods if args.periods is None else args.periods
-    if periods <= 0:
-        raise ConfigError(f"periods must be positive, got {periods}")
+    periods = cfg.simulate_periods
     p = cfg.oscillator
     duration = periods * p.forcing_period
     sample_step = p.forcing_period / cfg.samples_per_period
@@ -318,7 +310,7 @@ def _cmd_simulate(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, handler, overrides=None) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--config", help="path to an INI run configuration")
     group.add_argument(
@@ -332,6 +324,7 @@ def _add_common(sub) -> None:
     sub.add_argument(
         "--plot", action="store_true", help="also write SVG plots next to the CSVs"
     )
+    sub.set_defaults(handler=handler, overrides=overrides or {})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,35 +336,29 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("tle", help="one exponent query at (alpha, beta)")
-    _add_common(sub)
+    _add_common(sub, _cmd_tle, {"alpha": "query_alpha", "beta": "query_beta"})
     sub.add_argument("--alpha", type=float, help="override [query] alpha")
     sub.add_argument("--beta", type=float, help="override [query] beta")
-    sub.set_defaults(handler=_cmd_tle)
 
     sub = subs.add_parser("msf-sweep", help="exponents over the [sweep] grid")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_sweep)
+    _add_common(sub, _cmd_sweep)
 
     sub = subs.add_parser("probe", help="direct two-oscillator probe at one sigma")
-    _add_common(sub)
+    _add_common(sub, _cmd_probe, {"sigma": "probe.sigma"})
     sub.add_argument("--sigma", type=float, help="override [probe] sigma")
-    sub.set_defaults(handler=_cmd_probe)
 
     sub = subs.add_parser(
         "bifurcation", help="probe maxima over the [sweep] sigmas grid"
     )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_bifurcation)
+    _add_common(sub, _cmd_bifurcation)
 
     sub = subs.add_parser("network", help="per-mode verdict for a coupling graph")
-    _add_common(sub)
+    _add_common(sub, _cmd_network, {"sigma": "network_sigma"})
     sub.add_argument("--sigma", type=float, help="override [network] sigma")
-    sub.set_defaults(handler=_cmd_network)
 
     sub = subs.add_parser("simulate", help="raw trajectory and impact record")
-    _add_common(sub)
+    _add_common(sub, _cmd_simulate, {"periods": "simulate_periods"})
     sub.add_argument("--periods", type=int, help="override [simulate] periods")
-    sub.set_defaults(handler=_cmd_simulate)
     return parser
 
 
@@ -383,11 +370,31 @@ def _resolve_config(args) -> RunConfig:
     return default_config()
 
 
+def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """Apply the command-line overrides through the checks a config file gets.
+
+    args.overrides maps an option to the RunConfig field it sets, or to
+    "field.key" for a key of a settings dataclass such as [probe].
+    """
+    for option, target in args.overrides.items():
+        value = getattr(args, option)
+        if value is None:
+            continue
+        field, _, key = target.partition(".")
+        try:
+            if key:
+                value = replace(getattr(cfg, field), **{key: value})
+            cfg = replace(cfg, **{field: value})
+        except ValueError as exc:
+            raise ConfigError(f"--{option}: {exc}") from exc
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _apply_overrides(_resolve_config(args), args)
         out = Path(args.out or cfg.out_dir or os.environ.get("MSFLAB_OUT") or ".")
         out.mkdir(parents=True, exist_ok=True)
         code = args.handler(cfg, args, out)

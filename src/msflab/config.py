@@ -53,6 +53,8 @@ class RunConfig:
 
     def __post_init__(self):
         MSFQuery(self.query_alpha, self.query_beta)  # rejects a non-finite query
+        if not np.isfinite(self.network_sigma):
+            raise ValueError(f"[network] sigma must be finite, got {self.network_sigma!r}")
         for key, value in (
             ("periods", self.simulate_periods),
             ("samples_per_period", self.samples_per_period),

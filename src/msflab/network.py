@@ -171,6 +171,13 @@ def sync_verdict(spectrum: ModeSpectrum, margin: float = 1e-3) -> str:
     return "marginal"
 
 
+def _negative_seed(seed) -> bool:
+    """Whether an int seed, or an entry of a (nested) seed tuple, is negative."""
+    if isinstance(seed, (tuple, list)):
+        return any(map(_negative_seed, seed))
+    return isinstance(seed, (int, np.integer)) and seed < 0
+
+
 @dataclass(frozen=True)
 class ProbeSettings:
     """Protocol constants for the direct synchronization probe."""
@@ -185,6 +192,10 @@ class ProbeSettings:
     scan_step: float = DEFAULT_SCAN_STEP
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma!r}")
+        if _negative_seed(self.rng_seed):
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
         for name in ("perturbation_magnitude", "sync_threshold", "scan_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -212,8 +223,13 @@ class _ModeSegments:
 
     For a symmetric graph Q diag(gamma) Q^T the deviation of the node
     states from the shared steady state evolves mode by mode under the
-    2x2 generators B_k = J + sigma*gamma_k*H.  Each exp(B_k dt) uses the
-    trace/traceless split, which stays exact for defective generators.
+    2x2 generators B_k = J + sigma*gamma_k*H = m*I + A, A*A = s^2*I, with
+    exp(B_k dt) = e^(m dt)*(cosh(s dt)*I + sinh(s dt)/s*A), exact for
+    defective generators too.  s^2 is real, so each flow is real: cos and
+    sin/w for s = i*w, cosh and sinh/s for real s, 1 and dt for s = 0.
+    Multiplying by the reciprocal, as numpy's complex division does, gives
+    the complex form's values bit for bit wherever these functions round
+    as the complex ones' parts do (numpy's SIMD array cosh and sinh may not).
     """
 
     def __init__(self, p, graph: CouplingGraph, coupling, sigma: float):
@@ -223,29 +239,35 @@ class _ModeSegments:
             )
         self.p = p
         self.n = graph.n_nodes
-        gammas, q = np.linalg.eigh(graph.matrix)
-        self.q = q
+        gammas, self.q = np.linalg.eigh(graph.matrix)
         base = np.array([[0.0, 1.0], [-1.0, -2.0 * p.zeta]])
         coupling = np.asarray(coupling, dtype=float)
-        self.half_traces = []
-        self.traceless = []
-        self.s_values = []
+        self.half_traces, self.traceless, self.s_squares = [], [], []
         for g in gammas:
             b = base + sigma * g * coupling
             m = 0.5 * (b[0, 0] + b[1, 1])
             a = b - m * np.eye(2)
-            s2 = a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0]
             self.half_traces.append(m)
             self.traceless.append(a)
-            self.s_values.append(complex(np.sqrt(complex(s2))))
-        a_p, b_p = steady_state_coefficients(p)
-        self._ap, self._bp = a_p, b_p
+            self.s_squares.append(float(a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0]))
+        self._ap, self._bp = steady_state_coefficients(p)
+
+    def _flow(self, k: int, dt, lib):
+        """cosh(s dt) and sinh(s dt)/s of mode k; lib is numpy (arrays) or math."""
+        s2 = self.s_squares[k]
+        r = math.sqrt(abs(s2))
+        if s2 < 0.0:  # s = i*r
+            return lib.cos(r * dt), lib.sin(r * dt) * (1.0 / r)
+        if s2 > 0.0:
+            return lib.cosh(r * dt), lib.sinh(r * dt) * (1.0 / r)
+        return 1.0, dt
 
     def steady(self, taus):
         """Shared steady state (positions, velocities) at absolute times."""
         ph = self.p.eta * np.asarray(taus)
-        xp = self._ap * np.cos(ph) + self._bp * np.sin(ph)
-        vp = self.p.eta * (self._bp * np.cos(ph) - self._ap * np.sin(ph))
+        cos_ph, sin_ph = np.cos(ph), np.sin(ph)
+        xp = self._ap * cos_ph + self._bp * sin_ph
+        vp = self.p.eta * (self._bp * cos_ph - self._ap * sin_ph)
         return xp, vp
 
     def to_modes(self, state: np.ndarray, tau: float) -> np.ndarray:
@@ -260,23 +282,12 @@ class _ModeSegments:
         mode_states = np.empty((self.n, 2, dts.size))
         for k in range(self.n):
             u = modes0[k]
-            a = self.traceless[k]
-            s = self.s_values[k]
-            z = s * dts
-            ch = np.cosh(z)
-            shc = dts.astype(complex) if s == 0.0 else np.sinh(z) / s
-            au = a @ u
+            ch, shc = self._flow(k, dts, np)
             env = np.exp(self.half_traces[k] * dts)
-            mode_states[k, 0] = env * np.real(ch * u[0] + shc * au[0])
-            mode_states[k, 1] = env * np.real(ch * u[1] + shc * au[1])
+            mode_states[k] = env * (ch * u[:, None] + shc * (self.traceless[k] @ u)[:, None])
         node_states = np.einsum("ik,kcm->icm", self.q, mode_states)
         xp, vp = self.steady(tau_a + dts)
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
-
-    def eval_full(self, modes0: np.ndarray, tau_a: float, dt: float) -> np.ndarray:
-        """Full flat state vector at a single offset."""
-        xs, vs = self.eval(modes0, tau_a, np.array([dt]))
-        return np.column_stack([xs[:, 0], vs[:, 0]]).reshape(-1)
 
     def position_of(self, modes0: np.ndarray, tau_a: float, node: int, dt: float) -> float:
         """Scalar position of one node, used by the impact bisection."""
@@ -284,14 +295,53 @@ class _ModeSegments:
         for k in range(self.n):
             u = modes0[k]
             a = self.traceless[k]
-            s = self.s_values[k]
-            z = s * dt
-            ch = np.cosh(z)
-            shc = complex(dt) if s == 0.0 else np.sinh(z) / s
+            ch, shc = self._flow(k, dt, math)
             au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
-            x += self.q[node, k] * math.exp(self.half_traces[k] * dt) * (ch * u[0] + shc * au0).real
+            x += self.q[node, k] * math.exp(self.half_traces[k] * dt) * (ch * u[0] + shc * au0)
         ph = self.p.eta * (tau_a + dt)
         return x + self._ap * math.cos(ph) + self._bp * math.sin(ph)
+
+
+class _SyncObserver:
+    """The probe's sync check and bifurcation record, one numpy pass per block.
+
+    Synchronized once the largest node deviation has stayed below threshold
+    for a forcing period (sync_time: the start of that stretch); maxima are
+    the local maxima of |x1 - x2| at tau >= record_from.  prev_diff_tau is
+    the last sample consumed: on a sync stop, the one before the stop sample.
+    """
+
+    def __init__(self, tau0, diff0, period, threshold, record_from):
+        self.period, self.threshold, self.record_from = period, threshold, record_from
+        self.below_start, self.sync_time, self.maxima = None, None, []
+        # nan stands for the sample before the start: no maximum is read there.
+        self.prev_prev_diff, self.prev_diff, self.prev_diff_tau = math.nan, diff0, tau0
+
+    def observe(self, taus, xs, vs) -> bool:
+        """Consume committed grid samples; returns True to stop (synced)."""
+        dev = np.sqrt((xs[1:] - xs[0]) ** 2 + (vs[1:] - vs[0]) ** 2).max(axis=0)
+        below = dev < self.threshold
+        # A below-threshold run starts one past the last sample not below,
+        # or at the carried start when it began in an earlier block.
+        last_above = np.maximum.accumulate(np.where(below, -1, np.arange(taus.size)))
+        run_start = taus[np.minimum(last_above + 1, taus.size - 1)]
+        if self.below_start is not None:
+            run_start[last_above < 0] = self.below_start
+        done = np.flatnonzero(below & (taus - run_start >= self.period))
+        stop = int(done[0]) if done.size else taus.size
+        if done.size:
+            self.sync_time = float(run_start[stop])
+        else:
+            self.below_start = float(run_start[-1]) if below[-1] else None
+        # Each consumed sample closes the window (prev_prev, prev, it).
+        d = np.concatenate(([self.prev_prev_diff, self.prev_diff], np.abs(xs[0] - xs[1])[:stop]))
+        centre_taus = np.concatenate(([self.prev_diff_tau], taus[:stop]))[:-1]
+        peaks = (d[:-2] < d[1:-1]) & (d[1:-1] > d[2:]) & (centre_taus >= self.record_from)
+        self.maxima.extend(d[1:-1][peaks].tolist())
+        if stop:
+            self.prev_prev_diff, self.prev_diff = float(d[-2]), float(d[-1])
+            self.prev_diff_tau = float(taus[stop - 1])
+        return bool(done.size)
 
 
 def _simulate_coupled(
@@ -315,7 +365,6 @@ def _simulate_coupled(
     period = p.forcing_period
     h = settings.scan_step
     total = int(math.ceil(settings.max_periods * period / h))
-    record_from = tau0 + (settings.max_periods - settings.record_window) * period
 
     state = np.asarray(x0, dtype=float).copy()
     if state.shape != (2 * n,):
@@ -323,48 +372,15 @@ def _simulate_coupled(
     anchor_tau = tau0
     modes = segs.to_modes(state, anchor_tau)
 
-    below_start: float | None = None
-    synchronized = False
-    sync_time: float | None = None
-    maxima: list[float] = []
-    prev_diff = abs(state[0] - state[2])
-    prev_prev_diff: float | None = None
-    prev_diff_tau = tau0
+    record_from = tau0 + (settings.max_periods - settings.record_window) * period
+    obs = _SyncObserver(
+        tau0, abs(state[0] - state[2]), period, settings.sync_threshold, record_from
+    )
     impact_times: list[float] = []
     recent_impacts: deque = deque(maxlen=CHATTER_CAP + 1)
 
-    def observe(taus, xs, vs):
-        """Consume committed grid samples; returns True to stop (synced)."""
-        nonlocal below_start, synchronized, sync_time
-        nonlocal prev_diff, prev_prev_diff, prev_diff_tau
-        dev = np.sqrt((xs[1:] - xs[0]) ** 2 + (vs[1:] - vs[0]) ** 2).max(axis=0)
-        diffs = np.abs(xs[0] - xs[1])
-        for i in range(taus.size):
-            tau = float(taus[i])
-            if dev[i] < settings.sync_threshold:
-                if below_start is None:
-                    below_start = tau
-                elif tau - below_start >= period:
-                    synchronized = True
-                    sync_time = below_start
-                    return True
-            else:
-                below_start = None
-            d = float(diffs[i])
-            if (
-                prev_prev_diff is not None
-                and prev_prev_diff < prev_diff
-                and prev_diff > d
-                and prev_diff_tau >= record_from
-            ):
-                maxima.append(prev_diff)
-            prev_prev_diff = prev_diff
-            prev_diff = d
-            prev_diff_tau = tau
-        return False
-
     k_next = 1
-    while k_next <= total and not synchronized:
+    while k_next <= total:
         k_stop = min(k_next + _CHUNK - 1, total)
         taus = tau0 + np.arange(k_next, k_stop + 1, dtype=float) * h
         dts = taus - anchor_tau
@@ -376,30 +392,27 @@ def _simulate_coupled(
         )
         crossings = (g > 0.0) & (g_prev <= 0.0)
         hit_cols = np.nonzero(crossings.any(axis=0))[0]
-
-        if hit_cols.size == 0:
-            if observe(taus, xs, vs):
-                break
+        ci = int(hit_cols[0]) if hit_cols.size else taus.size
+        if ci > 0 and obs.observe(taus[:ci], xs[:, :ci], vs[:, :ci]):
+            break
+        if not hit_cols.size:
             # Re-anchor at the chunk end to keep segment offsets small.
             state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
-            anchor_tau = float(taus[-1])
+            anchor_tau, k_next = float(taus[-1]), k_stop + 1
             modes = segs.to_modes(state, anchor_tau)
-            k_next = k_stop + 1
             continue
-
-        ci = int(hit_cols[0])
-        if ci > 0 and observe(taus[:ci], xs[:, :ci], vs[:, :ci]):
-            break
         lo_dt = float(dts[ci - 1]) if ci > 0 else 0.0
         hi_dt = float(dts[ci])
-        tau_c_dt = None
-        for node in np.nonzero(crossings[:, ci])[0].tolist():
-            cand = bisect_crossing(
-                lambda dt: segs.position_of(modes, anchor_tau, node, dt) - p.x_w, lo_dt, hi_dt
+        tau_c_dt = min(
+            bisect_crossing(
+                lambda dt, node=node: segs.position_of(modes, anchor_tau, node, dt) - p.x_w,
+                lo_dt,
+                hi_dt,
             )
-            if tau_c_dt is None or cand < tau_c_dt:
-                tau_c_dt = cand
-        full = segs.eval_full(modes, anchor_tau, tau_c_dt)
+            for node in np.nonzero(crossings[:, ci])[0].tolist()
+        )
+        x_c, v_c = segs.eval(modes, anchor_tau, np.array([tau_c_dt]))
+        full = np.column_stack([x_c[:, 0], v_c[:, 0]]).reshape(-1)
         tau_c = anchor_tau + tau_c_dt
         for node in range(n):
             if abs(full[2 * node] - p.x_w) <= WALL_POSITION_TOL and full[2 * node + 1] > 0.0:
@@ -412,21 +425,18 @@ def _simulate_coupled(
             and recent_impacts[-1] - recent_impacts[0] < period
         ):
             raise ChatterError(tau_c, len(recent_impacts), period)
-        state = full
-        anchor_tau = tau_c
+        state, anchor_tau, k_next = full, tau_c, k_next + ci  # first grid index past tau_c
         modes = segs.to_modes(state, anchor_tau)
-        k_next = k_next + ci  # first grid index past tau_c
 
-    if synchronized:
-        maxima = [0.0]
+    synchronized = obs.sync_time is not None
     periods_run = min(
-        int(math.floor((prev_diff_tau - tau0) / period)), settings.max_periods
+        int(math.floor((obs.prev_diff_tau - tau0) / period)), settings.max_periods
     )
     return ProbeResult(
         sigma=float(sigma),
         synchronized=synchronized,
-        sync_time=sync_time,
-        local_maxima=maxima,
+        sync_time=obs.sync_time,
+        local_maxima=[0.0] if synchronized else obs.maxima,
         periods_run=periods_run,
         impact_times=impact_times,
     )

@@ -8,6 +8,8 @@ in tests without an image decoder.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 WIDTH = 640
@@ -89,7 +91,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
         )
     for tick in np.linspace(x_lo, x_hi, 6):
         tx = px(float(tick))
@@ -115,14 +117,14 @@ def line_plot(
         parts.append(
             f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            f"{_escape(xlabel)}</text>"
+            f"{escape(xlabel, quote=False)}</text>"
         )
     if ylabel:
         cy = MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {cy:.1f})">{_escape(ylabel)}</text>'
+            f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>'
         )
     if y_lo < 0.0 < y_hi:
         zy = py(0.0)
@@ -150,24 +152,3 @@ def line_plot(
             )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-def polyline_vertices(svg: str) -> list[tuple[float, float]]:
-    """Extract the data polyline vertices back out of a rendered plot."""
-    marker = '<polyline points="'
-    start = svg.find(marker)
-    if start < 0:
-        return []
-    start += len(marker)
-    end = svg.find('"', start)
-    out = []
-    for pair in svg[start:end].split():
-        sx, sy = pair.split(",")
-        out.append((float(sx), float(sy)))
-    return out

@@ -72,6 +72,97 @@ def grid_scan_impact(
     return s.tau + 0.5 * (lo + hi)
 
 
+class LoopObserver:
+    """Sample-by-sample synchronization check: the reference for network._SyncObserver.
+
+    The probe's original per-sample loop, kept verbatim: the observer must
+    reach the same stop, sync time, maxima and last consumed sample bit for
+    bit when fed the same samples in any chunking.
+    """
+
+    def __init__(self, tau0, diff0, period, threshold, record_from):
+        self.period = period
+        self.threshold = threshold
+        self.record_from = record_from
+        self.below_start = None
+        self.sync_time = None
+        self.maxima = []
+        self.prev_prev_diff = None
+        self.prev_diff = diff0
+        self.prev_diff_tau = tau0
+
+    def observe(self, taus, xs, vs) -> bool:
+        dev = np.sqrt((xs[1:] - xs[0]) ** 2 + (vs[1:] - vs[0]) ** 2).max(axis=0)
+        diffs = np.abs(xs[0] - xs[1])
+        for i in range(taus.size):
+            tau = float(taus[i])
+            if dev[i] < self.threshold:
+                if self.below_start is None:
+                    self.below_start = tau
+                elif tau - self.below_start >= self.period:
+                    self.sync_time = self.below_start
+                    return True
+            else:
+                self.below_start = None
+            d = float(diffs[i])
+            if (
+                self.prev_prev_diff is not None
+                and self.prev_prev_diff < self.prev_diff
+                and self.prev_diff > d
+                and self.prev_diff_tau >= self.record_from
+            ):
+                self.maxima.append(self.prev_diff)
+            self.prev_prev_diff = self.prev_diff
+            self.prev_diff = d
+            self.prev_diff_tau = tau
+        return False
+
+
+def _complex_rate(a: np.ndarray) -> complex:
+    """s with A*A = s^2*I for a traceless 2x2 A, as a principal complex root."""
+    return complex(np.sqrt(complex(a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0])))
+
+
+def complex_mode_eval(segs, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
+    """_ModeSegments.eval through complex cosh(s dt) and sinh(s dt)/s.
+
+    The probe's original formula, kept as the reference for the real-arithmetic
+    mode flows.
+    """
+    dts = np.asarray(dts, dtype=float)
+    mode_states = np.empty((segs.n, 2, dts.size))
+    for k in range(segs.n):
+        u = modes0[k]
+        a = segs.traceless[k]
+        s = _complex_rate(a)
+        z = s * dts
+        ch = np.cosh(z)
+        shc = dts.astype(complex) if s == 0.0 else np.sinh(z) / s
+        au = a @ u
+        env = np.exp(segs.half_traces[k] * dts)
+        mode_states[k, 0] = env * np.real(ch * u[0] + shc * au[0])
+        mode_states[k, 1] = env * np.real(ch * u[1] + shc * au[1])
+    node_states = np.einsum("ik,kcm->icm", segs.q, mode_states)
+    xp, vp = segs.steady(tau_a + dts)
+    return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
+
+
+def complex_position_of(segs, modes0: np.ndarray, tau_a: float, node: int, dt: float) -> float:
+    """_ModeSegments.position_of through the complex scalar flow (the original form)."""
+    x = 0.0
+    for k in range(segs.n):
+        u = modes0[k]
+        a = segs.traceless[k]
+        s = _complex_rate(a)
+        z = s * dt
+        ch = np.cosh(z)
+        shc = complex(dt) if s == 0.0 else np.sinh(z) / s
+        au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
+        x += segs.q[node, k] * math.exp(segs.half_traces[k] * dt) * (ch * u[0] + shc * au0).real
+    ph = segs.p.eta * (tau_a + dt)
+    return x + segs._ap * math.cos(ph) + segs._bp * math.sin(ph)
+
+
 def oscillator_rhs(p: ImpactOscillatorParams):
     """Right-hand side of the free (no wall) oscillator ODE."""
 

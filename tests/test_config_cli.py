@@ -215,6 +215,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[probe]\nsigma = nan\n", "sigma must be finite"),
+            ("[probe]\nrng_seed = -1\n", "rng_seed must be non-negative"),
+            ("[network]\nsigma = inf\n", "sigma must be finite"),
+        ],
+        ids=["probe_sigma", "probe_rng_seed", "network_sigma"],
+    )
+    def test_bad_probe_and_network_values_rejected(self, tmp_path, ini, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write(tmp_path, ini))
+
 
 class TestParseGrid:
     def test_comma_list(self):
@@ -269,6 +282,7 @@ class TestCli:
         assert code == EXIT_OK
         row = (out / "tle.csv").read_text().splitlines()[1]
         assert float(row.split(",")[0]) == 0.5
+        assert "[query]\nalpha = 0.5\n" in (out / "effective.ini").read_text()
         svg = (out / "tle_convergence.svg").read_text()
         assert "<polyline" in svg
 
@@ -302,6 +316,23 @@ class TestCli:
     def test_zero_periods_override_is_config_error(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--out", str(out), "--periods", "0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tle", "--alpha", "nan"],
+            ["tle", "--beta", "inf"],
+            ["probe", "--sigma", "nan"],
+            ["network", "--sigma", "nan"],
+            ["simulate", "--periods", "-1"],
+        ],
+        ids=["tle_alpha", "tle_beta", "probe_sigma", "network_sigma", "simulate_periods"],
+    )
+    def test_bad_override_is_config_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"error: {argv[1]}:" in capsys.readouterr().err
+        assert not (out / "effective.ini").exists()
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["tle", "--preset", "bouncy", "--out", str(tmp_path)]) == EXIT_CONFIG

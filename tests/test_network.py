@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracles import LoopObserver, complex_mode_eval, complex_position_of
 from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings
 from msflab.network import (
     CouplingGraph,
@@ -8,7 +12,9 @@ from msflab.network import (
     ModeSpectrum,
     ProbeSettings,
     TWO_NODE_GRAPH,
+    _ModeSegments,
     _simulate_coupled,
+    _SyncObserver,
     all_to_all_graph,
     analyze_network,
     bifurcation_scan,
@@ -17,7 +23,7 @@ from msflab.network import (
     run_probe,
     sync_verdict,
 )
-from msflab.oscillator import OscState, simulate
+from msflab.oscillator import ImpactOscillatorParams, OscState, simulate
 
 COUPLING = np.asarray(SPRING_COUPLING, dtype=float)
 
@@ -163,6 +169,20 @@ class TestProbe:
         with pytest.raises(ValueError):
             ProbeSettings(sigma=0.5, record_window=300, max_periods=200)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ProbeSettings(sigma=sigma)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), (-1, 0), (7, -2), ((1, -1), 0)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            ProbeSettings(sigma=0.5, rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 12345, (7, 3), ((99, 0), 1), None])
+    def test_accepts_seeds_numpy_accepts(self, seed):
+        np.random.default_rng(ProbeSettings(sigma=0.5, rng_seed=seed).rng_seed)
+
     def test_strong_coupling_synchronizes(self, elastic, elastic_base):
         res = run_probe(
             elastic, COUPLING,
@@ -215,3 +235,250 @@ class TestProbe:
         )
         for a, b in zip(points, again):
             assert a.result.impact_times == b.result.impact_times
+
+
+# Exact binary grid: 8 samples per period, so every tau difference is exact.
+STEP = 0.125
+PERIOD = 1.0
+THRESHOLD = 1e-10
+
+
+def _stream(diffs, tau0=0.0):
+    """Two-node samples whose deviation and |x1 - x2| both equal diffs."""
+    diffs = np.asarray(diffs, dtype=float)
+    taus = tau0 + np.arange(1, diffs.size + 1, dtype=float) * STEP
+    xs = np.vstack([np.zeros_like(diffs), diffs])
+    return taus, xs, np.zeros_like(xs)
+
+
+def _feed(observer, stream, cuts) -> bool:
+    taus, xs, vs = stream
+    bounds = [0, *cuts, taus.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a < b and observer.observe(taus[a:b], xs[:, a:b], vs[:, a:b]):
+            return True
+    return False
+
+
+def _outcome(observer_cls, stream, cuts, record_from, diff0=0.5, tau0=0.0):
+    obs = observer_cls(tau0, diff0, PERIOD, THRESHOLD, record_from)
+    stopped = _feed(obs, stream, cuts)
+    periods_run = int(math.floor((obs.prev_diff_tau - tau0) / PERIOD))
+    return stopped, obs.sync_time, obs.maxima, periods_run, obs.prev_diff_tau
+
+
+def _assert_matches_loop(stream, cuts, record_from, **kwargs):
+    fast = _outcome(_SyncObserver, stream, cuts, record_from, **kwargs)
+    assert fast == _outcome(LoopObserver, stream, cuts, record_from, **kwargs)
+    return fast
+
+
+class TestSyncObserver:
+    """The one-pass observer equals the per-sample loop, bit for bit."""
+
+    def test_below_run_straddling_chunks_synchronizes(self):
+        # Below threshold from sample 21 on; chunks cut inside the run.
+        diffs = [0.3, 0.1] * 10 + [0.0] + [1e-12] * 20
+        stopped, sync_time, _, periods_run, _ = _assert_matches_loop(
+            _stream(diffs), [16, 24, 27], record_from=0.0
+        )
+        assert stopped and sync_time == 21 * STEP
+        assert periods_run == 3
+
+    def test_interrupted_runs_across_chunks(self):
+        # Two below runs of 7 samples (< one period), each broken across a
+        # chunk boundary, then a run that lasts.
+        diffs = [0.2] + [0.0] * 7 + [0.4] + [0.0] * 7 + [0.3, 0.1] + [0.0] * 12
+        stopped, sync_time, *_ = _assert_matches_loop(
+            _stream(diffs), [5, 9, 12, 20], record_from=0.0
+        )
+        assert stopped and sync_time == 19 * STEP
+
+    @pytest.mark.parametrize("stop_cut", [True, False])
+    def test_sync_exit_on_first_sample_of_chunk(self, stop_cut):
+        diffs = [0.3, 0.5, 0.2] + [0.0] * 12
+        # The run starts at sample index 3 and lasts a period at index 11.
+        cuts = [11] if stop_cut else [10]
+        stopped, sync_time, maxima, _, last_tau = _assert_matches_loop(
+            _stream(diffs), cuts, record_from=0.0
+        )
+        assert stopped and sync_time == 4 * STEP
+        assert last_tau == 11 * STEP  # the sample before the stop sample
+        assert maxima == [0.5]
+
+    @pytest.mark.parametrize("cut", [3, 4])
+    def test_maximum_with_neighbours_in_two_chunks(self, cut):
+        # The maximum is sample index 3: the last of the first chunk (cut 4)
+        # or the first of the second (cut 3).
+        diffs = [0.1, 0.2, 0.3, 0.9, 0.4, 0.2, 0.6, 0.1]
+        *_, maxima, _, _ = _assert_matches_loop(_stream(diffs), [cut], record_from=0.0)
+        assert maxima == [0.9, 0.6]
+
+    def test_maximum_exactly_at_record_from(self):
+        diffs = [0.1, 0.7, 0.2, 0.8, 0.3, 0.9, 0.1]
+        # Samples index 3 (tau 0.5) and 5 are kept, index 1 (tau 0.25) is not.
+        *_, maxima, _, _ = _assert_matches_loop(_stream(diffs), [4], record_from=4 * STEP)
+        assert maxima == [0.8, 0.9]
+
+    def test_no_maximum_at_the_start(self):
+        # diff0 exceeds the first sample, but nothing precedes diff0.
+        *_, maxima, _, _ = _assert_matches_loop(
+            _stream([0.1, 0.2, 0.1]), [1], record_from=-1.0, diff0=0.5
+        )
+        assert maxima == [0.2]
+
+    def test_random_streams_in_random_chunks(self):
+        rng = np.random.default_rng(2024)
+        synced = with_maxima = 0
+        for _ in range(400):
+            # Stretches below the threshold (0 or 1e-12) alternate with
+            # stretches of quantized levels, which also make plateaus.
+            pieces = []
+            for _ in range(int(rng.integers(1, 8))):
+                length = int(rng.integers(1, 14))
+                if rng.random() < 0.4:
+                    pieces.append(rng.choice([0.0, 1e-12], size=length))
+                else:
+                    pieces.append(rng.choice([1e-3, 2e-3, 3e-3, 0.5], size=length))
+            diffs = np.concatenate(pieces)
+            size = diffs.size
+            cuts = sorted(set(rng.integers(1, size + 1, int(rng.integers(0, 6))).tolist()))
+            tau0 = float(rng.choice([0.0, 3.375]))
+            outcome = _assert_matches_loop(
+                _stream(diffs, tau0), cuts,
+                record_from=tau0 + STEP * int(rng.integers(-1, size + 1)),
+                diff0=float(rng.choice([0.0, 1e-3, 0.5])), tau0=tau0,
+            )
+            synced += outcome[0]
+            with_maxima += bool(outcome[2])
+        assert synced > 50 and with_maxima > 100
+
+
+def _real_parts_match_complex(kind: str, lib) -> str | None:
+    """Why lib's real flow functions cannot equal the complex form here, or None.
+
+    The real mode flows equal the complex cosh(s dt), sinh(s dt)/s only
+    where lib's cos/sin (s = i*w) or cosh/sinh (real s) round as the parts
+    of numpy's complex cosh and sinh do.
+    """
+    args = np.random.default_rng(11).uniform(0.0, 12.0, 4000)
+    if kind == "oscillatory":
+        z, funcs = 1j * args, (("cos", "cosh", "real"), ("sin", "sinh", "imag"))
+    else:
+        z, funcs = args + 0j, (("cosh", "cosh", "real"), ("sinh", "sinh", "real"))
+    for real_name, complex_name, part in funcs:
+        expected = getattr(getattr(np, complex_name)(z), part)
+        if lib is np:
+            got = getattr(np, real_name)(args)
+        else:
+            got = np.array([getattr(math, real_name)(a) for a in args.tolist()])
+        if not np.array_equal(got, expected):
+            return (
+                f"{lib.__name__}.{real_name} rounds differently from numpy's complex "
+                f"{complex_name} on this host"
+            )
+    return None
+
+
+def _skip_unless_real_parts_match(kind: str, lib) -> None:
+    reason = _real_parts_match_complex(kind, lib)
+    if reason:
+        pytest.skip(reason)
+
+
+def _mode_case(p, sigma, graph=TWO_NODE_GRAPH, seed=0):
+    segs = _ModeSegments(p, graph, COUPLING, sigma)
+    rng = np.random.default_rng(seed)
+    modes0 = rng.normal(size=(graph.n_nodes, 2))
+    dts = np.arange(1, 4097, dtype=float) * 1e-3 + rng.uniform(0.0, 1e-3)
+    # Bisection-style offsets: arbitrary floats inside grid cells.
+    scalars = rng.uniform(0.0, 4.1, 200).tolist()
+    return segs, modes0, 317.25, dts, scalars
+
+
+OSCILLATORY = [("elastic", 0.5), ("elastic", 0.0), ("inelastic", 1.0), ("inelastic", 0.25)]
+
+
+class TestModeFlows:
+    """Real-arithmetic mode flows against the complex cosh/sinh form."""
+
+    @pytest.mark.parametrize("preset, sigma", OSCILLATORY)
+    def test_oscillatory_eval_equals_complex(self, preset, sigma, request):
+        _skip_unless_real_parts_match("oscillatory", np)
+        segs, modes0, tau_a, dts, _ = _mode_case(request.getfixturevalue(preset), sigma)
+        assert all(s2 < 0.0 for s2 in segs.s_squares)
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
+        assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
+
+    def test_three_node_eval_equals_complex(self, elastic):
+        _skip_unless_real_parts_match("oscillatory", np)
+        segs, modes0, tau_a, dts, _ = _mode_case(elastic, 0.4, all_to_all_graph(3))
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
+        assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
+
+    @pytest.mark.parametrize("preset, sigma", OSCILLATORY)
+    def test_oscillatory_position_equals_complex(self, preset, sigma, request):
+        _skip_unless_real_parts_match("oscillatory", math)
+        segs, modes0, tau_a, _, scalars = _mode_case(request.getfixturevalue(preset), sigma)
+        for node in range(2):
+            for dt in scalars:
+                assert segs.position_of(modes0, tau_a, node, dt) == complex_position_of(
+                    segs, modes0, tau_a, node, dt
+                )
+
+    def test_overdamped_eval_equals_complex(self, elastic):
+        _skip_unless_real_parts_match("overdamped", np)
+        segs, modes0, tau_a, dts, _ = _mode_case(elastic, -1.0)
+        assert max(segs.s_squares) > 0.0
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
+        assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
+
+    def test_overdamped_position_equals_complex(self, elastic):
+        _skip_unless_real_parts_match("overdamped", math)
+        segs, modes0, tau_a, _, scalars = _mode_case(elastic, -1.0)
+        for node in range(2):
+            for dt in scalars:
+                assert segs.position_of(modes0, tau_a, node, dt) == complex_position_of(
+                    segs, modes0, tau_a, node, dt
+                )
+
+    def test_overdamped_eval_close_to_complex(self, elastic):
+        # Runs on every host: the SIMD cosh/sinh may differ in the last bits.
+        segs, modes0, tau_a, dts, _ = _mode_case(elastic, -1.0)
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
+        scale = np.abs(ox).max() + np.abs(ov).max()
+        assert np.abs(xs - ox).max() <= 1e-14 * scale
+        assert np.abs(vs - ov).max() <= 1e-14 * scale
+
+    def test_critical_mode_matches_expm(self):
+        # zeta = 0 and sigma*gamma = 1 make B = [[0, 1], [0, 0]]: s^2 = 0.
+        p = ImpactOscillatorParams(zeta=0.0, eta=0.712, f=1.0, x_w=2.0, R=1.0)
+        sigma = -0.5
+        segs, modes0, tau_a, dts, scalars = _mode_case(p, sigma)
+        assert 0.0 in segs.s_squares
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        gammas, q = np.linalg.eigh(TWO_NODE_GRAPH.matrix)
+        base = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for j in range(0, dts.size, 97):
+            dt = float(dts[j])
+            modes = np.array([
+                scipy.linalg.expm((base + sigma * g * COUPLING) * dt) @ modes0[k]
+                for k, g in enumerate(gammas)
+            ])
+            xp, vp = segs.steady(tau_a + dt)
+            nodes = q @ modes
+            assert np.allclose(xs[:, j], nodes[:, 0] + xp, rtol=0.0, atol=1e-12)
+            assert np.allclose(vs[:, j], nodes[:, 1] + vp, rtol=0.0, atol=1e-12)
+        for dt in scalars[:20]:
+            modes = np.array([
+                scipy.linalg.expm((base + sigma * g * COUPLING) * dt) @ modes0[k]
+                for k, g in enumerate(gammas)
+            ])
+            xp, _ = segs.steady(tau_a + dt)
+            expected = (q @ modes)[:, 0] + xp
+            for node in range(2):
+                assert abs(segs.position_of(modes0, tau_a, node, dt) - expected[node]) <= 1e-12

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from msflab.svgplot import EmptyPlotError, line_plot, polyline_vertices
+from msflab.svgplot import EmptyPlotError, line_plot
+
+
+def polyline_vertices(svg: str) -> list[tuple[float, float]]:
+    """Extract the data polyline vertices back out of a rendered plot."""
+    marker = '<polyline points="'
+    start = svg.find(marker)
+    if start < 0:
+        return []
+    start += len(marker)
+    end = svg.find('"', start)
+    out = []
+    for pair in svg[start:end].split():
+        sx, sy = pair.split(",")
+        out.append((float(sx), float(sy)))
+    return out
 
 
 class TestLinePlot:
