@@ -6,11 +6,12 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect about one minute (elastic) to one and a half (inelastic) for the
-default 21-point grid on one core (53 s and 85 s measured on a 2-vCPU
-x86-64 VM), a little under half of it in the probe scan; the
-positive-exponent points are the slow ones because the pair never
-synchronizes and the probe runs its full horizon.
+Expect about 35 s (elastic) to 55 s (inelastic) for the default 21-point
+grid on one core (36 s and 55 s measured on a 2-vCPU x86-64 VM).  The
+exponent sweep takes 5 s and 8 s of that, because its queries share one
+trajectory record; the rest is the probe scan, where the positive-exponent
+points are the slow ones because the pair never synchronizes and the probe
+runs its full horizon.
 """
 
 from __future__ import annotations

@@ -118,12 +118,21 @@ class TLEResult:
     imag_discard_events: list[float] = field(default_factory=list, repr=False)
 
 
-def _coupled_generator(phi_single, coupling, query: MSFQuery, h: float) -> np.ndarray:
-    """log(phi_single) + (alpha + i*beta)*coupling*h, the step's coupled generator."""
+def _coupled_generator(log_phi, coupling, query: MSFQuery, h: float) -> np.ndarray:
+    """log_phi + (alpha + i*beta)*coupling*h, the step's coupled generator."""
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     coupling = np.asarray(coupling, dtype=float)
-    return mat_log(phi_single) + (query.alpha + 1j * query.beta) * coupling * h
+    return log_phi + (query.alpha + 1j * query.beta) * coupling * h
+
+
+def _coupled_exp(log_phi, coupling, query: MSFQuery, h: float) -> tuple[np.ndarray, float]:
+    """exp of the coupled generator and the discarded imaginary mass (see below)."""
+    prop = mat_exp(_coupled_generator(log_phi, coupling, query, h))
+    if query.beta == 0.0:
+        discarded = float(np.linalg.norm(np.imag(prop)))
+        return np.real(prop).copy(), discarded
+    return prop, 0.0
 
 
 def coupled_step_propagator(
@@ -137,11 +146,7 @@ def coupled_step_propagator(
     auditing; for beta != 0 the complex matrix is returned unchanged with a
     reported magnitude of 0.
     """
-    prop = mat_exp(_coupled_generator(phi_single, coupling, query, h))
-    if query.beta == 0.0:
-        discarded = float(np.linalg.norm(np.imag(prop)))
-        return np.real(prop).copy(), discarded
-    return prop, 0.0
+    return _coupled_exp(mat_log(phi_single), coupling, query, h)
 
 
 def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscState:
@@ -153,6 +158,135 @@ def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscSta
         scan_step=settings.scan_step,
     )
     return state
+
+
+class _Failure:
+    """A kernel exception kept in an event record; every replay raises a fresh copy."""
+
+    def __init__(self, exc: Exception):
+        self.type, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
+
+    def fresh(self) -> Exception:
+        # Built without calling __init__, whose signature may differ from args
+        # (ChatterError takes tau, count and period).
+        exc = self.type.__new__(self.type, *self.args)
+        vars(exc).update(self.attrs)
+        return exc
+
+
+class _EventRecord:
+    """The part of compute_tle's march fixed by the base state alone.
+
+    The impact times, the window placement, every event-window Jacobian
+    with its warnings, and the logarithms of the window and free-step
+    propagators depend on (p, base_state, settings), not on alpha + i*beta.
+    The record computes them lazily, in march order, only as far as the
+    furthest query has needed, and keeps per window only what the march
+    reads: impacts[i] is (tau_c, w_start, w_end), or None when no impact
+    comes before the horizon, and windows[i] is (log Phi, warnings).  A
+    kernel failure is kept at its position; the query that meets it first
+    raises the original, every later one that reaches it a fresh copy.
+    The kernels are looked up in this module when the record extends, so
+    a patched kernel sees every call.
+    """
+
+    def __init__(self, p, base_state: OscState, settings: TLESettings, kernels: tuple):
+        self.key = (p, base_state, settings, kernels)
+        self.p, self.base_state, self.settings = p, base_state, settings
+        h = settings.scan_step
+        self.log_free = mat_log(segment_propagator(p, h))
+        self.final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
+        self.state = self.base_state  # central run at grid index j, where the next scan starts
+        self.j = 0
+        self.impacts: list = []
+        self.windows: list = []
+
+    def impact(self, i: int):
+        """(tau_c, w_start, w_end) of window i, or None; windows 0..i-1 must exist."""
+        return self._entry(self.impacts, i, self._next_impact)
+
+    def window(self, i: int) -> tuple[np.ndarray, tuple[str, ...]]:
+        """(log Phi, warnings) of window i, whose impact must exist."""
+        return self._entry(self.windows, i, lambda: self._estimate(*self.impacts[i]))
+
+    @staticmethod
+    def _entry(entries: list, i: int, build):
+        if i == len(entries):
+            try:
+                entries.append(build())
+            except Exception as exc:
+                entries.append(_Failure(exc))
+                raise
+        if isinstance(entries[i], _Failure):
+            raise entries[i].fresh()
+        return entries[i]
+
+    def _next_impact(self):
+        h = self.settings.scan_step
+        tau_c = detect_next_impact(
+            self.p, self.state, (self.final_j - self.j) * h, scan_step=h
+        )
+        if tau_c is None:
+            return None
+        rel = tau_c - self.base_state.tau
+        eps = 1e-9 * h
+        cell = int(math.floor((rel + eps) / h))
+        if abs(rel - cell * h) <= eps:
+            w_start, w_end = cell - 1, cell + 1
+        else:
+            w_start, w_end = cell, cell + 1
+        return tau_c, max(w_start, self.j), w_end
+
+    def _estimate(self, tau_c: float, w_start: int, w_end: int):
+        p, h, delta = self.p, self.settings.scan_step, self.settings.jacobi_delta
+        state = propagate_free(
+            p, self.state, (self.base_state.tau + w_start * h) - self.state.tau
+        )
+        window = (w_end - w_start) * h
+        warnings = []
+        est = event_window_jacobian(p, state, window, delta)
+        if not est.consistent:
+            est = event_window_jacobian(p, state, window, delta / 10.0)
+            if est.consistent:
+                warnings.append(
+                    f"event counts disagreed at tau_c={tau_c:.6f}; "
+                    f"retry with delta/10 succeeded"
+                )
+            else:
+                warnings.append(
+                    f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
+                    f"delta; estimate accepted (counts {est.event_counts})"
+                )
+        try:
+            log_phi = mat_log(est.phi)
+        except Exception as exc:
+            raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
+        for event in est.events:
+            if event.grazing:
+                warnings.append(
+                    f"grazing impact at tau_c={event.tau_c:.6f} "
+                    f"(|v_pre|={abs(event.v_pre):.2e})"
+                )
+        # Advance along the window's central run, which the estimate carries.
+        self.state, self.j = est.final, w_end
+        return log_phi, tuple(warnings)
+
+
+# The record of the base state this process last ran on.  Kernels are part
+# of the key, so a record built through other kernels (a test's or a
+# tracer's wrappers) is never replayed to callers of the current ones.
+_last_record: _EventRecord | None = None
+
+
+def _event_record(p, base_state, settings) -> _EventRecord:
+    global _last_record
+    kernels = (
+        segment_propagator, mat_log, detect_next_impact, propagate_free,
+        event_window_jacobian,
+    )
+    if _last_record is None or _last_record.key != (p, base_state, settings, kernels):
+        _last_record = _EventRecord(p, base_state, settings, kernels)
+    return _last_record
 
 
 def compute_tle(
@@ -169,22 +303,28 @@ def compute_tle(
     the same protocol (a sweep settles it once and shares it); otherwise
     the transient is run here.  initial_perturbation overrides the default
     xi = (1, 0); its scale does not affect the exponent.
+
+    Queries on one (p, base_state, settings) share one trajectory record:
+    the process keeps the record of the base state it last ran on, so
+    consecutive queries on the same base state simulate the trajectory and
+    its window Jacobians once, as far as the longest of them needs.  The
+    record is not locked; run concurrent queries in processes.
     """
     coupling = np.asarray(coupling, dtype=float)
     if coupling.shape != (2, 2):
         raise ValueError(f"coupling matrix must be 2x2, got shape {coupling.shape}")
     if base_state is None:
         base_state = settle_transient(p, settings)
+    record = _event_record(p, base_state, settings)
 
     h = settings.scan_step
     period = p.forcing_period
-    t0 = base_state.tau
     real_query = query.beta == 0.0
 
     # k impact-free steps with per-step renormalization leave the same unit
     # direction and log growth as exp(k*G) applied once, G the free step's
     # coupled generator.
-    free_steps = exp_flow(_coupled_generator(segment_propagator(p, h), coupling, query, h))
+    free_steps = exp_flow(_coupled_generator(record.log_free, coupling, query, h))
     discard_free = float(np.linalg.norm(np.imag(free_steps(1.0))))
 
     if initial_perturbation is None:
@@ -202,9 +342,7 @@ def compute_tle(
     samples: list[float] = []
     warnings: list[str] = []
     imag_events: list[float] = []
-    state = base_state
     j = 0
-    final_j = int(math.ceil(settings.max_periods * period / h))
     k_period = 1
     next_sample_j = int(math.ceil(k_period * period / h))
     converged = False
@@ -238,44 +376,20 @@ def compute_tle(
             n_steps -= take
             emit_samples()
 
+    i = 0
     while not converged and len(samples) < settings.max_periods:
-        horizon = (final_j - j) * h
-        tau_c = detect_next_impact(p, state, horizon, scan_step=h)
-        if tau_c is None:
-            march_free(final_j - j)
+        impact = record.impact(i)
+        if impact is None:
+            march_free(record.final_j - j)
             break
-
-        rel = tau_c - t0
-        eps = 1e-9 * h
-        cell = int(math.floor((rel + eps) / h))
-        if abs(rel - cell * h) <= eps:
-            w_start, w_end = cell - 1, cell + 1
-        else:
-            w_start, w_end = cell, cell + 1
-        w_start = max(w_start, j)
-
+        tau_c, w_start, w_end = impact
         march_free(w_start - j)
         if converged or len(samples) >= settings.max_periods:
             break
 
-        state = propagate_free(p, state, (t0 + w_start * h) - state.tau)
-        window = (w_end - w_start) * h
-
-        est = event_window_jacobian(p, state, window, settings.jacobi_delta)
-        if not est.consistent:
-            est = event_window_jacobian(p, state, window, settings.jacobi_delta / 10.0)
-            if est.consistent:
-                warnings.append(
-                    f"event counts disagreed at tau_c={tau_c:.6f}; "
-                    f"retry with delta/10 succeeded"
-                )
-            else:
-                warnings.append(
-                    f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
-                    f"delta; estimate accepted (counts {est.event_counts})"
-                )
+        log_phi, notes = record.window(i)
         try:
-            p_event, discarded = coupled_step_propagator(est.phi, coupling, query, window)
+            p_event, discarded = _coupled_exp(log_phi, coupling, query, (w_end - w_start) * h)
         except Exception as exc:
             raise type(exc)(
                 f"{exc} (event window at tau_c={tau_c:.6f})"
@@ -287,16 +401,9 @@ def compute_tle(
         nrm = float(np.linalg.norm(xi))
         log_sum += math.log(nrm)
         xi = xi / nrm
-
-        # Advance along the window's central run, which the estimate carries.
-        state = est.final
-        for record in est.events:
-            if record.grazing:
-                warnings.append(
-                    f"grazing impact at tau_c={record.tau_c:.6f} "
-                    f"(|v_pre|={abs(record.v_pre):.2e})"
-                )
+        warnings.extend(notes)
         j = w_end
+        i += 1
         emit_samples()
 
     return TLEResult(
@@ -357,9 +464,12 @@ def msf_sweep(
 ) -> list[SweepPoint]:
     """Exponents over the (alpha, beta) grid, row-major in alpha then beta.
 
-    The transient is settled once and shared by every point.  Failures are
-    captured per point so one bad query cannot abort the grid, and the
-    output order is the grid order regardless of worker count.
+    The transient is settled once and shared by every point, and so is the
+    trajectory record compute_tle keeps per base state: the impacts and
+    window Jacobians are computed once per worker process, as far as the
+    longest query that worker runs needs.  Failures are captured per point
+    so one bad query cannot abort the grid, and the output order is the
+    grid order regardless of worker count.
     """
     alphas = [float(a) for a in np.atleast_1d(alphas)]
     betas = [float(b) for b in np.atleast_1d(betas)]

@@ -344,3 +344,92 @@ def divergence_lle_oracle(
             base.tau,
         )
     return log_sum / (horizon_periods * period)
+
+
+def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state: OscState):
+    """compute_tle's march with every impact and window computed in place.
+
+    The reference for the event record: the same kernels, looked up in
+    msflab.msf at call time, run in march order for this query alone, as
+    compute_tle ran before queries shared a record.  Returns the TLEResult
+    or raises what the kernels raise at the point the march reaches them.
+    """
+    from msflab import msf
+
+    coupling = np.asarray(coupling, dtype=float)
+    h, period, t0 = settings.scan_step, p.forcing_period, base_state.tau
+    real_query = query.beta == 0.0
+    free_steps = msf.exp_flow(
+        msf.mat_log(msf.segment_propagator(p, h))
+        + (query.alpha + 1j * query.beta) * coupling * h
+    )
+    xi = np.array([1.0, 0.0], dtype=complex)
+    log_sum, samples, warnings, imag_events = 0.0, [], [], []
+    state, j, converged = base_state, 0, False
+    final_j = int(math.ceil(settings.max_periods * period / h))
+
+    def running() -> bool:
+        return not converged and len(samples) < settings.max_periods
+
+    def advance(step, n: int):
+        # Apply step, renormalize, advance j by n and take every sample due.
+        nonlocal xi, log_sum, j, converged
+        xi = step @ xi
+        nrm = float(np.linalg.norm(xi))
+        log_sum += math.log(nrm)
+        xi = xi / nrm
+        j += n
+        while running() and j >= int(math.ceil((len(samples) + 1) * period / h)):
+            samples.append(log_sum / (j * h))
+            tail = samples[-settings.sample_window:]
+            converged = len(tail) == settings.sample_window and float(np.std(tail)) < settings.std_tolerance
+
+    def march_free(n: int):
+        while n > 0 and running():
+            take = min(n, int(math.ceil((len(samples) + 1) * period / h)) - j)
+            step = free_steps(take)
+            advance(step.real if real_query else step, take)
+            n -= take
+
+    while running():
+        tau_c = msf.detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
+        if tau_c is None:
+            march_free(final_j - j)
+            break
+        cell = int(math.floor((tau_c - t0 + 1e-9 * h) / h))
+        on_grid = abs(tau_c - t0 - cell * h) <= 1e-9 * h
+        w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
+        march_free(w_start - j)
+        if not running():
+            break
+        state = msf.propagate_free(p, state, (t0 + w_start * h) - state.tau)
+        width = (w_end - w_start) * h
+        est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta)
+        if not est.consistent:
+            est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta / 10.0)
+            warnings.append(
+                f"event counts disagreed at tau_c={tau_c:.6f}; retry with delta/10 succeeded"
+                if est.consistent else
+                f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
+                f"delta; estimate accepted (counts {est.event_counts})"
+            )
+        try:
+            p_event, discarded = msf.coupled_step_propagator(est.phi, coupling, query, width)
+        except Exception as exc:
+            raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
+        if real_query:
+            imag_events.append(discarded)
+        warnings += [
+            f"grazing impact at tau_c={e.tau_c:.6f} (|v_pre|={abs(e.v_pre):.2e})"
+            for e in est.events if e.grazing
+        ]
+        state = est.final
+        advance(p_event, w_end - j)
+
+    return msf.TLEResult(
+        alpha=query.alpha, beta=query.beta, tle=samples[-1] if samples else 0.0,
+        converged=converged, periods_used=len(samples), samples=samples,
+        warnings=warnings, transient_periods=settings.transient_periods,
+        imag_discard_free=float(np.linalg.norm(np.imag(free_steps(1.0)))) if real_query else 0.0,
+        imag_discard_events=imag_events,
+    )

@@ -149,7 +149,8 @@ class TestMatLog:
 @settings(max_examples=150, deadline=None)
 @given(m=matrices)
 def test_round_trip_property(m):
-    det = np.linalg.det(m)
+    (a, b), (c, d) = m
+    det = a * d - b * c
     norm = np.linalg.norm(m)
     if abs(det) < 1e-4 * max(norm**2, 1.0):
         # The logarithm does not exist (or is hopeless) near singularity.

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import literal_march_samples, literal_power, literal_steps, smooth_tle_oracle
+from oracles import (
+    direct_tle, literal_march_samples, literal_power, literal_steps, smooth_tle_oracle,
+)
 from msflab import jacobian, msf
+from msflab.jacobian import GrazingSingularityError
 from msflab.matfuncs import exp_flow, mat_exp, mat_log
 from msflab.msf import (
     MSFQuery,
@@ -19,11 +23,28 @@ from msflab.msf import (
     msf_sweep,
     settle_transient,
 )
-from msflab.oscillator import ImpactOscillatorParams, OscState, segment_propagator, simulate
+from msflab.oscillator import (
+    ChatterError, ImpactOscillatorParams, OscState, segment_propagator, simulate,
+)
 
 
 def _smooth(eta=0.712):
     return ImpactOscillatorParams(zeta=0.05, eta=eta, x_w=2.0, wall_enabled=False)
+
+
+def _evict(settings=TLESettings(max_periods=1, sample_window=1)):
+    """Replace the process's event record by one on another elastic base state."""
+    compute_tle(
+        ImpactOscillatorParams(zeta=0.05, eta=0.712, x_w=2.0), SPRING_COUPLING,
+        MSFQuery(0.0), settings, base_state=OscState(0.0, 0.0, 0.0),
+    )
+
+
+def _outcome(r):
+    return (
+        r.tle, r.samples, r.warnings, r.imag_discard_free, r.imag_discard_events,
+        r.converged, r.periods_used,
+    )
 
 
 class TestCoupledStepPropagator:
@@ -250,8 +271,11 @@ class TestDeterminism:
         s = TLESettings(max_periods=120, sample_window=100)
         a = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
         b = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
-        assert a.tle == b.tle
-        assert a.samples == b.samples
+        # A rerun after another base state has replaced the record rebuilds it.
+        _evict(s)
+        c = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0), s, base_state=elastic_base)
+        assert a.tle == b.tle == c.tle
+        assert a.samples == b.samples == c.samples
 
     def test_step_modes_agree(self, elastic, elastic_base, monkeypatch):
         # The grouped march against one in which each impact-free stretch
@@ -275,6 +299,187 @@ class TestDeterminism:
             assert a.error == b.error
             assert a.result.tle == b.result.tle
             assert a.result.samples == b.result.samples
+
+
+# The grazing failure recorded in ROADMAP.md: after a 100-period transient
+# the window starting at tau = 1174.72 raises.  Under GRAZING_SETTINGS
+# alpha = -1 converges after 11 periods, before that window, and alpha = 0
+# reaches it.
+GRAZING_POINT = ImpactOscillatorParams(
+    zeta=0.015380737517637964, eta=0.6355648465488226,
+    x_w=2.011873244080891, R=0.823594755787125,
+)
+GRAZING_SETTINGS = TLESettings(
+    transient_periods=100, max_periods=150, sample_window=10, std_tolerance=1e-3
+)
+GRAZING_MESSAGE = (
+    "window propagator at tau=1174.72 is numerically singular (singular values "
+    "2.382e-08/4.421e+07); the impact is too close to grazing for a logarithm to exist"
+)
+# Queries that stop at different periods (64 to 95 on the elastic preset),
+# with a complex one and a second coupling matrix among them.
+REPLAY_SETTINGS = TLESettings(max_periods=120, sample_window=20, std_tolerance=1e-3)
+REPLAY_QUERIES = [
+    (MSFQuery(-0.5), SPRING_COUPLING),
+    (MSFQuery(-0.4, 0.6), SPRING_COUPLING),
+    (MSFQuery(-1.0), np.array([[0.0, 0.0], [0.0, 1.0]])),
+    (MSFQuery(-3.0), SPRING_COUPLING),
+    (MSFQuery(0.0), SPRING_COUPLING),
+]
+
+
+@pytest.fixture(scope="module")
+def grazing_base():
+    return settle_transient(GRAZING_POINT, GRAZING_SETTINGS)
+
+
+def _flag_windows(monkeypatch):
+    """Make some event windows inconsistent and some grazing, so they warn."""
+    real = msf.event_window_jacobian
+
+    def flagged(p, s_pre, *args, **kwargs):
+        est = real(p, s_pre, *args, **kwargs)
+        cell = int(s_pre.tau * 1e3)
+        if cell % 3 == 0:
+            est = dataclasses.replace(est, consistent=False)
+        if cell % 5 == 0:
+            events = tuple(dataclasses.replace(e, grazing=True) for e in est.events)
+            est = dataclasses.replace(est, events=events)
+        return est
+
+    monkeypatch.setattr(msf, "event_window_jacobian", flagged)
+
+
+class TestEventRecord:
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_replay_equals_cold_and_direct(self, elastic, elastic_base, flag, monkeypatch):
+        if flag:
+            _flag_windows(monkeypatch)
+
+        def run(queries):
+            return [
+                _outcome(compute_tle(elastic, c, q, REPLAY_SETTINGS, base_state=elastic_base))
+                for q, c in queries
+            ]
+
+        # Evicting with the same p and settings: only the base state differs.
+        cold = []
+        for query in REPLAY_QUERIES:
+            _evict(REPLAY_SETTINGS)
+            cold += run([query])
+        _evict(REPLAY_SETTINGS)
+        warm = run(REPLAY_QUERIES)
+        _evict(REPLAY_SETTINGS)
+        backward = run(REPLAY_QUERIES[::-1])[::-1]
+        direct = [
+            _outcome(direct_tle(elastic, c, q, REPLAY_SETTINGS, elastic_base))
+            for q, c in REPLAY_QUERIES
+        ]
+        assert len({r[-1] for r in cold}) > 2
+        assert any(r[2] for r in cold) == flag
+        assert warm == cold
+        assert backward == cold
+        assert direct == cold
+
+    @pytest.mark.parametrize("order", [("stop", "reach"), ("reach", "stop")])
+    def test_failure_kept_at_its_window(self, grazing_base, order):
+        def stop():
+            r = compute_tle(
+                GRAZING_POINT, SPRING_COUPLING, MSFQuery(-1.0), GRAZING_SETTINGS,
+                base_state=grazing_base,
+            )
+            assert r.converged and r.periods_used == 11
+            assert grazing_base.tau + 12 * GRAZING_POINT.forcing_period < 1174.7
+            return _outcome(r)
+
+        def reach():
+            with pytest.raises(GrazingSingularityError) as info:
+                compute_tle(
+                    GRAZING_POINT, SPRING_COUPLING, MSFQuery(0.0), GRAZING_SETTINGS,
+                    base_state=grazing_base,
+                )
+            assert type(info.value) is GrazingSingularityError
+            assert str(info.value) == GRAZING_MESSAGE
+            return info.value
+
+        _evict()
+        cold = [{"stop": stop, "reach": reach}[kind]() for kind in order]
+        warm = [{"stop": stop, "reach": reach}[kind]() for kind in order]
+        assert cold[order.index("stop")] == warm[order.index("stop")]
+        # Each query that reaches the window gets an exception of its own.
+        assert cold[order.index("reach")] is not warm[order.index("reach")]
+
+    def test_failure_replays_constructor_state(self, elastic, elastic_base, monkeypatch):
+        # ChatterError's constructor takes (tau, count, period), not a message.
+        real = msf.event_window_jacobian
+        calls = []
+
+        def chatter_on_third(p, s_pre, *args, **kwargs):
+            calls.append(s_pre)
+            if len(calls) == 3:
+                raise ChatterError(s_pre.tau, 10_001, p.forcing_period)
+            return real(p, s_pre, *args, **kwargs)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", chatter_on_third)
+        s = TLESettings(max_periods=30, sample_window=20)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ChatterError) as info:
+                compute_tle(elastic, SPRING_COUPLING, MSFQuery(0.0), s, base_state=elastic_base)
+            raised.append(info.value)
+        assert len(calls) == 3
+        cold, warm = raised
+        assert warm is not cold
+        assert str(warm) == str(cold)
+        assert (warm.tau, warm.count, warm.period) == (cold.tau, cold.count, cold.period)
+
+    def test_sweep_estimates_windows_for_the_longest_query_only(
+        self, elastic, elastic_base, monkeypatch
+    ):
+        calls = []
+        real = msf.event_window_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", counting)
+        alphas = [-3.0, -0.5, -1.0]
+        single, used = [], []
+        for alpha in alphas:
+            _evict()
+            before = len(calls)
+            r = compute_tle(
+                elastic, SPRING_COUPLING, MSFQuery(alpha), REPLAY_SETTINGS,
+                base_state=elastic_base,
+            )
+            single.append(len(calls) - before)
+            used.append(len(r.imag_discard_events))  # one per window the march crossed
+        _evict()
+        before = len(calls)
+        pts = msf_sweep(
+            elastic, SPRING_COUPLING, alphas, [0.0], REPLAY_SETTINGS, jobs=1,
+            base_state=elastic_base,
+        )
+        assert all(pt.error is None for pt in pts)
+        assert single == used
+        assert len(calls) - before == max(used) < sum(used)
+
+    def test_patched_kernel_sees_every_window(self, elastic, elastic_base, monkeypatch):
+        # A record built before the patch is not replayed to the patched kernel.
+        s = TLESettings(max_periods=6, sample_window=2)
+        first = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
+        seen = []
+        real = msf.event_window_jacobian
+
+        def recording(p, s_pre, *args, **kwargs):
+            seen.append(s_pre)
+            return real(p, s_pre, *args, **kwargs)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        again = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
+        assert len(seen) == len(first.imag_discard_events) >= 2
+        assert _outcome(again) == _outcome(first)
 
 
 class TestSweep:
