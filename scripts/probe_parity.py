@@ -1,9 +1,11 @@
 """Write every preset_probe benchmark result as JSON, for bit-identity checks.
 
 Runs the probe queries of the ``preset_probe`` benchmark workload for all
-of its probe seeds (10 seeds x 2 presets x 4 sigmas = 80 results) and
-prints, per result, the fields of ProbeResult with every float written by
-repr.  Two commits give the same probe results bit for bit exactly when
+of its probe seeds (10 seeds x 2 presets x 4 sigmas = 80 results), then
+the same presets and sigmas on the three-node all-to-all graph for the
+first THREE_NODE_SEEDS probe seeds (16 results; its two transverse modes
+share one generator), and prints, per result, the fields of ProbeResult
+with every float written by repr.  Two commits give the same probe results bit for bit exactly when
 their outputs are identical, so a check is one diff:
 
     PYTHONPATH=src python3 scripts/probe_parity.py > new.json
@@ -28,6 +30,9 @@ import msflab  # noqa: E402
 import workloads  # noqa: E402
 
 
+THREE_NODE_SEEDS = 2
+
+
 def _floats(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
@@ -39,8 +44,10 @@ def main(argv=None) -> int:
 
     params = workloads.preset_params()
     bases = {n: msflab.settle_transient(p, workloads.TLE_SETTINGS) for n, p in params.items()}
+    runs = [(msflab.TWO_NODE_GRAPH, s) for s in range(workloads.PROBE_SEEDS)]
+    runs += [(msflab.all_to_all_graph(3), s) for s in range(THREE_NODE_SEEDS)]
     records = []
-    for probe_seed in range(workloads.PROBE_SEEDS):
+    for graph, probe_seed in runs:
         for name, p in params.items():
             for i, sigma in enumerate(workloads.SIGMAS):
                 settings = msflab.ProbeSettings(
@@ -48,8 +55,11 @@ def main(argv=None) -> int:
                     rng_seed=(probe_seed, i),
                     max_periods=workloads.PROBE_MAX_PERIODS,
                 )
-                r = msflab.run_probe(p, msflab.SPRING_COUPLING, settings, base_state=bases[name])
+                r = msflab.run_probe(
+                    p, msflab.SPRING_COUPLING, settings, graph=graph, base_state=bases[name]
+                )
                 records.append({
+                    "nodes": graph.n_nodes,
                     "preset": name,
                     "sigma": repr(sigma),
                     "probe_seed": probe_seed,

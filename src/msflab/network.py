@@ -37,6 +37,7 @@ from .oscillator import (
 )
 
 _CHUNK = 4096
+_IMPACT_BLOCK = 512
 ZERO_MODE_TOL = 1e-9
 
 
@@ -218,6 +219,19 @@ class ProbeResult:
     impact_times: list[float] = field(default_factory=list, repr=False)
 
 
+def _flow_functions(s2: float, lib):
+    """(c, sn) with cosh(s dt) = c(r dt) and sinh(s dt)/s = sn(r dt)/r, r = |s|.
+
+    lib is numpy (arrays) or math (scalars).  For s^2 = 0 the caller takes
+    r = 1, and c = 1, sn(x) = x give the flow's 1 and dt exactly.
+    """
+    if s2 < 0.0:  # s = i*r
+        return lib.cos, lib.sin
+    if s2 > 0.0:
+        return lib.cosh, lib.sinh
+    return (lambda x: 1.0), (lambda x: x)
+
+
 class _ModeSegments:
     """Closed-form segment evaluation in the graph eigenbasis.
 
@@ -250,17 +264,15 @@ class _ModeSegments:
             self.half_traces.append(m)
             self.traceless.append(a)
             self.s_squares.append(float(a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0]))
+        # Modes with equal (s^2, m) have equal flows (sigma = 0, repeated
+        # eigenvalues), computed once: (s^2, m, r = |s|) per distinct generator.
+        distinct: dict = {}
+        self._generator_of = [
+            distinct.setdefault(key, len(distinct))
+            for key in zip(self.s_squares, self.half_traces)
+        ]
+        self._generators = [(s2, m, math.sqrt(abs(s2)) or 1.0) for s2, m in distinct]
         self._ap, self._bp = steady_state_coefficients(p)
-
-    def _flow(self, k: int, dt, lib):
-        """cosh(s dt) and sinh(s dt)/s of mode k; lib is numpy (arrays) or math."""
-        s2 = self.s_squares[k]
-        r = math.sqrt(abs(s2))
-        if s2 < 0.0:  # s = i*r
-            return lib.cos(r * dt), lib.sin(r * dt) * (1.0 / r)
-        if s2 > 0.0:
-            return lib.cosh(r * dt), lib.sinh(r * dt) * (1.0 / r)
-        return 1.0, dt
 
     def steady(self, taus):
         """Shared steady state (positions, velocities) at absolute times."""
@@ -279,27 +291,45 @@ class _ModeSegments:
     def eval(self, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
         """Node positions and velocities at offsets dts from the anchor."""
         dts = np.asarray(dts, dtype=float)
+        flows = []
+        for s2, m, r in self._generators:
+            cosh, sinh = _flow_functions(s2, np)
+            rdts = r * dts
+            flows.append((cosh(rdts), sinh(rdts) * (1.0 / r), np.exp(m * dts)))
         mode_states = np.empty((self.n, 2, dts.size))
         for k in range(self.n):
             u = modes0[k]
-            ch, shc = self._flow(k, dts, np)
-            env = np.exp(self.half_traces[k] * dts)
+            ch, shc, env = flows[self._generator_of[k]]
             mode_states[k] = env * (ch * u[:, None] + shc * (self.traceless[k] @ u)[:, None])
         node_states = np.einsum("ik,kcm->icm", self.q, mode_states)
         xp, vp = self.steady(tau_a + dts)
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
-    def position_of(self, modes0: np.ndarray, tau_a: float, node: int, dt: float) -> float:
-        """Scalar position of one node, used by the impact bisection."""
-        x = 0.0
+    def wall_distance(self, modes0: np.ndarray, tau_a: float, node: int):
+        """x - x_w of one node at scalar offset dt from the anchor, as a function of dt.
+
+        The impact bisection's distance: eval's position in math, with the
+        per-mode constants computed once instead of at every call.
+        """
+        terms = []
         for k in range(self.n):
-            u = modes0[k]
-            a = self.traceless[k]
-            ch, shc = self._flow(k, dt, math)
-            au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
-            x += self.q[node, k] * math.exp(self.half_traces[k] * dt) * (ch * u[0] + shc * au0)
-        ph = self.p.eta * (tau_a + dt)
-        return x + self._ap * math.cos(ph) + self._bp * math.sin(ph)
+            s2, m, r = self._generators[self._generator_of[k]]
+            u, a = modes0[k], self.traceless[k]
+            au0 = float(a[0, 0] * u[0] + a[0, 1] * u[1])
+            terms.append((float(self.q[node, k]), float(m), r, 1.0 / r,
+                          *_flow_functions(s2, math), float(u[0]), au0))
+        eta, ap, bp, x_w = self.p.eta, self._ap, self._bp, self.p.x_w
+        exp, cos, sin = math.exp, math.cos, math.sin
+
+        def distance(dt):
+            x = 0.0
+            for qk, m, r, inv_r, cosh, sinh, u0, au0 in terms:
+                rdt = r * dt
+                x += qk * exp(m * dt) * (cosh(rdt) * u0 + sinh(rdt) * inv_r * au0)
+            ph = eta * (tau_a + dt)
+            return x + ap * cos(ph) + bp * sin(ph) - x_w
+
+        return distance
 
 
 class _SyncObserver:
@@ -321,27 +351,40 @@ class _SyncObserver:
         """Consume committed grid samples; returns True to stop (synced)."""
         dev = np.sqrt((xs[1:] - xs[0]) ** 2 + (vs[1:] - vs[0]) ** 2).max(axis=0)
         below = dev < self.threshold
-        # A below-threshold run starts one past the last sample not below,
-        # or at the carried start when it began in an earlier block.
-        last_above = np.maximum.accumulate(np.where(below, -1, np.arange(taus.size)))
-        run_start = taus[np.minimum(last_above + 1, taus.size - 1)]
-        if self.below_start is not None:
-            run_start[last_above < 0] = self.below_start
-        done = np.flatnonzero(below & (taus - run_start >= self.period))
-        stop = int(done[0]) if done.size else taus.size
-        if done.size:
-            self.sync_time = float(run_start[stop])
+        stop, done = taus.size, False
+        if not below.any():
+            self.below_start = None
         else:
-            self.below_start = float(run_start[-1]) if below[-1] else None
-        # Each consumed sample closes the window (prev_prev, prev, it).
-        d = np.concatenate(([self.prev_prev_diff, self.prev_diff], np.abs(xs[0] - xs[1])[:stop]))
-        centre_taus = np.concatenate(([self.prev_diff_tau], taus[:stop]))[:-1]
-        peaks = (d[:-2] < d[1:-1]) & (d[1:-1] > d[2:]) & (centre_taus >= self.record_from)
-        self.maxima.extend(d[1:-1][peaks].tolist())
-        if stop:
-            self.prev_prev_diff, self.prev_diff = float(d[-2]), float(d[-1])
-            self.prev_diff_tau = float(taus[stop - 1])
-        return bool(done.size)
+            # A below-threshold run starts one past the last sample not below,
+            # or at the carried start when it began in an earlier block.
+            last_above = np.maximum.accumulate(np.where(below, -1, np.arange(taus.size)))
+            run_start = taus[np.minimum(last_above + 1, taus.size - 1)]
+            if self.below_start is not None:
+                run_start[last_above < 0] = self.below_start
+            hits = np.flatnonzero(below & (taus - run_start >= self.period))
+            if hits.size:
+                stop, done = int(hits[0]), True
+                self.sync_time = float(run_start[stop])
+            else:
+                self.below_start = float(run_start[-1]) if below[-1] else None
+        if not stop:
+            return done
+        if taus[stop - 1] < self.record_from:
+            # Every window centre lies before record_from: carry the last two diffs.
+            first = max(stop - 2, 0)
+            tail = np.abs(xs[0, first:stop] - xs[1, first:stop])
+            d = np.concatenate(([self.prev_diff], tail))
+        else:
+            # Each consumed sample closes the window (prev_prev, prev, it).
+            d = np.concatenate(
+                ([self.prev_prev_diff, self.prev_diff], np.abs(xs[0, :stop] - xs[1, :stop]))
+            )
+            centre_taus = np.concatenate(([self.prev_diff_tau], taus[:stop]))[:-1]
+            peaks = (d[:-2] < d[1:-1]) & (d[1:-1] > d[2:]) & (centre_taus >= self.record_from)
+            self.maxima.extend(d[1:-1][peaks].tolist())
+        self.prev_prev_diff, self.prev_diff = float(d[-2]), float(d[-1])
+        self.prev_diff_tau = float(taus[stop - 1])
+        return done
 
 
 def _simulate_coupled(
@@ -379,37 +422,38 @@ def _simulate_coupled(
     impact_times: list[float] = []
     recent_impacts: deque = deque(maxlen=CHATTER_CAP + 1)
 
-    k_next = 1
-    while k_next <= total:
-        k_stop = min(k_next + _CHUNK - 1, total)
-        taus = tau0 + np.arange(k_next, k_stop + 1, dtype=float) * h
+    # Anchors sit at each impact and every _CHUNK samples after an anchor.
+    # A window between anchors is evaluated in blocks, _IMPACT_BLOCK samples
+    # first after an impact, since the other node's impact often follows
+    # closely.  A sample depends only on its anchor, so blocks keep its bits.
+    g_prev = state[0::2] - p.x_w
+    lo_dt, block = 0.0, _CHUNK
+    k = window_start = 1
+    while k <= total:
+        k_stop = min(k + block, window_start + _CHUNK, total + 1)
+        taus = tau0 + np.arange(k, k_stop, dtype=float) * h
         dts = taus - anchor_tau
         xs, vs = segs.eval(modes, anchor_tau, dts)
 
         g = xs - p.x_w
-        g_prev = np.concatenate(
-            [(state.reshape(n, 2)[:, :1] - p.x_w), g[:, :-1]], axis=1
-        )
-        crossings = (g > 0.0) & (g_prev <= 0.0)
-        hit_cols = np.nonzero(crossings.any(axis=0))[0]
+        crossings = (g > 0.0) & (np.column_stack([g_prev, g[:, :-1]]) <= 0.0)
+        hit_cols = np.flatnonzero(crossings.any(axis=0))
         ci = int(hit_cols[0]) if hit_cols.size else taus.size
         if ci > 0 and obs.observe(taus[:ci], xs[:, :ci], vs[:, :ci]):
             break
         if not hit_cols.size:
-            # Re-anchor at the chunk end to keep segment offsets small.
-            state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
-            anchor_tau, k_next = float(taus[-1]), k_stop + 1
-            modes = segs.to_modes(state, anchor_tau)
+            g_prev, lo_dt, k, block = g[:, -1], float(dts[-1]), k_stop, _CHUNK
+            if k == window_start + _CHUNK:
+                # Re-anchor at the window end to keep segment offsets small.
+                state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
+                anchor_tau, window_start, lo_dt = float(taus[-1]), k, 0.0
+                modes = segs.to_modes(state, anchor_tau)
             continue
-        lo_dt = float(dts[ci - 1]) if ci > 0 else 0.0
-        hi_dt = float(dts[ci])
+        if ci > 0:
+            lo_dt = float(dts[ci - 1])
         tau_c_dt = min(
-            bisect_crossing(
-                lambda dt, node=node: segs.position_of(modes, anchor_tau, node, dt) - p.x_w,
-                lo_dt,
-                hi_dt,
-            )
-            for node in np.nonzero(crossings[:, ci])[0].tolist()
+            bisect_crossing(segs.wall_distance(modes, anchor_tau, node), lo_dt, float(dts[ci]))
+            for node in np.flatnonzero(crossings[:, ci]).tolist()
         )
         x_c, v_c = segs.eval(modes, anchor_tau, np.array([tau_c_dt]))
         full = np.column_stack([x_c[:, 0], v_c[:, 0]]).reshape(-1)
@@ -425,8 +469,10 @@ def _simulate_coupled(
             and recent_impacts[-1] - recent_impacts[0] < period
         ):
             raise ChatterError(tau_c, len(recent_impacts), period)
-        state, anchor_tau, k_next = full, tau_c, k_next + ci  # first grid index past tau_c
+        state, anchor_tau = full, tau_c
+        k = window_start = k + ci  # first grid index past tau_c
         modes = segs.to_modes(state, anchor_tau)
+        g_prev, lo_dt, block = state[0::2] - p.x_w, 0.0, _IMPACT_BLOCK
 
     synchronized = obs.sync_time is not None
     periods_run = min(

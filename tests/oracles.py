@@ -12,11 +12,14 @@ import math
 
 import numpy as np
 
+from msflab.network import _ModeSegments
 from msflab.oscillator import (
     BISECTION_TOL,
     DEFAULT_SCAN_STEP,
+    WALL_POSITION_TOL,
     ImpactOscillatorParams,
     OscState,
+    bisect_crossing,
     segment_states,
     simulate,
 )
@@ -148,7 +151,10 @@ def complex_mode_eval(segs, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
 
 
 def complex_position_of(segs, modes0: np.ndarray, tau_a: float, node: int, dt: float) -> float:
-    """_ModeSegments.position_of through the complex scalar flow (the original form)."""
+    """One node's position through the complex scalar flow (the original form).
+
+    The reference for _ModeSegments.wall_distance, which returns this minus x_w.
+    """
     x = 0.0
     for k in range(segs.n):
         u = modes0[k]
@@ -161,6 +167,109 @@ def complex_position_of(segs, modes0: np.ndarray, tau_a: float, node: int, dt: f
         x += segs.q[node, k] * math.exp(segs.half_traces[k] * dt) * (ch * u[0] + shc * au0).real
     ph = segs.p.eta * (tau_a + dt)
     return x + segs._ap * math.cos(ph) + segs._bp * math.sin(ph)
+
+
+def _fixed_chunk_flow(s2: float, dt, lib):
+    """cosh(s dt) and sinh(s dt)/s for one mode, computed on every call."""
+    r = math.sqrt(abs(s2))
+    if s2 < 0.0:
+        return lib.cos(r * dt), lib.sin(r * dt) * (1.0 / r)
+    if s2 > 0.0:
+        return lib.cosh(r * dt), lib.sinh(r * dt) * (1.0 / r)
+    return 1.0, dt
+
+
+def _fixed_chunk_eval(segs, modes0, tau_a: float, dts: np.ndarray):
+    """Node positions and velocities with every mode's flow computed on its own."""
+    mode_states = np.empty((segs.n, 2, dts.size))
+    for k in range(segs.n):
+        u = modes0[k]
+        ch, shc = _fixed_chunk_flow(segs.s_squares[k], dts, np)
+        env = np.exp(segs.half_traces[k] * dts)
+        mode_states[k] = env * (ch * u[:, None] + shc * (segs.traceless[k] @ u)[:, None])
+    node_states = np.einsum("ik,kcm->icm", segs.q, mode_states)
+    xp, vp = segs.steady(tau_a + dts)
+    return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
+
+
+def _fixed_chunk_position(segs, modes0, tau_a: float, node: int, dt: float) -> float:
+    """Scalar position of one node, each mode's constants recomputed per call."""
+    x = 0.0
+    for k in range(segs.n):
+        u = modes0[k]
+        a = segs.traceless[k]
+        ch, shc = _fixed_chunk_flow(segs.s_squares[k], dt, math)
+        au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
+        x += segs.q[node, k] * math.exp(segs.half_traces[k] * dt) * (ch * u[0] + shc * au0)
+    ph = segs.p.eta * (tau_a + dt)
+    return x + segs._ap * math.cos(ph) + segs._bp * math.sin(ph)
+
+
+def fixed_chunk_probe(p, graph, coupling, sigma: float, x0, tau0: float, settings):
+    """The coupled probe evaluating whole 4096-sample chunks: the reference for
+    network._simulate_coupled.
+
+    Every chunk starts at an anchor (the start, each impact, each chunk
+    end) and is evaluated in full; samples past the chunk's first wall
+    crossing are discarded.  Uses _ModeSegments only for its mode basis,
+    generators and steady state, and LoopObserver for the sync check.
+    Returns (impact_times, local_maxima, sync_time, periods_run), which
+    _simulate_coupled must reproduce bit for bit.
+    """
+    chunk = 4096
+    segs = _ModeSegments(p, graph, coupling, sigma)
+    n, period, h = graph.n_nodes, p.forcing_period, settings.scan_step
+    total = int(math.ceil(settings.max_periods * period / h))
+    state = np.asarray(x0, dtype=float).copy()
+    anchor_tau = tau0
+    modes = segs.to_modes(state, anchor_tau)
+    record_from = tau0 + (settings.max_periods - settings.record_window) * period
+    obs = LoopObserver(tau0, abs(state[0] - state[2]), period, settings.sync_threshold, record_from)
+    impact_times = []
+
+    k_next = 1
+    while k_next <= total:
+        k_stop = min(k_next + chunk - 1, total)
+        taus = tau0 + np.arange(k_next, k_stop + 1, dtype=float) * h
+        dts = taus - anchor_tau
+        xs, vs = _fixed_chunk_eval(segs, modes, anchor_tau, dts)
+        g = xs - p.x_w
+        g_prev = np.concatenate([(state.reshape(n, 2)[:, :1] - p.x_w), g[:, :-1]], axis=1)
+        crossings = (g > 0.0) & (g_prev <= 0.0)
+        hit_cols = np.nonzero(crossings.any(axis=0))[0]
+        ci = int(hit_cols[0]) if hit_cols.size else taus.size
+        if ci > 0 and obs.observe(taus[:ci], xs[:, :ci], vs[:, :ci]):
+            break
+        if not hit_cols.size:
+            state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
+            anchor_tau, k_next = float(taus[-1]), k_stop + 1
+            modes = segs.to_modes(state, anchor_tau)
+            continue
+        lo_dt = float(dts[ci - 1]) if ci > 0 else 0.0
+        tau_c_dt = min(
+            bisect_crossing(
+                lambda dt, node=node: _fixed_chunk_position(segs, modes, anchor_tau, node, dt)
+                - p.x_w,
+                lo_dt,
+                float(dts[ci]),
+            )
+            for node in np.nonzero(crossings[:, ci])[0].tolist()
+        )
+        x_c, v_c = _fixed_chunk_eval(segs, modes, anchor_tau, np.array([tau_c_dt]))
+        full = np.column_stack([x_c[:, 0], v_c[:, 0]]).reshape(-1)
+        tau_c = anchor_tau + tau_c_dt
+        for node in range(n):
+            if abs(full[2 * node] - p.x_w) <= WALL_POSITION_TOL and full[2 * node + 1] > 0.0:
+                full[2 * node] = p.x_w
+                full[2 * node + 1] = -p.R * full[2 * node + 1]
+                impact_times.append(tau_c)
+        state, anchor_tau, k_next = full, tau_c, k_next + ci
+        modes = segs.to_modes(state, anchor_tau)
+
+    synchronized = obs.sync_time is not None
+    periods_run = min(int(math.floor((obs.prev_diff_tau - tau0) / period)), settings.max_periods)
+    maxima = [0.0] if synchronized else obs.maxima
+    return impact_times, maxima, obs.sync_time, periods_run
 
 
 def oscillator_rhs(p: ImpactOscillatorParams):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import LoopObserver, complex_mode_eval, complex_position_of
+from oracles import LoopObserver, complex_mode_eval, complex_position_of, fixed_chunk_probe
 from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings
 from msflab.network import (
     CouplingGraph,
@@ -12,6 +12,7 @@ from msflab.network import (
     ModeSpectrum,
     ProbeSettings,
     TWO_NODE_GRAPH,
+    _IMPACT_BLOCK,
     _ModeSegments,
     _simulate_coupled,
     _SyncObserver,
@@ -160,6 +161,56 @@ class TestCoupledSimulation:
             _simulate_coupled(
                 elastic, ring, COUPLING, 0.5, x0, 0.0, ProbeSettings(sigma=0.5)
             )
+
+
+def _perturbed_start(base: OscState, n_nodes: int, seed: int) -> np.ndarray:
+    """All nodes on the base state, node 2 displaced by 1e-3 along a seeded direction."""
+    angle = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+    x0 = np.tile([base.x, base.v], n_nodes)
+    x0[2] -= 1e-3 * abs(math.cos(angle))  # inward: the base state may sit at the wall
+    x0[3] += 1e-3 * math.sin(angle)
+    return x0
+
+
+class TestBlockedProbeMatchesFixedChunks:
+    """The blocked probe equals the fixed 4096-sample chunk loop bit for bit."""
+
+    def _assert_matches(self, p, base, graph, sigma, periods, seed):
+        settings = ProbeSettings(sigma=sigma, max_periods=periods, record_window=periods // 2)
+        x0 = _perturbed_start(base, graph.n_nodes, seed)
+        res = _simulate_coupled(p, graph, COUPLING, sigma, x0, base.tau, settings)
+        ref = fixed_chunk_probe(p, graph, COUPLING, sigma, x0, base.tau, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+        assert res.impact_times
+        return res
+
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_two_node(self, preset, sigma, request):
+        p = request.getfixturevalue(preset)
+        base = request.getfixturevalue(f"{preset}_base")
+        res = self._assert_matches(p, base, TWO_NODE_GRAPH, sigma, periods=40, seed=7)
+        assert res.synchronized or len(res.local_maxima) > 1
+
+    def test_crossing_on_first_sample_of_a_later_block(self, elastic):
+        # Node 1 hits the wall first; node 2 crosses between the last sample
+        # of the short block after that impact and the first of the next, so
+        # its bisection bracket starts at the short block's last offset.
+        h = 1e-3
+        x0 = np.array([elastic.x_w - 0.01, 1.0, elastic.x_w - 0.407, 1.0])
+        settings = ProbeSettings(sigma=0.0, max_periods=2, record_window=1)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        first, second = res.impact_times[:2]
+        block_end = math.floor(first / h) + 1 + _IMPACT_BLOCK
+        assert block_end - 1 < second / h < block_end
+        ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+
+    def test_three_node(self, elastic, elastic_base):
+        # all_to_all_graph(3) has two transverse modes with one generator.
+        segs = _ModeSegments(elastic, all_to_all_graph(3), COUPLING, 0.3)
+        assert len(segs._generators) == 2
+        self._assert_matches(elastic, elastic_base, all_to_all_graph(3), 0.3, periods=30, seed=8)
 
 
 class TestProbe:
@@ -327,6 +378,26 @@ class TestSyncObserver:
         )
         assert maxima == [0.2]
 
+    def test_run_after_chunks_with_nothing_below(self):
+        # A run carried out of the first chunk is broken by a chunk with no
+        # sample below; the run that lasts straddles the next boundary.
+        diffs = [0.3, 0.6, 0.2, 0.0, 0.0, 0.0] + [0.4, 0.7, 0.4, 0.5, 0.3] + [0.0] * 14
+        stopped, sync_time, maxima, _, last_tau = _assert_matches_loop(
+            _stream(diffs), [6, 11, 15], record_from=0.0
+        )
+        assert stopped and sync_time == 12 * STEP
+        assert last_tau == 19 * STEP
+        assert maxima == [0.6, 0.7, 0.5]
+
+    @pytest.mark.parametrize("cuts", [[2, 5, 7], [2, 4, 5, 7]])
+    def test_chunks_before_record_from_then_across_it(self, cuts):
+        # Every chunk before the cut at 5 ends before record_from (tau of
+        # sample index 5), so the maximum there takes both its earlier
+        # neighbours from them; cut 4 leaves a one-sample chunk between.
+        diffs = [0.1, 0.5, 0.2, 0.6, 0.1, 0.7, 0.3, 0.8, 0.2, 0.9, 0.1]
+        *_, maxima, _, _ = _assert_matches_loop(_stream(diffs), cuts, record_from=6 * STEP)
+        assert maxima == [0.7, 0.8, 0.9]
+
     def test_random_streams_in_random_chunks(self):
         rng = np.random.default_rng(2024)
         synced = with_maxima = 0
@@ -386,6 +457,24 @@ def _skip_unless_real_parts_match(kind: str, lib) -> None:
         pytest.skip(reason)
 
 
+def _elementwise_bits_depend_on_block() -> str | None:
+    """Why an element of numpy's flow functions may change with its block here, or None.
+
+    The probe evaluates a window in blocks and relies on every element of
+    cos, sin, exp, cosh and sinh having the same bits whatever the array's
+    length or the element's offset in it.
+    """
+    args = np.random.default_rng(5).uniform(-12.0, 12.0, 4096)
+    blocks = [(0, 512), (512, 4096), (1, 4095), (3, 70), (17, 18), (4095, 4096)]
+    for name in ("cos", "sin", "exp", "cosh", "sinh"):
+        func = getattr(np, name)
+        whole = func(args)
+        for a, b in blocks:
+            if not np.array_equal(func(args[a:b]), whole[a:b]):
+                return f"numpy.{name} rounds an element differently by its block on this host"
+    return None
+
+
 def _mode_case(p, sigma, graph=TWO_NODE_GRAPH, seed=0):
     segs = _ModeSegments(p, graph, COUPLING, sigma)
     rng = np.random.default_rng(seed)
@@ -418,15 +507,33 @@ class TestModeFlows:
         ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
         assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
 
+    @pytest.mark.parametrize("preset, sigma, nodes", [
+        ("elastic", 0.5, 2), ("elastic", 0.0, 2), ("inelastic", 1.0, 2),
+        ("elastic", 0.4, 3), ("elastic", -1.0, 2),
+    ])
+    def test_eval_equals_concatenated_blocks(self, preset, sigma, nodes, request):
+        reason = _elementwise_bits_depend_on_block()
+        if reason:
+            pytest.skip(reason)
+        graph = all_to_all_graph(nodes) if nodes > 2 else TWO_NODE_GRAPH
+        segs, modes0, tau_a, dts, _ = _mode_case(request.getfixturevalue(preset), sigma, graph)
+        xs, vs = segs.eval(modes0, tau_a, dts)
+        random_cuts = np.random.default_rng(3).integers(1, dts.size, 12).tolist()
+        for cuts in ([_IMPACT_BLOCK], [1, 2, 64, 65, 2048, 4095], sorted(set(random_cuts))):
+            bounds = [0, *cuts, dts.size]
+            parts = [segs.eval(modes0, tau_a, dts[a:b]) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate([x for x, _ in parts], axis=1), xs)
+            assert np.array_equal(np.concatenate([v for _, v in parts], axis=1), vs)
+
     @pytest.mark.parametrize("preset, sigma", OSCILLATORY)
     def test_oscillatory_position_equals_complex(self, preset, sigma, request):
         _skip_unless_real_parts_match("oscillatory", math)
         segs, modes0, tau_a, _, scalars = _mode_case(request.getfixturevalue(preset), sigma)
         for node in range(2):
+            distance = segs.wall_distance(modes0, tau_a, node)
             for dt in scalars:
-                assert segs.position_of(modes0, tau_a, node, dt) == complex_position_of(
-                    segs, modes0, tau_a, node, dt
-                )
+                expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
+                assert distance(dt) == expected
 
     def test_overdamped_eval_equals_complex(self, elastic):
         _skip_unless_real_parts_match("overdamped", np)
@@ -440,10 +547,10 @@ class TestModeFlows:
         _skip_unless_real_parts_match("overdamped", math)
         segs, modes0, tau_a, _, scalars = _mode_case(elastic, -1.0)
         for node in range(2):
+            distance = segs.wall_distance(modes0, tau_a, node)
             for dt in scalars:
-                assert segs.position_of(modes0, tau_a, node, dt) == complex_position_of(
-                    segs, modes0, tau_a, node, dt
-                )
+                expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
+                assert distance(dt) == expected
 
     def test_overdamped_eval_close_to_complex(self, elastic):
         # Runs on every host: the SIMD cosh/sinh may differ in the last bits.
@@ -481,4 +588,5 @@ class TestModeFlows:
             xp, _ = segs.steady(tau_a + dt)
             expected = (q @ modes)[:, 0] + xp
             for node in range(2):
-                assert abs(segs.position_of(modes0, tau_a, node, dt) - expected[node]) <= 1e-12
+                x = segs.wall_distance(modes0, tau_a, node)(dt) + p.x_w
+                assert abs(x - expected[node]) <= 1e-12
