@@ -6,8 +6,8 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect about 25 s (elastic) to 40 s (inelastic) for the default 21-point
-grid on one core (25 s and 38 s measured on a 2-vCPU x86-64 VM).  The
+Expect about 10 s (elastic) to 25 s (inelastic) for the default 21-point
+grid on one core (11 s and 23 s measured on a 2-vCPU x86-64 VM).  The
 exponent sweep takes 4 s and 7 s of that, because its queries share one
 trajectory record; the rest is the probe scan, where the positive-exponent
 points are the slow ones because the pair never synchronizes and the probe

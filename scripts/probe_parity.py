@@ -4,8 +4,11 @@ Runs the probe queries of the ``preset_probe`` benchmark workload for all
 of its probe seeds (10 seeds x 2 presets x 4 sigmas = 80 results), then
 the same presets and sigmas on the three-node all-to-all graph for the
 first THREE_NODE_SEEDS probe seeds (16 results; its two transverse modes
-share one generator), and prints, per result, the fields of ProbeResult
-with every float written by repr.  Two commits give the same probe results bit for bit exactly when
+share one generator), then the elastic preset at the negative sigmas
+OVERDAMPED_SIGMAS for the first OVERDAMPED_SEEDS probe seeds (4 results;
+their transverse mode is overdamped, s^2 > 0, and stays finite), and
+prints, per result, the fields of ProbeResult with every float written by
+repr.  Two commits give the same probe results bit for bit exactly when
 their outputs are identical, so a check is one diff:
 
     PYTHONPATH=src python3 scripts/probe_parity.py > new.json
@@ -14,7 +17,7 @@ their outputs are identical, so a check is one diff:
 
 msflab is imported from PYTHONPATH, so the script can run against another
 checkout's source; the workload definition comes from this checkout's
-perfbench/.  Takes a minute or two on one core.
+perfbench/.  Takes about half a minute on one core.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import workloads  # noqa: E402
 
 
 THREE_NODE_SEEDS = 2
+OVERDAMPED_SIGMAS = (-0.6, -0.5)
+OVERDAMPED_SEEDS = 2
 
 
 def _floats(values) -> list[str]:
@@ -44,12 +49,15 @@ def main(argv=None) -> int:
 
     params = workloads.preset_params()
     bases = {n: msflab.settle_transient(p, workloads.TLE_SETTINGS) for n, p in params.items()}
-    runs = [(msflab.TWO_NODE_GRAPH, s) for s in range(workloads.PROBE_SEEDS)]
-    runs += [(msflab.all_to_all_graph(3), s) for s in range(THREE_NODE_SEEDS)]
+    two, three = msflab.TWO_NODE_GRAPH, msflab.all_to_all_graph(3)
+    runs = [(two, s, params, workloads.SIGMAS) for s in range(workloads.PROBE_SEEDS)]
+    runs += [(three, s, params, workloads.SIGMAS) for s in range(THREE_NODE_SEEDS)]
+    elastic = {"elastic": params["elastic"]}
+    runs += [(two, s, elastic, OVERDAMPED_SIGMAS) for s in range(OVERDAMPED_SEEDS)]
     records = []
-    for graph, probe_seed in runs:
-        for name, p in params.items():
-            for i, sigma in enumerate(workloads.SIGMAS):
+    for graph, probe_seed, presets, sigmas in runs:
+        for name, p in presets.items():
+            for i, sigma in enumerate(sigmas):
                 settings = msflab.ProbeSettings(
                     sigma=sigma,
                     rng_seed=(probe_seed, i),

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .jacobian import PropagationError
 from .msf import MSFQuery, TLEResult, TLESettings, _run_grid, compute_tle, settle_transient
 from .oscillator import (
+    _SCAN_GUARD,
     CHATTER_CAP,
     DEFAULT_SCAN_STEP,
     ChatterError,
@@ -33,11 +35,14 @@ from .oscillator import (
     OscState,
     WALL_POSITION_TOL,
     bisect_crossing,
+    flow_functions,
+    flow_table,
     steady_state_coefficients,
 )
 
 _CHUNK = 4096
-_IMPACT_BLOCK = 512
+_DIFF_GUARD = 1e-12  # |dev - threshold| and |d_j - d_(j-1)| per unit bound below
+                     # which a table sample is recomputed with the closed form
 ZERO_MODE_TOL = 1e-9
 
 
@@ -219,19 +224,6 @@ class ProbeResult:
     impact_times: list[float] = field(default_factory=list, repr=False)
 
 
-def _flow_functions(s2: float, lib):
-    """(c, sn) with cosh(s dt) = c(r dt) and sinh(s dt)/s = sn(r dt)/r, r = |s|.
-
-    lib is numpy (arrays) or math (scalars).  For s^2 = 0 the caller takes
-    r = 1, and c = 1, sn(x) = x give the flow's 1 and dt exactly.
-    """
-    if s2 < 0.0:  # s = i*r
-        return lib.cos, lib.sin
-    if s2 > 0.0:
-        return lib.cosh, lib.sinh
-    return (lambda x: 1.0), (lambda x: x)
-
-
 class _ModeSegments:
     """Closed-form segment evaluation in the graph eigenbasis.
 
@@ -293,7 +285,7 @@ class _ModeSegments:
         dts = np.asarray(dts, dtype=float)
         flows = []
         for s2, m, r in self._generators:
-            cosh, sinh = _flow_functions(s2, np)
+            cosh, sinh = flow_functions(s2, np)
             rdts = r * dts
             flows.append((cosh(rdts), sinh(rdts) * (1.0 / r), np.exp(m * dts)))
         mode_states = np.empty((self.n, 2, dts.size))
@@ -317,7 +309,7 @@ class _ModeSegments:
             u, a = modes0[k], self.traceless[k]
             au0 = float(a[0, 0] * u[0] + a[0, 1] * u[1])
             terms.append((float(self.q[node, k]), float(m), r, 1.0 / r,
-                          *_flow_functions(s2, math), float(u[0]), au0))
+                          *flow_functions(s2, math), float(u[0]), au0))
         eta, ap, bp, x_w = self.p.eta, self._ap, self._bp, self.p.x_w
         exp, cos, sin = math.exp, math.cos, math.sin
 
@@ -330,6 +322,73 @@ class _ModeSegments:
             return x + ap * cos(ph) + bp * sin(ph) - x_w
 
         return distance
+
+    def scan_rows(self, modes0: np.ndarray, tau_a: float, tau_g: float, col_max: list):
+        """Coefficients on flow_table's columns, at offsets from the grid point tau_g.
+
+        The mode state at tau_a is carried to tau_g in scalar math and folded
+        with the eigenvectors and the forcing phase into rows for x of every
+        node, then x_i - x_0 and v_i - v_0 for i >= 1 (the steady state
+        cancels in those).  Also returns the bound sum |coef|*col_max over
+        the rows of x and v, with col_max the table's largest |value| per
+        column: no node's position or velocity in the window exceeds it.
+        """
+        dt = tau_g - tau_a
+        flows = []
+        for s2, m, r in self._generators:
+            c, sn = flow_functions(s2, math)
+            e = math.exp(m * dt)
+            flows.append((e * c(r * dt), e * sn(r * dt) / r, r))
+        width = 2 * len(flows) + 2
+        x = [[0.0] * width for _ in range(self.n)]
+        v = [[0.0] * width for _ in range(self.n)]
+        for k, (u0, u1) in enumerate(modes0.tolist()):
+            gen = self._generator_of[k]
+            ec, es, r = flows[gen]
+            a00, a01, a10, a11 = self.traceless[k].ravel().tolist()
+            w0 = ec * u0 + es * (a00 * u0 + a01 * u1)
+            w1 = ec * u1 + es * (a10 * u0 + a11 * u1)
+            aw0, aw1 = (a00 * w0 + a01 * w1) / r, (a10 * w0 + a11 * w1) / r
+            for xi, vi, qik in zip(x, v, self.q[:, k].tolist()):
+                xi[2 * gen] += qik * w0
+                xi[2 * gen + 1] += qik * aw0
+                vi[2 * gen] += qik * w1
+                vi[2 * gen + 1] += qik * aw1
+        eta, ph = self.p.eta, self.p.eta * tau_g
+        ca = self._ap * math.cos(ph) + self._bp * math.sin(ph)
+        sa = self._bp * math.cos(ph) - self._ap * math.sin(ph)
+        for xi, vi in zip(x, v):
+            xi[-2:] = ca, sa
+            vi[-2:] = eta * sa, -eta * ca
+        bound = max(sum(abs(c) * b for c, b in zip(row, col_max)) for row in x + v)
+        diffs = [[a - b for a, b in zip(row, rows0[0])] for rows0 in (x, v) for row in rows0[1:]]
+        return np.array(x + diffs), bound
+
+
+def _sync_measures(dx: np.ndarray, dv: np.ndarray):
+    """Largest node deviation and |x1 - x2| from the rows x_i - x_0, v_i - v_0, i >= 1."""
+    return np.sqrt(dx**2 + dv**2).max(axis=0), np.abs(dx[0])
+
+
+def _kept_samples(dev, d, prev_d: float, threshold: float, margin: float, peaks: bool):
+    """Indices of the consumed samples to recompute with the closed form.
+
+    dev and d are the table's approximate largest deviation and |x1 - x2|
+    of the samples a window commits, prev_d the exact |x1 - x2| before them.
+    Recomputed are the samples whose dev lies within margin of threshold,
+    the last two (the observer carries them, and the last one may anchor
+    the next window) and, where peaks are read, both samples of every step
+    of d smaller than margin (prev_d counted) and every approximate peak.
+    Every other decision the observer takes is the exact one.
+    """
+    keep = np.abs(dev - threshold) < margin
+    keep[-2:] = True
+    if peaks:
+        ext = np.concatenate(([prev_d], d))
+        close = np.abs(np.diff(ext)) < margin  # close[j]: d[j] against the one before
+        keep |= close
+        keep[:-1] |= close[1:] | ((ext[:-2] < ext[1:-1]) & (ext[1:-1] > ext[2:]))
+    return np.flatnonzero(keep)
 
 
 class _SyncObserver:
@@ -347,9 +406,8 @@ class _SyncObserver:
         # nan stands for the sample before the start: no maximum is read there.
         self.prev_prev_diff, self.prev_diff, self.prev_diff_tau = math.nan, diff0, tau0
 
-    def observe(self, taus, xs, vs) -> bool:
-        """Consume committed grid samples; returns True to stop (synced)."""
-        dev = np.sqrt((xs[1:] - xs[0]) ** 2 + (vs[1:] - vs[0]) ** 2).max(axis=0)
+    def observe(self, taus, dev, d) -> bool:
+        """Consume committed grid samples with their _sync_measures; True to stop (synced)."""
         below = dev < self.threshold
         stop, done = taus.size, False
         if not below.any():
@@ -371,14 +429,10 @@ class _SyncObserver:
             return done
         if taus[stop - 1] < self.record_from:
             # Every window centre lies before record_from: carry the last two diffs.
-            first = max(stop - 2, 0)
-            tail = np.abs(xs[0, first:stop] - xs[1, first:stop])
-            d = np.concatenate(([self.prev_diff], tail))
+            d = np.concatenate(([self.prev_diff], d[max(stop - 2, 0):stop]))
         else:
             # Each consumed sample closes the window (prev_prev, prev, it).
-            d = np.concatenate(
-                ([self.prev_prev_diff, self.prev_diff], np.abs(xs[0, :stop] - xs[1, :stop]))
-            )
+            d = np.concatenate(([self.prev_prev_diff, self.prev_diff], d[:stop]))
             centre_taus = np.concatenate(([self.prev_diff_tau], taus[:stop]))[:-1]
             peaks = (d[:-2] < d[1:-1]) & (d[1:-1] > d[2:]) & (centre_taus >= self.record_from)
             self.maxima.extend(d[1:-1][peaks].tolist())
@@ -401,13 +455,33 @@ def _simulate_coupled(
     Tracks the full state deviation between nodes for the synchronization
     check and the position difference of the first two nodes for the
     bifurcation record.  Terminates early once the deviation has stayed
-    below sync_threshold for one full forcing period.
+    below sync_threshold for one full forcing period; raises
+    PropagationError at the first anchor state that is not finite.
+
+    Anchors sit at each impact and every _CHUNK samples after an anchor.
+    Every sample of the window up to the next anchor comes from one matrix
+    product of _ModeSegments.scan_rows with a per-run flow_table, which
+    differs from _ModeSegments.eval by rounding only.  Those values only
+    decide booleans, and eval recomputes each sample whose decision they
+    cannot certify or whose value is kept: |x - x_w| below _SCAN_GUARD
+    times the window's bound, and the samples _kept_samples names with a
+    margin of _DIFF_GUARD times the bound.  The margins hold with room to
+    spare: the table's values and eval's both differ from the exact
+    solution by about 1e-15 times the bound in node differences (plus
+    |v_i - v_0|*ulp(tau), small wherever a decision on them is close),
+    and in absolute positions by at most about |v|*ulp(tau) +
+    ulp(eta*tau)*|A|, near 1e-11 at tau = 2e4.  So every result equals
+    evaluating each sample with eval, bit for bit, wherever numpy's
+    elementwise functions give an element the same bits whatever the
+    array around it.
     """
     segs = _ModeSegments(p, graph, coupling, sigma)
     n = graph.n_nodes
     period = p.forcing_period
     h = settings.scan_step
     total = int(math.ceil(settings.max_periods * period / h))
+    table = np.ascontiguousarray(flow_table(segs._generators, p.eta, h, _CHUNK).T)
+    col_max = np.abs(table).max(axis=1).tolist()
 
     state = np.asarray(x0, dtype=float).copy()
     if state.shape != (2 * n,):
@@ -422,57 +496,66 @@ def _simulate_coupled(
     impact_times: list[float] = []
     recent_impacts: deque = deque(maxlen=CHATTER_CAP + 1)
 
-    # Anchors sit at each impact and every _CHUNK samples after an anchor.
-    # A window between anchors is evaluated in blocks, _IMPACT_BLOCK samples
-    # first after an impact, since the other node's impact often follows
-    # closely.  A sample depends only on its anchor, so blocks keep its bits.
-    g_prev = state[0::2] - p.x_w
-    lo_dt, block = 0.0, _CHUNK
-    k = window_start = 1
+    k = 1  # grid index of the window's first sample
     while k <= total:
-        k_stop = min(k + block, window_start + _CHUNK, total + 1)
-        taus = tau0 + np.arange(k, k_stop, dtype=float) * h
-        dts = taus - anchor_tau
-        xs, vs = segs.eval(modes, anchor_tau, dts)
+        if not np.isfinite(state).all():
+            raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6g}")
+        taus = tau0 + np.arange(k, min(k + _CHUNK, total + 1), dtype=float) * h
+        rows, bound = segs.scan_rows(modes, anchor_tau, tau0 + (k - 1) * h, col_max)
+        vals = rows @ table[:, : taus.size]
 
-        g = xs - p.x_w
-        crossings = (g > 0.0) & (np.column_stack([g_prev, g[:, :-1]]) <= 0.0)
-        hit_cols = np.flatnonzero(crossings.any(axis=0))
-        ci = int(hit_cols[0]) if hit_cols.size else taus.size
-        if ci > 0 and obs.observe(taus[:ci], xs[:, :ci], vs[:, :ci]):
-            break
-        if not hit_cols.size:
-            g_prev, lo_dt, k, block = g[:, -1], float(dts[-1]), k_stop, _CHUNK
-            if k == window_start + _CHUNK:
-                # Re-anchor at the window end to keep segment offsets small.
-                state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
-                anchor_tau, window_start, lo_dt = float(taus[-1]), k, 0.0
-                modes = segs.to_modes(state, anchor_tau)
-            continue
+        ci = taus.size  # first sample past a wall crossing
+        if p.wall_enabled and vals[:n].max() > p.x_w - _SCAN_GUARD * bound:
+            g = vals[:n] - p.x_w
+            unsure = np.flatnonzero((np.abs(g) < _SCAN_GUARD * bound).any(axis=0))
+            if unsure.size:
+                g[:, unsure] = segs.eval(modes, anchor_tau, taus[unsure] - anchor_tau)[0] - p.x_w
+            crossings = (g > 0.0) & (np.column_stack([state[0::2] - p.x_w, g[:, :-1]]) <= 0.0)
+            hit_cols = np.flatnonzero(crossings.any(axis=0))
+            if hit_cols.size:
+                ci = int(hit_cols[0])
+        keep = np.empty(0, dtype=int)
         if ci > 0:
-            lo_dt = float(dts[ci - 1])
-        tau_c_dt = min(
-            bisect_crossing(segs.wall_distance(modes, anchor_tau, node), lo_dt, float(dts[ci]))
-            for node in np.flatnonzero(crossings[:, ci]).tolist()
-        )
-        x_c, v_c = segs.eval(modes, anchor_tau, np.array([tau_c_dt]))
-        full = np.column_stack([x_c[:, 0], v_c[:, 0]]).reshape(-1)
-        tau_c = anchor_tau + tau_c_dt
-        for node in range(n):
-            if abs(full[2 * node] - p.x_w) <= WALL_POSITION_TOL and full[2 * node + 1] > 0.0:
-                full[2 * node] = p.x_w
-                full[2 * node + 1] = -p.R * full[2 * node + 1]
-                impact_times.append(tau_c)
-                recent_impacts.append(tau_c)
-        if (
-            len(recent_impacts) == recent_impacts.maxlen
-            and recent_impacts[-1] - recent_impacts[0] < period
-        ):
-            raise ChatterError(tau_c, len(recent_impacts), period)
-        state, anchor_tau = full, tau_c
-        k = window_start = k + ci  # first grid index past tau_c
+            dev, d = _sync_measures(vals[n : 2 * n - 1, :ci], vals[2 * n - 1 :, :ci])
+            keep = _kept_samples(
+                dev, d, obs.prev_diff, settings.sync_threshold, _DIFF_GUARD * bound,
+                peaks=taus[ci - 1] >= record_from - 2.0 * h,
+            )
+        dts = taus[keep] - anchor_tau
+        if ci < taus.size:
+            # The impact point is evaluated with the kept samples, last.
+            lo_dt = float(taus[ci - 1]) - anchor_tau if ci > 0 else 0.0
+            dts = np.append(dts, min(
+                bisect_crossing(
+                    segs.wall_distance(modes, anchor_tau, node), lo_dt, float(taus[ci]) - anchor_tau
+                )
+                for node in np.flatnonzero(crossings[:, ci]).tolist()
+            ))
+        xs, vs = segs.eval(modes, anchor_tau, dts)
+        if ci > 0:
+            ex, ev = xs[:, : keep.size], vs[:, : keep.size]
+            dev[keep], d[keep] = _sync_measures(ex[1:] - ex[0], ev[1:] - ev[0])
+            if obs.observe(taus[:ci], dev, d):
+                break
+        # The next anchor: the window's last sample, or the impact point.
+        state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
+        if ci == taus.size:
+            anchor_tau = float(taus[-1])
+        else:
+            anchor_tau += float(dts[-1])
+            for node in range(n):
+                if abs(state[2 * node] - p.x_w) <= WALL_POSITION_TOL and state[2 * node + 1] > 0.0:
+                    state[2 * node] = p.x_w
+                    state[2 * node + 1] = -p.R * state[2 * node + 1]
+                    impact_times.append(anchor_tau)
+                    recent_impacts.append(anchor_tau)
+            if (
+                len(recent_impacts) == recent_impacts.maxlen
+                and recent_impacts[-1] - recent_impacts[0] < period
+            ):
+                raise ChatterError(anchor_tau, len(recent_impacts), period)
+        k += ci  # with an impact: the first grid index past it
         modes = segs.to_modes(state, anchor_tau)
-        g_prev, lo_dt, block = state[0::2] - p.x_w, 0.0, _IMPACT_BLOCK
 
     synchronized = obs.sync_time is not None
     periods_run = min(

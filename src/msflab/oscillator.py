@@ -269,22 +269,49 @@ def propagate_free(p: ImpactOscillatorParams, s: OscState, dt: float) -> OscStat
     return OscState(float(x), float(v), s.tau + dt)
 
 
+def flow_functions(s2: float, lib):
+    """(c, sn) with cosh(s dt) = c(r dt) and sinh(s dt)/s = sn(r dt)/r, r = |s|.
+
+    lib is numpy (arrays) or math (scalars).  For s^2 = 0 the caller takes
+    r = 1, and c = 1, sn(x) = x give the flow's 1 and dt exactly.
+    """
+    if s2 < 0.0:  # s = i*r
+        return lib.cos, lib.sin
+    if s2 > 0.0:
+        return lib.cosh, lib.sinh
+    return (lambda x: 1.0), (lambda x: x)
+
+
+def flow_table(generators, eta: float, step: float, rows: int) -> np.ndarray:
+    """Closed-form flow factors at the grid offsets t = k*step, k = 1..rows.
+
+    Each generator (s^2, m, r) of a flow e^(m t)*(cosh(s t)*I + sinh(s t)/s*A)
+    gives the columns e^(m t)*c(r t) and e^(m t)*sn(r t) (see flow_functions),
+    and the forcing gives cos(eta*t) and sin(eta*t) last.  A solution
+    sampled on the grid is then one matrix product with coefficients that
+    carry the state, the 1/r and the forcing phase.
+    """
+    t = np.arange(1, rows + 1, dtype=float) * step
+    columns = []
+    for s2, m, r in generators:
+        c, sn = flow_functions(s2, np)
+        envelope = np.exp(m * t)
+        columns += [envelope * c(r * t), envelope * sn(r * t)]
+    table = np.column_stack(columns + [np.cos(eta * t), np.sin(eta * t)])
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=2)
 def _scan_table(zeta: float, eta: float, step: float) -> np.ndarray:
-    """Closed-form factors at the grid offsets t = k*step, k = 1.._DETECT_CHUNK.
+    """flow_table of the free oscillator on _DETECT_CHUNK grid offsets.
 
     Columns exp(-zeta*t)*cos(wd*t), exp(-zeta*t)*sin(wd*t), cos(eta*t) and
     sin(eta*t): with them x - x_w over a chunk is one matrix-vector product
     (see _scan_chunk).  Two entries cover a sweep over both presets.
     """
-    t = np.arange(1, _DETECT_CHUNK + 1, dtype=float) * step
     wd = math.sqrt(1.0 - zeta * zeta)
-    decay = np.exp(-zeta * t)
-    table = np.column_stack(
-        [decay * np.cos(wd * t), decay * np.sin(wd * t), np.cos(eta * t), np.sin(eta * t)]
-    )
-    table.flags.writeable = False
-    return table
+    return flow_table([(-wd * wd, -zeta, wd)], eta, step, _DETECT_CHUNK)
 
 
 def _wall_distance(p, tau0, y0, w0, a_p, b_p, cos=math.cos, sin=math.sin):

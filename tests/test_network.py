@@ -1,21 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from oracles import LoopObserver, complex_mode_eval, complex_position_of, fixed_chunk_probe
-from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings
+from msflab.jacobian import PropagationError
+from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings, settle_transient
 from msflab.network import (
     CouplingGraph,
     InvalidGraphError,
     ModeSpectrum,
     ProbeSettings,
     TWO_NODE_GRAPH,
-    _IMPACT_BLOCK,
     _ModeSegments,
     _simulate_coupled,
     _SyncObserver,
+    _kept_samples,
+    _sync_measures,
     all_to_all_graph,
     analyze_network,
     bifurcation_scan,
@@ -24,7 +27,7 @@ from msflab.network import (
     run_probe,
     sync_verdict,
 )
-from msflab.oscillator import ImpactOscillatorParams, OscState, simulate
+from msflab.oscillator import ImpactOscillatorParams, OscState, segment_states, simulate
 
 COUPLING = np.asarray(SPRING_COUPLING, dtype=float)
 
@@ -173,10 +176,12 @@ def _perturbed_start(base: OscState, n_nodes: int, seed: int) -> np.ndarray:
 
 
 class TestBlockedProbeMatchesFixedChunks:
-    """The blocked probe equals the fixed 4096-sample chunk loop bit for bit."""
+    """The table-scanned probe equals the fixed 4096-sample chunk loop bit for bit."""
 
-    def _assert_matches(self, p, base, graph, sigma, periods, seed):
-        settings = ProbeSettings(sigma=sigma, max_periods=periods, record_window=periods // 2)
+    def _assert_matches(self, p, base, graph, sigma, periods, seed, record_window=None):
+        settings = ProbeSettings(
+            sigma=sigma, max_periods=periods, record_window=record_window or periods // 2
+        )
         x0 = _perturbed_start(base, graph.n_nodes, seed)
         res = _simulate_coupled(p, graph, COUPLING, sigma, x0, base.tau, settings)
         ref = fixed_chunk_probe(p, graph, COUPLING, sigma, x0, base.tau, settings)
@@ -193,16 +198,11 @@ class TestBlockedProbeMatchesFixedChunks:
         assert res.synchronized or len(res.local_maxima) > 1
 
     def test_crossing_on_first_sample_of_a_later_block(self, elastic):
-        # Node 1 hits the wall first; node 2 crosses between the last sample
-        # of the short block after that impact and the first of the next, so
-        # its bisection bracket starts at the short block's last offset.
-        h = 1e-3
+        # Node 1 hits the wall first; node 2 crosses about 512 samples later, in
+        # the window anchored at node 1's impact.
         x0 = np.array([elastic.x_w - 0.01, 1.0, elastic.x_w - 0.407, 1.0])
         settings = ProbeSettings(sigma=0.0, max_periods=2, record_window=1)
         res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
-        first, second = res.impact_times[:2]
-        block_end = math.floor(first / h) + 1 + _IMPACT_BLOCK
-        assert block_end - 1 < second / h < block_end
         ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
         assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
 
@@ -211,6 +211,86 @@ class TestBlockedProbeMatchesFixedChunks:
         segs = _ModeSegments(elastic, all_to_all_graph(3), COUPLING, 0.3)
         assert len(segs._generators) == 2
         self._assert_matches(elastic, elastic_base, all_to_all_graph(3), 0.3, periods=30, seed=8)
+
+    def test_overdamped_mode(self, elastic, elastic_base):
+        # At sigma = -0.6 the transverse mode has s^2 > 0: cosh and sinh columns.
+        assert max(_ModeSegments(elastic, TWO_NODE_GRAPH, COUPLING, -0.6).s_squares) > 0.0
+        res = self._assert_matches(elastic, elastic_base, TWO_NODE_GRAPH, -0.6, periods=40, seed=9)
+        assert not res.synchronized
+
+    def test_critical_mode(self):
+        # zeta = 0 and sigma*gamma = 1 give the transverse mode s^2 = 0.
+        p = ImpactOscillatorParams(zeta=0.0, eta=0.712, f=1.0, x_w=2.0, R=1.0)
+        assert 0.0 in _ModeSegments(p, TWO_NODE_GRAPH, COUPLING, -0.5).s_squares
+        self._assert_matches(p, OscState(1.2, 0.4, 0.0), TWO_NODE_GRAPH, -0.5, periods=30, seed=10)
+
+    def test_late_start(self, elastic, elastic_base):
+        # Near tau = 2e4 the table and the closed form differ by about 1e-11.
+        tau = elastic_base.tau + 1780 * elastic.forcing_period
+        assert 1.9e4 < tau < 2.1e4
+        base = OscState(elastic_base.x, elastic_base.v, tau)
+        self._assert_matches(elastic, base, TWO_NODE_GRAPH, 0.125, periods=40, seed=11)
+
+    def test_record_window_is_the_whole_run(self, elastic, monkeypatch):
+        # Maxima are read from the first sample on, and some sit on the
+        # first sample after an impact: a window's first sample.
+        firsts = []
+        observe = _SyncObserver.observe
+
+        def spy(obs, taus, dev, d):
+            if d.size > 1 and obs.prev_diff < d[0] > d[1]:
+                firsts.append(float(taus[0]))
+            return observe(obs, taus, dev, d)
+
+        monkeypatch.setattr(_SyncObserver, "observe", spy)
+        x0 = np.array([0.31, -0.12, -0.55, 0.40])
+        settings = ProbeSettings(sigma=0.0, max_periods=30, record_window=30)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+        assert any(t - settings.scan_step < tau_c < t for t in firsts for tau_c in res.impact_times)
+
+    @pytest.mark.parametrize("seed", [1, 4, 8])
+    def test_threshold_equal_to_a_sample_deviation(self, elastic, elastic_base, seed, monkeypatch):
+        # The threshold is the exact deviation of the largest sample in the
+        # run that synchronizes: only its last bit breaks the run there.
+        fed = []
+        observe = LoopObserver.observe
+        monkeypatch.setattr(
+            LoopObserver, "observe",
+            lambda obs, taus, xs, vs: fed.append((taus, xs, vs)) or observe(obs, taus, xs, vs),
+        )
+        settings = ProbeSettings(sigma=0.5, max_periods=60, record_window=20)
+        x0 = _perturbed_start(elastic_base, 2, seed)
+        args = (elastic, TWO_NODE_GRAPH, COUPLING, 0.5, x0, elastic_base.tau)
+        _, _, sync_time, _ = fixed_chunk_probe(*args, settings)
+        taus = np.concatenate([t for t, _, _ in fed])
+        devs = np.concatenate(
+            [_sync_measures(xs[1:] - xs[0], vs[1:] - vs[0])[0] for _, xs, vs in fed]
+        )
+        run = np.flatnonzero(taus >= sync_time)
+        settings = replace(settings, sync_threshold=float(devs[run].max()))
+        res = _simulate_coupled(*args, settings)
+        ref = fixed_chunk_probe(*args, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+        assert res.sync_time > sync_time
+
+    @pytest.mark.parametrize("k_hit", [700, 5000, 7000])
+    def test_node_within_the_guard_of_the_wall(self, elastic, k_hit):
+        # Node 1 first reaches the wall on grid sample k_hit, up to rounding:
+        # the table cannot tell on which side, the closed form decides.
+        settings = ProbeSettings(sigma=0.0, max_periods=1, record_window=1)
+        segs = _ModeSegments(elastic, TWO_NODE_GRAPH, COUPLING, 0.0)
+        for v_hit in (0.05, 0.3, 0.55, 0.9, 1.2, 2.0):
+            tau_hit = k_hit * settings.scan_step
+            x1, v1 = segment_states(elastic, elastic.x_w, v_hit, tau_hit, -tau_hit)
+            x0 = np.array([x1, v1, x1 - 0.3, v1])
+            x_hit = segs.eval(segs.to_modes(x0, 0.0), 0.0, np.array([tau_hit]))[0][0, 0]
+            assert abs(x_hit - elastic.x_w) < 1e-12
+            res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+            ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+            assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+            assert abs(res.impact_times[0] - tau_hit) < 1e-9
 
 
 class TestProbe:
@@ -253,6 +333,31 @@ class TestProbe:
         assert a.sync_time == b.sync_time
         assert a.local_maxima == b.local_maxima
         assert a.impact_times == b.impact_times
+
+    def test_wall_free_probe_records_no_impacts(self, elastic):
+        # x_w stays at 2.0, which this motion crosses, but no wall is there.
+        wall_free = replace(elastic, wall_enabled=False)
+        base = settle_transient(wall_free, TLESettings())
+        settings = ProbeSettings(sigma=0.5, max_periods=120)
+        res = run_probe(wall_free, COUPLING, settings, base_state=base)
+        ref = run_probe(replace(wall_free, x_w=math.inf), COUPLING, settings, base_state=base)
+        assert res.impact_times == ref.impact_times == []
+        assert (res.synchronized, res.sync_time, res.local_maxima, res.periods_run) == (
+            ref.synchronized, ref.sync_time, ref.local_maxima, ref.periods_run
+        )
+
+    def test_diverging_probe_raises(self, inelastic, inelastic_base):
+        # The overdamped transverse mode grows until the state overflows.
+        settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0), max_periods=300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PropagationError, match=r"not finite at tau=\d"):
+                run_probe(inelastic, COUPLING, settings, base_state=inelastic_base)
+
+    def test_overdamped_probe_returns(self, elastic, elastic_base):
+        settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0), max_periods=300)
+        res = run_probe(elastic, COUPLING, settings, base_state=elastic_base)
+        assert not res.synchronized and res.periods_run == 300
+        assert res.local_maxima and all(map(math.isfinite, res.local_maxima))
 
     def test_bifurcation_scan_worker_counts_agree(self, elastic, elastic_base):
         settings = ProbeSettings(
@@ -306,7 +411,10 @@ def _feed(observer, stream, cuts) -> bool:
     taus, xs, vs = stream
     bounds = [0, *cuts, taus.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if a < b and observer.observe(taus[a:b], xs[:, a:b], vs[:, a:b]):
+        block = (xs[:, a:b], vs[:, a:b])
+        if isinstance(observer, _SyncObserver):
+            block = _sync_measures(block[0][1:] - block[0][0], block[1][1:] - block[1][0])
+        if a < b and observer.observe(taus[a:b], *block):
             return True
     return False
 
@@ -425,6 +533,50 @@ class TestSyncObserver:
         assert synced > 50 and with_maxima > 100
 
 
+MARGIN = 1e-12
+
+
+def _kept(dev=None, d=None, prev_d=0.05, peaks=True) -> list[int]:
+    """_kept_samples on synthetic values: d defaults to a rising ramp, dev far above THRESHOLD."""
+    size = len(d if d is not None else dev)
+    d = np.linspace(0.1, 0.9, size) if d is None else np.asarray(d, dtype=float)
+    dev = np.ones(size) if dev is None else np.asarray(dev, dtype=float)
+    return _kept_samples(dev, d, prev_d, THRESHOLD, MARGIN, peaks).tolist()
+
+
+class TestKeptSamples:
+    """Which consumed samples the table scan recomputes with the closed form."""
+
+    @pytest.mark.parametrize("peaks", [True, False])
+    def test_last_two_only_without_close_calls(self, peaks):
+        assert _kept(d=[0.1, 0.2, 0.3, 0.4, 0.5], peaks=peaks) == [3, 4]
+        assert _kept(d=[0.1], peaks=peaks) == [0]
+        assert _kept(d=[0.1, 0.2], peaks=peaks) == [0, 1]
+
+    @pytest.mark.parametrize("peaks", [True, False])
+    def test_deviation_within_margin_of_threshold(self, peaks):
+        dev = [1.0, THRESHOLD + 0.5 * MARGIN, THRESHOLD - 0.5 * MARGIN, THRESHOLD,
+               THRESHOLD + 2 * MARGIN, THRESHOLD - 2 * MARGIN, 0.0, 1.0, 1.0]
+        assert _kept(dev=dev, peaks=peaks) == [1, 2, 3, 7, 8]
+
+    def test_close_steps_keep_both_samples(self):
+        d = [0.1, 0.2, 0.2 + 0.5 * MARGIN, 0.3, 0.3, 0.4, 0.5, 0.6, 0.7]
+        assert _kept(d=d) == [1, 2, 3, 4, 7, 8]
+        assert _kept(d=d, peaks=False) == [7, 8]
+
+    def test_step_from_the_carried_difference(self):
+        d = [0.1 + 0.5 * MARGIN, 0.2, 0.3, 0.4, 0.5]
+        assert _kept(d=d, prev_d=0.1) == [0, 3, 4]
+        assert _kept(d=d, prev_d=0.1, peaks=False) == [3, 4]
+
+    def test_peaks_including_the_first_sample(self):
+        # Peaks centred on samples 0 (after the carried 0.1) and 3.
+        d = [0.5, 0.2, 0.3, 0.6, 0.4, 0.45, 0.5, 0.55]
+        assert _kept(d=d, prev_d=0.1) == [0, 3, 6, 7]
+        assert _kept(d=d, prev_d=0.7) == [3, 6, 7]
+        assert _kept(d=d, prev_d=0.1, peaks=False) == [6, 7]
+
+
 def _real_parts_match_complex(kind: str, lib) -> str | None:
     """Why lib's real flow functions cannot equal the complex form here, or None.
 
@@ -519,7 +671,7 @@ class TestModeFlows:
         segs, modes0, tau_a, dts, _ = _mode_case(request.getfixturevalue(preset), sigma, graph)
         xs, vs = segs.eval(modes0, tau_a, dts)
         random_cuts = np.random.default_rng(3).integers(1, dts.size, 12).tolist()
-        for cuts in ([_IMPACT_BLOCK], [1, 2, 64, 65, 2048, 4095], sorted(set(random_cuts))):
+        for cuts in ([512], [1, 2, 64, 65, 2048, 4095], sorted(set(random_cuts))):
             bounds = [0, *cuts, dts.size]
             parts = [segs.eval(modes0, tau_a, dts[a:b]) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate([x for x, _ in parts], axis=1), xs)
