@@ -8,8 +8,8 @@ agreement at the end.
 
 Expect about 10 s (elastic) to 25 s (inelastic) for the default 21-point
 grid on one core (11 s and 23 s measured on a 2-vCPU x86-64 VM).  The
-exponent sweep takes 4 s and 7 s of that, because its queries share one
-trajectory record; the rest is the probe scan, where the positive-exponent
+exponent sweep takes about 3 s and 5 s of that, because its queries share
+one trajectory record; the rest is the probe scan, where the positive-exponent
 points are the slow ones because the pair never synchronizes and the probe
 runs its full horizon.
 """

@@ -1,0 +1,78 @@
+"""Write every TLE benchmark result as JSON, for bit-identity checks.
+
+Runs the compute_tle queries of the ``preset_tle``, ``smooth_grid`` and
+``random_impacting`` benchmark workloads for each workload seed given
+(default 3 and 7: 2 x (8 + 93 + 11) = 224 results), in the order the
+benchmark runs them, and prints, per query, every field of TLEResult with
+every float written by repr, or the type and message of the msflab
+exception it raised.  Two commits give the same exponent results bit for
+bit exactly when their outputs are identical, so a check is one diff:
+
+    PYTHONPATH=src python3 scripts/tle_parity.py > new.json
+    PYTHONPATH=../old/src python3 scripts/tle_parity.py > old.json
+    diff old.json new.json
+
+msflab is imported from PYTHONPATH, so the script can run against another
+checkout's source; the workload definitions come from this checkout's
+perfbench/.  Takes about ten seconds per seed on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+WORKLOADS = ("preset_tle", "smooth_grid", "random_impacting")
+
+
+def _field(value):
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return [_field(v) for v in value]
+    return value
+
+
+def _record(workload: str, seed: int, label: str, call) -> dict:
+    out = {"workload": workload, "seed": seed, "query": label}
+    try:
+        result = call()
+    except Exception as exc:
+        if not workloads.is_typed_failure(exc):
+            raise
+        out["error"] = f"{type(exc).__name__}: {exc}"
+        return out
+    out.update({f.name: _field(getattr(result, f.name)) for f in dataclasses.fields(result)})
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
+    ap.add_argument("--out", type=Path, help="write here instead of stdout")
+    args = ap.parse_args(argv)
+
+    reference = workloads.load_reference()
+    records = []
+    for seed in args.seeds:
+        for name in WORKLOADS:
+            workload = workloads.WORKLOADS[name](seed, reference)
+            for q in workload.queries(workload.setup()):
+                records.append(_record(name, seed, q.label, q.call))
+    text = json.dumps(records, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

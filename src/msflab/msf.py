@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -289,6 +290,69 @@ def _event_record(p, base_state, settings) -> _EventRecord:
     return _last_record
 
 
+_EPS = sys.float_info.epsilon
+# Free-step powers a query keeps; wall-free runs alternate between two.
+_FREE_POWERS = 8
+
+
+class _WindowMoments:
+    """Whether the last n samples' np.std may be below tol, in O(1) per sample.
+
+    Keeps the sum and the sum of squares of the window's samples about a
+    shift c taken from the window, updated as samples enter and leave, and
+    recomputed with math.fsum every n samples and whenever a sum is not
+    finite, as a non-finite sample makes it (Welford, Technometrics 4, 1962;
+    Chan, Golub and LeVeque, Amer. Statist. 37, 1983).  a1 and a2 add up
+    the magnitudes each update rounds, so that the exact sums lie within
+    4*eps*a1 and 8*eps*a2 of the kept ones.  push says "may pass" unless a
+    lower bound on the window's exact variance clears tol**2 with room for
+    np.std's own rounding (a relative 1e-9, far above its ulps times
+    log2(n)) and underflow (1e-300); it only decides when np.std need not run.
+    """
+
+    def __init__(self, n: int, tol: float):
+        self.n = n
+        self.limit = tol * tol * (1.0 + 1e-9) + 1e-300
+        self.due = 1  # sample count at which the sums are next recomputed
+
+    def push(self, samples: list[float]) -> bool:
+        """Take the newest sample, samples[-1]; whether np.std(samples[-n:]) may be < tol.
+
+        False means the window is not full yet or its np.std is at least tol.
+        """
+        n = self.n
+        if len(samples) >= self.due or not (math.isfinite(self.s1) and math.isfinite(self.s2)):
+            self._recompute(samples[-n:])
+            self.due = len(samples) + n
+        else:
+            self._update(samples[-1], 1.0)
+            if len(samples) > n:
+                self._update(samples[-n - 1], -1.0)
+        if len(samples) < n:
+            return False
+        p = (self.s2 - 8.0 * _EPS * self.a2) / n
+        m = (abs(self.s1) + 4.0 * _EPS * self.a1) / n
+        q = m * m
+        # Not "<=": a nan bound (a non-finite sample) may pass too.
+        return not p - q - 8.0 * _EPS * (abs(p) + q) > self.limit
+
+    def _recompute(self, window: list[float]):
+        self.c = window[-1]
+        d = [x - self.c for x in window]
+        try:
+            self.s1, self.s2 = math.fsum(d), math.fsum([e * e for e in d])
+        except (OverflowError, ValueError):  # an overflow, or inf - inf
+            self.s1 = self.s2 = math.nan
+        self.a1, self.a2 = sum(map(abs, d)), self.s2
+
+    def _update(self, x: float, sign: float):
+        d = x - self.c
+        self.s1 += sign * d
+        self.s2 += sign * (d * d)
+        self.a1 += abs(d) + abs(self.s1)
+        self.a2 += d * d + abs(self.s2)
+
+
 def compute_tle(
     p: ImpactOscillatorParams,
     coupling,
@@ -346,6 +410,8 @@ def compute_tle(
     k_period = 1
     next_sample_j = int(math.ceil(k_period * period / h))
     converged = False
+    moments = _WindowMoments(settings.sample_window, settings.std_tolerance)
+    powers: dict[int, np.ndarray] = {}  # take -> free_steps(take), as applied
 
     def emit_samples():
         """Emit every sample whose grid index the march has reached."""
@@ -356,7 +422,7 @@ def compute_tle(
             and not converged
         ):
             samples.append(log_sum / (j * h))
-            if len(samples) >= settings.sample_window:
+            if moments.push(samples):
                 window = samples[-settings.sample_window:]
                 if float(np.std(window)) < settings.std_tolerance:
                     converged = True
@@ -367,8 +433,13 @@ def compute_tle(
         nonlocal j, xi, log_sum
         while n_steps > 0 and not converged and len(samples) < settings.max_periods:
             take = min(n_steps, next_sample_j - j)
-            step = free_steps(take)
-            xi = (step.real if real_query else step) @ xi
+            step = powers.get(take)
+            if step is None:
+                if len(powers) == _FREE_POWERS:
+                    powers.clear()
+                step = free_steps(take)
+                step = powers[take] = step.real if real_query else step
+            xi = step @ xi
             nrm = float(np.linalg.norm(xi))
             log_sum += math.log(nrm)
             xi = xi / nrm

@@ -441,6 +441,10 @@ class _SyncObserver:
         return done
 
 
+# A diverging run squares node differences past the float range before its
+# state stops being finite; inf and nan already fail every threshold and
+# crossing test, and PropagationError reports the first non-finite anchor.
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_coupled(
     p: ImpactOscillatorParams,
     graph: CouplingGraph,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +224,69 @@ class TestProtocolMetadata:
         assert all(d >= 0.0 for d in r.imag_discard_events)
 
 
+def _pushed(samples, n, tol):
+    """(window, may_pass) after each sample, with one _WindowMoments fed in order."""
+    moments, seen, out = msf._WindowMoments(n, tol), [], []
+    for x in samples:
+        seen.append(x)
+        out.append((seen[-n:], moments.push(seen)))
+    return out
+
+
+class TestWindowMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        history=st.integers(0, 250),
+        mean=st.floats(-1e3, 1e3),
+        spread=st.one_of(st.just(0.0), st.floats(-14.0, 0.0).map(lambda e: 10.0**e)),
+        drift=st.floats(-50.0, 50.0),
+        constant_tail=st.booleans(),
+        bad=st.lists(
+            st.tuples(st.integers(0, 449), st.sampled_from([np.inf, -np.inf, np.nan])),
+            max_size=3,
+        ),
+        ulps=st.integers(-4, 4),
+        tol=st.one_of(st.none(), st.floats(5e-324, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_rules_out_a_pass(
+        self, n, history, mean, spread, drift, constant_tail, bad, ulps, tol, seed
+    ):
+        # Whenever np.std of the window is below tol, push must say "may pass".
+        count = n + history
+        k = np.arange(count) / count
+        x = mean + spread * (np.random.default_rng(seed).standard_normal(count) + drift * k)
+        if constant_tail:
+            x[-n:] = x[-1]
+        for i, value in bad:
+            x[i % count] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            if tol is None:
+                # Within a few ulps of the last window's std.
+                tol = float(np.std(x[-n:]))
+                if not (math.isfinite(tol) and tol > 0.0):
+                    tol = 1e-5
+                for _ in range(abs(ulps)):
+                    tol = float(np.nextafter(tol, math.inf if ulps > 0 else 0.0))
+                tol = max(tol, 5e-324)
+            for window, may_pass in _pushed(x.tolist(), n, tol):
+                if len(window) == n and float(np.std(window)) < tol:
+                    assert may_pass
+
+    def test_rules_out_wide_windows(self):
+        # A spread twice the tolerance is ruled out, also after a nan leaves the window.
+        n, tol = 100, 1e-5
+        wide = [1e3 + 2e-5 * (-1) ** i for i in range(3 * n)]
+        wide[n // 2] = math.nan
+        verdicts = [may_pass for _, may_pass in _pushed(wide, n, tol)]
+        assert not any(verdicts[:n - 1])
+        assert all(verdicts[n - 1:n + n // 2])  # the nan is in the window
+        assert not any(verdicts[n + n // 2:])
+        narrow = [0.25 + 1e-7 * (-1) ** i for i in range(2 * n)]
+        assert all(may_pass for _, may_pass in _pushed(narrow, n, tol)[n - 1:])
+
+
 class TestEventWindows:
     def test_three_flow_runs_and_advance_along_central_run(
         self, elastic, elastic_base, monkeypatch
@@ -380,6 +444,18 @@ class TestEventRecord:
         assert warm == cold
         assert backward == cold
         assert direct == cold
+
+    @pytest.mark.parametrize(
+        "query", [MSFQuery(-1.0), MSFQuery(0.5), MSFQuery(-0.4, 0.6), MSFQuery(1.0, 0.5)]
+    )
+    def test_default_protocol_equals_direct(self, query):
+        # Wall-free queries that converge under the paper protocol (tol 1e-5,
+        # window 100): every field equals the march that runs np.std per period.
+        p = _smooth()
+        base = settle_transient(p, TLESettings())
+        r = compute_tle(p, SPRING_COUPLING, query, base_state=base)
+        assert r.converged and r.periods_used > TLESettings().sample_window
+        assert r == direct_tle(p, SPRING_COUPLING, query, TLESettings(), base)
 
     @pytest.mark.parametrize("order", [("stop", "reach"), ("reach", "stop")])
     def test_failure_kept_at_its_window(self, grazing_base, order):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -347,11 +348,21 @@ class TestProbe:
         )
 
     def test_diverging_probe_raises(self, inelastic, inelastic_base):
-        # The overdamped transverse mode grows until the state overflows.
-        settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0), max_periods=300)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(PropagationError, match=r"not finite at tau=\d"):
+        # The overdamped transverse mode grows until the state overflows;
+        # the node differences overflow first, without a warning.
+        settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match=r"not finite at tau=7086\.24"):
                 run_probe(inelastic, COUPLING, settings, base_state=inelastic_base)
+
+    def test_overflowing_probe_returns_quietly(self, inelastic, inelastic_base):
+        # The horizon ends after the node differences overflow, before the state does.
+        settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0), max_periods=150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_probe(inelastic, COUPLING, settings, base_state=inelastic_base)
+        assert not res.synchronized and res.periods_run == 150
 
     def test_overdamped_probe_returns(self, elastic, elastic_base):
         settings = ProbeSettings(sigma=-0.6, rng_seed=(0, 0), max_periods=300)
