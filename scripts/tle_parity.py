@@ -5,8 +5,13 @@ Runs the compute_tle queries of the ``preset_tle``, ``smooth_grid`` and
 (default 3 and 7: 2 x (8 + 93 + 11) = 224 results), in the order the
 benchmark runs them, and prints, per query, every field of TLEResult with
 every float written by repr, or the type and message of the msflab
-exception it raised.  Two commits give the same exponent results bit for
-bit exactly when their outputs are identical, so a check is one diff:
+exception it raised.  Before a workload's queries it prints the settled
+base states they start from (x, v and tau by repr): the set-up's, and for
+``random_impacting`` the settle from rest of each point, or the type and
+message of the settle's failure.  That pins simulate's path directly, not
+only through the exponents.  Two commits give the same settled states and
+exponent results bit for bit exactly when their outputs are identical, so
+a check is one diff:
 
     PYTHONPATH=src python3 scripts/tle_parity.py > new.json
     PYTHONPATH=../old/src python3 scripts/tle_parity.py > old.json
@@ -14,7 +19,9 @@ bit exactly when their outputs are identical, so a check is one diff:
 
 msflab is imported from PYTHONPATH, so the script can run against another
 checkout's source; the workload definitions come from this checkout's
-perfbench/.  Takes about ten seconds per seed on one core.
+perfbench/.  Per seed that is 2 + 1 + 11 = 14 settled states; the
+random_impacting points settle twice, once for the record and once in
+their query.  Takes about fifteen seconds per seed on one core.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import msflab  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("preset_tle", "smooth_grid", "random_impacting")
@@ -40,8 +48,9 @@ def _field(value):
     return value
 
 
-def _record(workload: str, seed: int, label: str, call) -> dict:
-    out = {"workload": workload, "seed": seed, "query": label}
+def _record(workload: str, seed: int, kind: str, label: str, call) -> dict:
+    """The fields of call()'s result (a TLEResult or an OscState), or its typed failure."""
+    out = {"workload": workload, "seed": seed, kind: label}
     try:
         result = call()
     except Exception as exc:
@@ -51,6 +60,18 @@ def _record(workload: str, seed: int, label: str, call) -> dict:
         return out
     out.update({f.name: _field(getattr(result, f.name)) for f in dataclasses.fields(result)})
     return out
+
+
+def _settles(name: str, setup):
+    """(label, call) per settled base state the workload's queries start from."""
+    if name == "random_impacting":
+        return [
+            (f"zeta={p.zeta!r} eta={p.eta!r} x_w={p.x_w!r} R={p.R!r}",
+             lambda p=p: msflab.settle_transient(p, workloads.SHORT_SETTINGS))
+            for p, _ in setup
+        ]
+    bases = setup if isinstance(setup, dict) else {"base": setup}
+    return [(label, lambda s=s: s) for label, s in bases.items()]
 
 
 def main(argv=None) -> int:
@@ -64,8 +85,11 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         for name in WORKLOADS:
             workload = workloads.WORKLOADS[name](seed, reference)
-            for q in workload.queries(workload.setup()):
-                records.append(_record(name, seed, q.label, q.call))
+            setup = workload.setup()
+            for label, call in _settles(name, setup):
+                records.append(_record(name, seed, "settle", label, call))
+            for q in workload.queries(setup):
+                records.append(_record(name, seed, "query", q.label, q.call))
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

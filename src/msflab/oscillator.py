@@ -14,14 +14,15 @@ Segments between impacts are the superposition of the underdamped
 homogeneous solution and the harmonic steady state, so they are evaluated
 in closed form rather than numerically integrated.  Impacts are located by
 scanning the analytic solution on a fixed grid and refining each bracketed
-wall crossing by bisection.  Long scans read the grid from tables of the
-decay and rotation factors, cached per (zeta, eta, scan step); bisection
-evaluates the position alone through a scalar closed form.  Both give the
-same impact times, bit for bit, as evaluating segment_states on the grid
-and at each midpoint, wherever math.cos and math.sin round as numpy's cos
-and sin do.  They did on every argument checked on x86-64 with numpy 2.4;
-a numpy build that dispatches its own float64 cos or sin may move impact
-times in the last bit.
+wall crossing by bisection.  Long scans read tables of the decay and
+rotation factors, cached per (zeta, eta, scan step); bisection evaluates
+only the midpoints near a Newton estimate, the others taking signs that a
+rounding-error bound certifies (see bisect_crossing).  The impact times are
+segment_states' on the grid and at each midpoint, bit for bit, wherever
+math.cos and math.sin round as numpy's cos and sin do and numpy's exp
+rounds a float as an array element.  They did on every argument checked on
+x86-64 with numpy 2.4; a numpy build with its own float64 cos or sin may
+move impact times in the last bit.
 
 All closed-form evaluation helpers preserve the floating dtype of their
 inputs, so callers that need extended precision can pass np.longdouble
@@ -43,10 +44,12 @@ BISECTION_TOL = 1e-12           # impact-time refinement tolerance in tau
 GRAZING_TOL = 1e-8              # |v_pre| below this flags a grazing impact
 WALL_POSITION_TOL = 1e-9        # allowed |x - x_w| when applying the reset
 CHATTER_CAP = 10_000            # impacts per forcing period before aborting
-_FIRST_CHUNK = 256              # grid points in a scan's first batch; later ones double
+_SCALAR_SCAN = 32               # grid points of a scan evaluated one by one, in scalars
+_FIRST_CHUNK = 256              # grid points in a table scan's first batch; later ones double
 _DETECT_CHUNK = 8192            # largest batch, and the length of the scan tables
 _SCAN_GUARD = 1e-8              # |x - x_w| per unit amplitude below which a table
                                 # sample is recomputed with the closed form
+_EPS = 2.0 ** -52               # unit of the closed forms' rounding-error bounds
 
 
 class InvalidParameterError(ValueError):
@@ -208,35 +211,37 @@ def steady_state_coefficients(p: ImpactOscillatorParams) -> tuple[float, float]:
     return one_minus * p.f / denom, two_ze * p.f / denom
 
 
-def segment_states(p, x0, v0, tau0, dts):
+def segment_states(p, x0, v0, tau0, dts, lib=np):
     """Closed-form segment solution at offsets ``dts`` from (x0, v0, tau0).
 
     Vectorized over dts and dtype-generic: float64 in, float64 out;
     longdouble in, longdouble out.  Returns (x, v) arrays (or scalars for
-    scalar dts).  Valid only while no wall crossing occurs; callers are
-    responsible for event handling.
+    scalar dts).  lib=math takes cos and sin from math, for scalars; the
+    decay always uses np.exp.  Valid only while no wall crossing occurs;
+    callers are responsible for event handling.
     """
     a_p, b_p = steady_state_coefficients(p)
     zeta = p.zeta
     wd = p.omega_d
     eta = p.eta
+    cos, sin = lib.cos, lib.sin
 
     ph0 = eta * tau0
-    xp0 = a_p * np.cos(ph0) + b_p * np.sin(ph0)
-    vp0 = eta * (b_p * np.cos(ph0) - a_p * np.sin(ph0))
+    xp0 = a_p * cos(ph0) + b_p * sin(ph0)
+    vp0 = eta * (b_p * cos(ph0) - a_p * sin(ph0))
 
     y0 = x0 - xp0
     w0 = v0 - vp0
 
     decay = np.exp(-zeta * dts)
-    c = np.cos(wd * dts)
-    s = np.sin(wd * dts)
+    c = cos(wd * dts)
+    s = sin(wd * dts)
     xh = decay * (y0 * c + ((w0 + zeta * y0) / wd) * s)
     vh = decay * (w0 * c - ((y0 + zeta * w0) / wd) * s)
 
     ph = eta * (tau0 + dts)
-    xp = a_p * np.cos(ph) + b_p * np.sin(ph)
-    vp = eta * (b_p * np.cos(ph) - a_p * np.sin(ph))
+    xp = a_p * cos(ph) + b_p * sin(ph)
+    vp = eta * (b_p * cos(ph) - a_p * sin(ph))
     return xh + xp, vh + vp
 
 
@@ -260,12 +265,12 @@ def segment_propagator(p: ImpactOscillatorParams, dt: float) -> np.ndarray:
 
 
 def propagate_free(p: ImpactOscillatorParams, s: OscState, dt: float) -> OscState:
-    """Advance the state by dt assuming no wall crossing in between."""
-    if dt < 0.0:
-        raise InvalidParameterError(f"dt must be non-negative, got {dt!r}")
+    """Advance the state by dt assuming no wall crossing in between (in math.cos/sin)."""
+    if not 0.0 <= dt < math.inf:
+        raise InvalidParameterError(f"dt must be finite and non-negative, got {dt!r}")
     if dt == 0.0:
         return s
-    x, v = segment_states(p, s.x, s.v, s.tau, dt)
+    x, v = segment_states(p, s.x, s.v, s.tau, dt, math)
     return OscState(float(x), float(v), s.tau + dt)
 
 
@@ -314,19 +319,22 @@ def _scan_table(zeta: float, eta: float, step: float) -> np.ndarray:
     return flow_table([(-wd * wd, -zeta, wd)], eta, step, _DETECT_CHUNK)
 
 
-def _wall_distance(p, tau0, y0, w0, a_p, b_p, cos=math.cos, sin=math.sin):
-    """x - x_w at offset dt from a state with homogeneous part (y0, w0).
+def _wall_distance(p, tau0, y0, w0, a_p, b_p):
+    """x - x_w at offset dt from a state with homogeneous part (y0, w0), and its model.
 
-    segment_states' closed form with the per-segment constants hoisted and
-    the remaining operations in its order, so the value equals
-    segment_states(p, x0, v0, tau0, dt)[0] - p.x_w bit for bit wherever
-    cos and sin round as numpy's do.  The default math.cos and math.sin
-    serve scalar dt; pass np.cos and np.sin for arrays.  The decay always
-    uses np.exp because numpy may dispatch its own SIMD exponential.
+    distance(dt) is segment_states' closed form with the per-segment
+    constants hoisted and the remaining operations in its order, so it
+    equals segment_states(p, x0, v0, tau0, dt)[0] - p.x_w bit for bit
+    wherever math.cos and math.sin round as numpy's do.  model(lo, hi) is
+    bisect_crossing's for a crossing in [lo, hi], lo >= 0: err is twice the
+    unit roundoffs its operations can make (4 ulps per libm or numpy call),
+    the forcing phase's eta*ulp(tau) times the amplitude included; the free
+    part turns at rate |zeta + i*wd| = 1 without growing, the forced at eta.
     """
     zeta, wd, eta, x_w = p.zeta, p.omega_d, p.eta, p.x_w
     k0 = (w0 + zeta * y0) / wd
-    exp = np.exp
+    kv, yv = wd * k0 - zeta * y0, wd * y0 + zeta * k0
+    exp, cos, sin = np.exp, math.cos, math.sin
 
     def distance(dt):
         decay = exp(-zeta * dt)
@@ -334,20 +342,61 @@ def _wall_distance(p, tau0, y0, w0, a_p, b_p, cos=math.cos, sin=math.sin):
         xh = decay * (y0 * cos(wd * dt) + k0 * sin(wd * dt))
         return xh + (a_p * cos(ph) + b_p * sin(ph)) - x_w
 
-    return distance
+    def motion(dt):
+        decay = exp(-zeta * dt)
+        c, s = cos(wd * dt), sin(wd * dt)
+        ph = eta * (tau0 + dt)
+        cp, sp = cos(ph), sin(ph)
+        g = decay * (y0 * c + k0 * s) + (a_p * cp + b_p * sp) - x_w
+        return g, decay * (kv * c - yv * s) + eta * (b_p * cp - a_p * sp)
+
+    def model(lo, hi):
+        free, forced = abs(y0) + abs(k0), abs(a_p) + abs(b_p)
+        err = free * (40 + 4 * hi) + (1 + eta) * forced * (12 + 2 * eta * (abs(tau0) + hi))
+        return motion, _EPS * (err + abs(x_w)) + 1e-300, free + eta * eta * forced
+
+    return distance, model
 
 
-def bisect_crossing(distance, lo: float, hi: float) -> float:
+def bisect_crossing(distance, lo: float, hi: float, model=None) -> float:
     """Bisect a wall crossing bracketed by offsets lo < hi to BISECTION_TOL.
 
     distance(dt) is the signed distance past the wall (positive beyond it)
     at offset dt; the bracket needs distance(lo) <= 0 < distance(hi).
+
+    model, where given, is (motion, err, accel): motion(dt) returns
+    distance(dt), bit for bit, and the velocity; over [lo, hi] err bounds
+    the rounding error of both and accel bounds |x''|.  Newton steps from
+    the first midpoint to t2 and on to t estimate the crossing.  With v2
+    the velocity at t2, q = |distance(t2)|/v2 and s = v2 - err -
+    2*accel*width > 0, the exact distance rises at rate s or more across
+    the bracket and, by Taylor from t2, is above err at t + d and below
+    -err at t - d for d = (2*err + err*q + accel*q**2/2)/s plus t's
+    rounding.  So a later midpoint farther than d from t has the sign of
+    mid - t; only the others are evaluated, and every midpoint and the
+    time returned are the plain bisection's, bit for bit.
     """
-    for _ in range(200):
+    t_hat, band = 0.0, math.inf
+    if model is not None and hi - lo >= BISECTION_TOL:
+        motion, err, accel = model
+        mid = 0.5 * (lo + hi)
+        g, v = motion(mid)
+        lo, hi = (lo, mid) if g > 0.0 else (mid, hi)
+        if v > accel * (hi - lo):  # else no velocity in the bracket passes s > 0
+            t2 = min(max(mid - g / v, lo), hi)
+            g2, v2 = motion(t2)
+            slack = v2 - err - 2.0 * accel * (hi - lo)
+            if slack > 1e-6 * v2 > 0.0:
+                t, q = t2 - g2 / v2, abs(g2) / v2
+                if lo <= t <= hi:
+                    need = 2.0 * err + err * q + 0.5 * accel * q * q
+                    t_hat, band = t, need / slack * (1.0 + 1e-6) + 2.0 * _EPS * (abs(t2) + q)
+    for _ in range(200 if model is None else 199):
         if hi - lo < BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if distance(mid) > 0.0:
+        u = mid - t_hat
+        if u > band or (u >= -band and distance(mid) > 0.0):
             hi = mid
         else:
             lo = mid
@@ -364,25 +413,29 @@ def detect_next_impact(
 
     The analytic segment solution is sampled at offsets k*scan_step from s,
     the last sample clamped to the horizon; the first sign change of
-    x - x_w is refined by bisection to BISECTION_TOL in tau.  Crossings
-    that enter and leave the wall strictly between consecutive scan points
-    are invisible at this resolution, by design of the detection protocol.
+    x - x_w is refined by bisect_crossing, with the closed form's model
+    (see _wall_distance), to BISECTION_TOL in tau.  Crossings that enter
+    and leave the wall strictly between consecutive scan points are
+    invisible at this resolution, by design of the detection protocol.
 
-    Scans longer than one short chunk read their samples from cached
-    tables (see _scan_chunk) in chunks that grow up to _DETECT_CHUNK
-    points.  Tables and closed form differ by rounding only, which grows
-    with tau (about 1e-11 at tau = 2e4 without damping), so a table sample
-    within _SCAN_GUARD times the amplitude of the wall is recomputed with
-    the closed form: every sign, and with it the crossing found, is the one
-    segment_states gives on the same grid.  The bisection and the
-    recomputed samples use math.cos and math.sin, so the time returned
-    equals the direct evaluation's bit for bit where those round as
-    numpy's do (see the module docstring).
+    Scans of at most _SCALAR_SCAN points, and the first point of longer
+    ones (where a chattering impact sits), are evaluated in scalars and
+    stop at the first crossing.  Longer scans then read cached tables from
+    s (see _scan_chunk) in chunks growing up to _DETECT_CHUNK points.
+    Tables and closed form differ by rounding only, which grows with tau
+    (about 1e-11 at tau = 2e4 without damping), so a table sample within
+    _SCAN_GUARD times the amplitude of the wall is recomputed with the
+    closed form: every sign, and with it the crossing found, is the one
+    segment_states gives on the same grid.  Scalars use math.cos, math.sin
+    and numpy's exp, so the time returned equals the direct evaluation's
+    bit for bit where those round as numpy's array functions do.
     """
+    if not 0.0 < scan_step < math.inf:
+        raise InvalidParameterError(f"scan_step must be positive and finite, got {scan_step!r}")
+    if not horizon / scan_step < math.inf:
+        raise InvalidParameterError(f"horizon must be finite in scan steps, got {horizon!r}")
     if not p.wall_enabled or horizon <= 0.0:
         return None
-    if scan_step <= 0.0:
-        raise InvalidParameterError(f"scan_step must be positive, got {scan_step!r}")
 
     n_total = int(math.ceil(horizon / scan_step))
     t_end = min(n_total * scan_step, horizon)
@@ -390,23 +443,29 @@ def detect_next_impact(
     ph0 = p.eta * s.tau
     y = s.x - (a_p * math.cos(ph0) + b_p * math.sin(ph0))
     w = s.v - p.eta * (b_p * math.cos(ph0) - a_p * math.sin(ph0))
-    distance = _wall_distance(p, s.tau, y, w, a_p, b_p)
-    if n_total <= _FIRST_CHUNK:
-        table, distances = None, _wall_distance(p, s.tau, y, w, a_p, b_p, np.cos, np.sin)
-    else:
-        table = _scan_table(p.zeta, p.eta, scan_step)
+    distance, model = _wall_distance(p, s.tau, y, w, a_p, b_p)
 
+    def crossing(k):
+        lo, hi = (k - 1) * scan_step, t_end if k == n_total else k * scan_step
+        return s.tau + bisect_crossing(distance, lo, hi, model(lo, hi))
+
+    prev = s.x - p.x_w
+    for k in range(1, (n_total if n_total <= _SCALAR_SCAN else 1) + 1):
+        g = distance(t_end if k == n_total else k * scan_step)
+        if g > 0.0 and not prev > 0.0:
+            return crossing(k)
+        prev = g
+    if n_total <= _SCALAR_SCAN:
+        return None
+
+    table = _scan_table(p.zeta, p.eta, scan_step)
     guard = _SCAN_GUARD * (abs(p.x_w) + abs(a_p) + abs(b_p) + abs(y) + abs(w))
-    g_prev = s.x - p.x_w
-    k0, n = 0, _FIRST_CHUNK
+    g_prev, k0, n = s.x - p.x_w, 0, _FIRST_CHUNK
     while k0 < n_total:
         n = min(n, n_total - k0)
-        if table is None:
-            gs = distances(np.arange(1, n + 1, dtype=float) * scan_step)
-        else:
-            gs, y, w = _scan_chunk(p, table[:n], s.tau + k0 * scan_step, y, w, a_p, b_p)
-            for j in np.flatnonzero(np.abs(gs) < guard):
-                gs[j] = distance((k0 + j + 1) * scan_step)
+        gs, y, w = _scan_chunk(p, table[:n], s.tau + k0 * scan_step, y, w, a_p, b_p)
+        for j in np.flatnonzero(np.abs(gs) < guard):
+            gs[j] = distance((k0 + j + 1) * scan_step)
         if k0 + n == n_total:
             # Keep the final sample exactly on the horizon endpoint.
             gs[-1] = distance(t_end)
@@ -415,9 +474,7 @@ def detect_next_impact(
         np.greater(gs, 0.0, out=beyond[1:])
         rises = np.flatnonzero(beyond[1:] > beyond[:-1])
         if rises.size:
-            k = k0 + int(rises[0]) + 1
-            hi = t_end if k == n_total else k * scan_step
-            return s.tau + bisect_crossing(distance, (k - 1) * scan_step, hi)
+            return crossing(k0 + int(rises[0]) + 1)
         g_prev = gs[-1]
         k0, n = k0 + n, min(2 * n, _DETECT_CHUNK)
     return None
@@ -474,8 +531,8 @@ def simulate(
     resolved sequentially.  Raises ChatterError when more than chatter_cap
     impacts accumulate within one forcing period.
     """
-    if duration < 0.0:
-        raise InvalidParameterError(f"duration must be non-negative, got {duration!r}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
     t_end = s0.tau + duration
     period = p.forcing_period
     state = s0
@@ -516,8 +573,8 @@ def sample_trajectory(
     post-impact state of an event).  A sample at an impact time belongs to
     the segment that ends there.  Mostly a diagnostics and plotting aid.
     """
-    if duration < 0.0:
-        raise InvalidParameterError(f"duration must be non-negative, got {duration!r}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
     if not sample_step > 0.0:
         raise InvalidParameterError(f"sample_step must be positive, got {sample_step!r}")
     n = int(math.floor(duration / sample_step + 1e-9))

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import grid_scan_impact, oscillator_rhs, rk4_integrate, taylor_expm
+from msflab import oscillator
 from msflab.oscillator import (
     BISECTION_TOL,
     ChatterError,
@@ -266,10 +268,99 @@ def libm_trig_matches_numpy():
             )
 
 
+@pytest.fixture(scope="module")
+def numpy_exp_scalar_matches_array():
+    """Skip unless numpy's exp rounds a float as it rounds the same array element.
+
+    The scalar scans, the bisection and propagate_free call np.exp on one
+    float where segment_states calls it on arrays; numpy may dispatch its
+    own SIMD exponential for arrays.  The arguments span the decays
+    -zeta*dt the tests reach.
+    """
+    rng = np.random.default_rng(11)
+    args = np.concatenate([-rng.uniform(0.0, 1e-2, 2000), -rng.uniform(0.0, 40.0, 2000)])
+    exp_arr = np.exp(args)
+    for i, a in enumerate(args.tolist()):
+        if not np.exp(a) == exp_arr[i]:
+            pytest.skip(
+                f"numpy.exp rounds the float {a!r} differently from the same array "
+                f"element on this host, so impact times may differ from segment_states' "
+                f"in the last bit"
+            )
+
+
+def _nonresonant(draw, x_w=0.0):
+    """Oscillator parameters with zeta in [0, 0.2] and eta in [0.3, 3] that have a steady state."""
+    zeta, eta = draw(st.floats(0.0, 0.2)), draw(st.floats(0.3, 3.0))
+    p = ImpactOscillatorParams(zeta=zeta, eta=eta, x_w=x_w, R=0.5)
+    try:
+        steady_state_coefficients(p)
+    except ResonanceError:
+        assume(False)
+    return p
+
+
+def _monotonicity_bound(p, s, step):
+    """The crossing velocity below which bisect_crossing's model certifies nothing.
+
+    The first bisection step leaves a bracket of step/2, over which the
+    model's accel must stay below half the velocity: v > accel*step.
+    """
+    a_p, b_p = steady_state_coefficients(p)
+    ph0 = p.eta * s.tau
+    y = s.x - (a_p * math.cos(ph0) + b_p * math.sin(ph0))
+    w = s.v - p.eta * (b_p * math.cos(ph0) - a_p * math.sin(ph0))
+    _, model = oscillator._wall_distance(p, s.tau, y, w, a_p, b_p)
+    return model(0.0, step)[2] * step
+
+
+@st.composite
+def _crossings(draw):
+    """(p, s, horizon, step) with an upward wall crossing at tau_c, lead after s.
+
+    The crossing velocity is spread over seven decades, or lies a relative
+    1e-4 to 1e-2 above or below the model's monotonicity bound.  Leads of
+    less than a step put the crossing in the first cell; small velocities
+    leave and re-enter the wall within a few cells.
+    """
+    p = _nonresonant(draw, draw(st.floats(-1.0, 2.0)))
+    tau_c = draw(st.floats(0.0, 1e5))
+    step = draw(st.sampled_from([1e-3, 1e-3 / 16.0, 2e-3 / 16.0]))
+    lead = (draw(st.integers(0, 40)) + draw(st.floats(0.0, 0.999))) * step
+
+    def start(v_c):
+        x, v = segment_states(p, p.x_w, v_c, tau_c, -lead)
+        return OscState(float(x), float(v), tau_c - lead)
+
+    if draw(st.booleans()):
+        v_c = 10.0 ** draw(st.floats(-7.0, 0.5))
+    else:
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        v_c = _monotonicity_bound(p, start(0.0), step) * (1.0 + side * 10.0 ** draw(st.floats(-4.0, -2.0)))
+    horizon = lead + draw(st.sampled_from([0.5, 3.0, 50.0, 3000.0])) * step
+    return p, start(v_c), horizon, step
+
+
+@st.composite
+def _on_wall_states(draw):
+    """(p, s, horizon, step): on the wall, leaving it at 1e-12 to 1e-8, pushed back.
+
+    With x_w below f*cos(eta*tau) the force x'' = cos(eta*tau) - x_w - 2*zeta*v
+    returns the mass to the wall within the first cell, as in chatter, unless
+    the closed form's rounding at large tau or amplitude hides the excursion.
+    """
+    p = _nonresonant(draw)
+    tau = draw(st.floats(0.0, 1e5))
+    p = replace(p, x_w=math.cos(p.eta * tau) - draw(st.floats(0.05, 1.0)))
+    s = OscState(p.x_w, -(10.0 ** draw(st.floats(-12.0, -8.0))), tau)
+    step = draw(st.sampled_from([1e-3, 1e-3 / 16.0]))
+    return p, s, draw(st.sampled_from([0.5, 20.0, 5000.0])) * step, step
+
+
 class TestImpactLocation:
     """detect_next_impact equals the direct grid scan and bisection, bit for bit."""
 
-    @pytest.mark.usefixtures("libm_trig_matches_numpy")
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
     def test_matches_direct_scan(self, preset, request):
         p = request.getfixturevalue(preset)
@@ -292,7 +383,48 @@ class TestImpactLocation:
             assert detect_next_impact(p, s, short, step) == grid_scan_impact(p, s, short, step)
         assert in_guard_band >= 10
 
-    @pytest.mark.usefixtures("libm_trig_matches_numpy")
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_crossings())
+    def test_crossings_match_direct_scan(self, case):
+        p, s, horizon, step = case
+        assert detect_next_impact(p, s, horizon, step) == grid_scan_impact(p, s, horizon, step)
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=150, deadline=None)
+    @given(case=_on_wall_states())
+    def test_on_wall_states_match_direct_scan(self, case):
+        p, s, horizon, step = case
+        assert detect_next_impact(p, s, horizon, step) == grid_scan_impact(p, s, horizon, step)
+
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    def test_transversal_crossings_evaluate_few_midpoints(self, preset, request, monkeypatch):
+        p = request.getfixturevalue(preset)
+        base = request.getfixturevalue(f"{preset}_base")
+        counts = []
+        real = oscillator.bisect_crossing
+
+        def counting(distance, lo, hi, model):
+            calls = [0]
+
+            def counted(f):
+                def wrapper(dt):
+                    calls[0] += 1
+                    return f(dt)
+                return wrapper
+
+            motion, err, accel = model
+            tau = real(counted(distance), lo, hi, (counted(motion), err, accel))
+            counts.append(calls[0])
+            return tau
+
+        monkeypatch.setattr(oscillator, "bisect_crossing", counting)
+        _, events = simulate(p, base, 60 * p.forcing_period)
+        transversal = [n for n, e in zip(counts, events) if abs(e.v_pre) > 0.05]
+        assert len(transversal) >= 40
+        assert max(transversal) <= 14
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     def test_horizon_spanning_many_chunks(self):
         # Undamped and off resonance: the beat envelope keeps the first
         # crossing of a wall just above the early maxima tens of time
@@ -311,6 +443,25 @@ class TestImpactLocation:
     def test_bisection_converges_on_the_crossing(self):
         root = bisect_crossing(lambda t: t - 0.3, 0.0, 1.0)
         assert abs(root - 0.3) < BISECTION_TOL
+
+    @pytest.mark.parametrize("err", [0.0, 1e-13, 1e-9])
+    def test_model_keeps_the_plain_midpoints(self, err):
+        # A line of slope 1 rounded nowhere: the model certifies all but the
+        # midpoints within its band, and the result is the plain bisection's.
+        root = 0.3 + 2.0 ** -40
+        evaluated = []
+
+        def line(t):
+            evaluated.append(t)
+            return t - root
+
+        plain = bisect_crossing(line, 0.0, 1.0)
+        assert len(evaluated) == 40
+        evaluated.clear()
+        model = (lambda t: (line(t), 1.0), err, 0.0)
+        assert bisect_crossing(line, 0.0, 1.0, model) == plain
+        # Two Newton points, then the midpoints within about 2*err of the root.
+        assert len(evaluated) <= 4 + math.log2(1.0 + 4.0 * err / BISECTION_TOL)
 
 
 class TestSimulate:
@@ -375,6 +526,19 @@ class TestSimulate:
         assert xs[-1] == pytest.approx(s_direct.x, abs=1e-9)
         assert vs[-1] == pytest.approx(s_direct.v, abs=1e-9)
 
+    def test_catalogue_chatter_point_at_full_cap(self):
+        # random_impacting catalogue point 42, settled from rest over its
+        # 100-period transient: the full default cap is reached at tau = 19.
+        p = ImpactOscillatorParams(
+            zeta=0.07424109529981779, eta=0.34478727863484854,
+            x_w=0.5666034302401003, R=0.5409710972632726,
+        )
+        with pytest.raises(ChatterError) as info:
+            simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period)
+        assert str(info.value) == (
+            "chatter: 10001 impacts within one forcing period (18.2234) ending at tau=19.1886"
+        )
+
     def test_sample_trajectory_raises_chatter_like_simulate(self):
         # A catalogue point whose impacts accumulate near tau = 19.
         p = ImpactOscillatorParams(
@@ -383,3 +547,30 @@ class TestSimulate:
         )
         with pytest.raises(ChatterError):
             sample_trajectory(p, OscState(0.0, 0.0, 0.0), 20.0, sample_step=0.1)
+
+
+class TestNonFiniteArguments:
+    """Every entry point names the argument that is not finite."""
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_simulate(self, elastic, duration):
+        with pytest.raises(InvalidParameterError, match="duration"):
+            simulate(elastic, OscState(0.0, 0.0, 0.0), duration)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_sample_trajectory(self, elastic, duration):
+        with pytest.raises(InvalidParameterError, match="duration"):
+            sample_trajectory(elastic, OscState(0.0, 0.0, 0.0), duration)
+
+    @pytest.mark.parametrize("horizon, scan_step, name", [
+        (math.inf, 1e-3, "horizon"), (math.nan, 1e-3, "horizon"), (1e300, 1e-10, "horizon"),
+        (1.0, math.nan, "scan_step"), (1.0, math.inf, "scan_step"),
+    ])
+    def test_detect_next_impact(self, elastic, horizon, scan_step, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            detect_next_impact(elastic, OscState(0.0, 0.0, 0.0), horizon, scan_step)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_propagate_free(self, elastic, dt):
+        with pytest.raises(InvalidParameterError, match="dt"):
+            propagate_free(elastic, OscState(0.0, 0.0, 0.0), dt)
