@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import InvalidWindowError, event_window_jacobian
+from .jacobian import event_window_jacobian
 from .matfuncs import exp_flow, mat_exp, mat_log
 from .oscillator import (
+    _EPS,
     DEFAULT_SCAN_STEP,
     ImpactOscillatorParams,
     OscState,
@@ -63,6 +63,18 @@ class MSFQuery:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
+def _check_settings(settings, counts, floats) -> None:
+    """Reject a count that is no positive integer (numpy's ints count, bool does
+    not) or a float setting that is not finite and positive, naming the field."""
+    for name in counts:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    for name in floats:
+        if not 0.0 < getattr(settings, name) < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {getattr(settings, name)!r}")
+
+
 @dataclass(frozen=True)
 class TLESettings:
     """Protocol constants for one exponent computation.
@@ -81,12 +93,10 @@ class TLESettings:
     jacobi_delta: float = 1e-7
 
     def __post_init__(self):
-        for name in ("transient_periods", "max_periods", "sample_window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("std_tolerance", "scan_step", "jacobi_delta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _check_settings(
+            self, ("transient_periods", "max_periods", "sample_window"),
+            ("std_tolerance", "scan_step", "jacobi_delta"),
+        )
         if self.sample_window > self.max_periods:
             raise ValueError(
                 f"sample_window ({self.sample_window}) cannot exceed max_periods "
@@ -290,7 +300,6 @@ def _event_record(p, base_state, settings) -> _EventRecord:
     return _last_record
 
 
-_EPS = sys.float_info.epsilon
 # Free-step powers a query keeps; wall-free runs alternate between two.
 _FREE_POWERS = 8
 

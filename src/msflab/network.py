@@ -25,9 +25,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .jacobian import PropagationError
-from .msf import MSFQuery, TLEResult, TLESettings, _run_grid, compute_tle, settle_transient
+from .msf import (
+    MSFQuery, TLEResult, TLESettings, _check_settings, _run_grid, compute_tle, settle_transient,
+)
 from .oscillator import (
-    _EPS,
     _SCAN_GUARD,
     CHATTER_CAP,
     DEFAULT_SCAN_STEP,
@@ -118,7 +119,7 @@ def graph_spectrum(graph: CouplingGraph) -> np.ndarray:
 class ModeSpectrum:
     """Graph eigenvalues with one exponent result per mode.
 
-    eigenvalues[0] is the mode identified as gamma_0 = 0 (the motion along
+    eigenvalues[0] is the mode identified as gamma_0 = 0 (the dynamics along
     the synchronization manifold); its exponent is the isolated-oscillator
     exponent and is excluded from stability verdicts.
     """
@@ -203,12 +204,10 @@ class ProbeSettings:
             raise ValueError(f"sigma must be finite, got {self.sigma!r}")
         if _negative_seed(self.rng_seed):
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
-        for name in ("perturbation_magnitude", "sync_threshold", "scan_step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("max_periods", "record_window", "transient_periods"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _check_settings(
+            self, ("max_periods", "record_window", "transient_periods"),
+            ("perturbation_magnitude", "sync_threshold", "scan_step"),
+        )
         if self.record_window > self.max_periods:
             raise ValueError("record_window cannot exceed max_periods")
 
@@ -299,50 +298,30 @@ class _ModeSegments:
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
     def wall_distance(self, modes0: np.ndarray, tau_a: float, node: int):
-        """x - x_w of one node at scalar offset dt from the anchor, and its model.
+        """x - x_w of one node at scalar offset dt from the anchor, as a function of dt.
 
-        distance(dt) is eval's position in math, per-mode constants hoisted.
-        model(lo, hi) is bisect_crossing's, bounded as oscillator's: a mode's
-        x, x' and x'' are the first rows of e^(B t) = e^(m t)*(c*I + sn/r*A)
-        applied to u, B u and B^2 u, with e^(m t), |c| and |sn/r| taking
-        their largest values in [lo, hi] (lo >= 0) at its ends.
+        The impact bisection's distance: eval's position in math, with the
+        per-mode constants computed once instead of at every call.
         """
-        terms = []  # per mode, with s^2, (B u)_0 and (A B u)_0 last
+        terms = []
         for k in range(self.n):
             s2, m, r = self._generators[self._generator_of[k]]
             u, a = modes0[k], self.traceless[k]
-            u0, au0, m = float(u[0]), float(a[0, 0] * u[0] + a[0, 1] * u[1]), float(m)
-            terms.append((float(self.q[node, k]), m, r, 1.0 / r, *flow_functions(s2, math),
-                          u0, au0, s2, m * u0 + au0, m * au0 + s2 * u0))
+            au0 = float(a[0, 0] * u[0] + a[0, 1] * u[1])
+            terms.append((float(self.q[node, k]), float(m), r, 1.0 / r,
+                          *flow_functions(s2, math), float(u[0]), au0))
         eta, ap, bp, x_w = self.p.eta, self._ap, self._bp, self.p.x_w
         exp, cos, sin = math.exp, math.cos, math.sin
 
-        def motion(dt):
-            x = dx = 0.0
-            for qk, m, r, inv_r, cosh, sinh, u0, au0, _, alpha, beta in terms:
+        def distance(dt):
+            x = 0.0
+            for qk, m, r, inv_r, cosh, sinh, u0, au0 in terms:
                 rdt = r * dt
-                e, ch, sh = qk * exp(m * dt), cosh(rdt), sinh(rdt) * inv_r
-                x += e * (ch * u0 + sh * au0)
-                dx += e * (ch * alpha + sh * beta)
+                x += qk * exp(m * dt) * (cosh(rdt) * u0 + sinh(rdt) * inv_r * au0)
             ph = eta * (tau_a + dt)
-            cp, sp = cos(ph), sin(ph)
-            return x + ap * cp + bp * sp - x_w, dx + eta * (bp * cp - ap * sp)
+            return x + ap * cos(ph) + bp * sin(ph) - x_w
 
-        def model(lo, hi):
-            forced = abs(ap) + abs(bp)
-            err = (1.0 + eta) * forced * (12.0 + 2.0 * eta * (abs(tau_a) + hi)) + 3.0 * abs(x_w)
-            accel = eta * eta * forced
-            for qk, m, r, inv_r, cosh, sinh, u0, au0, s2, alpha, beta in terms:
-                env = abs(qk) * max(exp(m * lo), exp(m * hi))
-                c_max = cosh(r * hi) if s2 > 0.0 else 1.0
-                sn_max = sinh(r * hi) * inv_r if s2 > 0.0 else min(hi, inv_r) if s2 < 0.0 else hi
-                size = c_max * (abs(u0) + abs(alpha)) + sn_max * (abs(au0) + abs(beta))
-                ops = 12.0 + 2.0 * len(terms) + (abs(m) + r) * hi
-                err += env * (ops * size + hi * (abs(au0) + abs(beta)))
-                accel += env * (c_max * abs(m * alpha + beta) + sn_max * abs(m * beta + s2 * alpha))
-            return motion, _EPS * err + 1e-300, accel
-
-        return lambda dt: motion(dt)[0], model
+        return distance
 
     def scan_rows(self, modes0: np.ndarray, tau_a: float, tau_g: float, col_max: list):
         """Coefficients on flow_table's columns, at offsets from the grid point tau_g.
@@ -551,11 +530,9 @@ def _simulate_coupled(
             # The impact point is evaluated with the kept samples, last.
             lo_dt = float(taus[ci - 1]) - anchor_tau if ci > 0 else 0.0
             hi_dt = float(taus[ci]) - anchor_tau
-            walls = [segs.wall_distance(modes, anchor_tau, node)
-                     for node in np.flatnonzero(crossings[:, ci]).tolist()]
             dts = np.append(dts, min(
-                bisect_crossing(distance, lo_dt, hi_dt, model(lo_dt, hi_dt))
-                for distance, model in walls
+                bisect_crossing(segs.wall_distance(modes, anchor_tau, node), lo_dt, hi_dt)
+                for node in np.flatnonzero(crossings[:, ci]).tolist()
             ))
         xs, vs = segs.eval(modes, anchor_tau, dts)
         if ci > 0:

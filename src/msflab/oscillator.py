@@ -141,12 +141,6 @@ class ImpactOscillatorParams:
     def forcing_period(self) -> float:
         return 2.0 * math.pi / self.eta
 
-    def without_wall(self) -> "ImpactOscillatorParams":
-        return ImpactOscillatorParams(
-            zeta=self.zeta, eta=self.eta, f=self.f,
-            x_w=self.x_w, R=self.R, wall_enabled=False,
-        )
-
 
 @dataclass(frozen=True)
 class OscState:

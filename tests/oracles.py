@@ -8,6 +8,7 @@ agreement with the package is evidence rather than tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -455,64 +456,92 @@ def divergence_lle_oracle(
     return log_sum / (horizon_periods * period)
 
 
+def _record_steps(p: ImpactOscillatorParams, settings, base_state: OscState, window):
+    """compute_tle's march, as it ran before queries shared a record, as stretches.
+
+    Impacts and window placement follow msflab.msf's kernels, looked up at
+    call time and run in march order.  Yields (n, tau_c, start, est) per
+    stretch of n grid steps: free steps, split at sample times, have only
+    n; an event window has the detected impact time, its start state and
+    est = window(start, tau_c, width), the estimate along whose central run
+    the march goes on.  Lazy: a consumer that stops early computes no later
+    window.
+    """
+    from msflab import msf
+
+    h, period, t0 = settings.scan_step, p.forcing_period, base_state.tau
+    state, j, sampled = base_state, 0, 0  # sampled: sample times at or before j
+    final_j = int(math.ceil(settings.max_periods * period / h))
+
+    def free(n: int):
+        nonlocal j, sampled
+        while n > 0:
+            while int(math.ceil((sampled + 1) * period / h)) <= j:
+                sampled += 1
+            take = min(n, int(math.ceil((sampled + 1) * period / h)) - j)
+            yield take, None, None, None
+            j, n = j + take, n - take
+
+    while j < final_j:
+        tau_c = msf.detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
+        if tau_c is None:
+            yield from free(final_j - j)
+            return
+        cell = int(math.floor((tau_c - t0 + 1e-9 * h) / h))
+        on_grid = abs(tau_c - t0 - cell * h) <= 1e-9 * h
+        w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
+        yield from free(w_start - j)
+        state = msf.propagate_free(p, state, (t0 + w_start * h) - state.tau)
+        est = window(state, tau_c, (w_end - w_start) * h)
+        yield w_end - j, tau_c, state, est
+        state, j = est.final, w_end
+
+
+def _march_samples(steps, settings, period: float, to_step):
+    """The running-average samples of compute_tle's march over steps.
+
+    to_step(n, tau_c, start, est) is the propagator of one _record_steps stretch.
+    Returns the samples and the convergence flag.
+    """
+    h = settings.scan_step
+    xi = np.array([1.0, 0.0], dtype=complex)
+    log_sum, samples, j, converged = 0.0, [], 0, False
+    for n, *stretch in steps:
+        # Apply the step, renormalize, advance j by n and take every sample due.
+        xi = to_step(n, *stretch) @ xi
+        nrm = float(np.linalg.norm(xi))
+        log_sum += math.log(nrm)
+        xi = xi / nrm
+        j += n
+        while j >= int(math.ceil((len(samples) + 1) * period / h)):
+            samples.append(log_sum / (j * h))
+            tail = samples[-settings.sample_window:]
+            converged = len(tail) == settings.sample_window and float(np.std(tail)) < settings.std_tolerance
+            if converged or len(samples) == settings.max_periods:
+                return samples, converged
+    return samples, converged
+
+
 def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state: OscState):
     """compute_tle's march with every impact and window computed in place.
 
-    The reference for the event record: the same kernels, looked up in
-    msflab.msf at call time, run in march order for this query alone, as
-    compute_tle ran before queries shared a record.  Returns the TLEResult
-    or raises what the kernels raise at the point the march reaches them.
+    The reference for the event record: _record_steps for this query alone,
+    with compute_tle's free-step and event-window propagators.  Returns the
+    TLEResult or raises what the kernels raise at the point the march
+    reaches them.
     """
     from msflab import msf
 
     coupling = np.asarray(coupling, dtype=float)
-    h, period, t0 = settings.scan_step, p.forcing_period, base_state.tau
+    h = settings.scan_step
     real_query = query.beta == 0.0
     free_steps = msf.exp_flow(
         msf.mat_log(msf.segment_propagator(p, h))
         + (query.alpha + 1j * query.beta) * coupling * h
     )
-    xi = np.array([1.0, 0.0], dtype=complex)
-    log_sum, samples, warnings, imag_events = 0.0, [], [], []
-    state, j, converged = base_state, 0, False
-    final_j = int(math.ceil(settings.max_periods * period / h))
+    warnings, imag_events = [], []
 
-    def running() -> bool:
-        return not converged and len(samples) < settings.max_periods
-
-    def advance(step, n: int):
-        # Apply step, renormalize, advance j by n and take every sample due.
-        nonlocal xi, log_sum, j, converged
-        xi = step @ xi
-        nrm = float(np.linalg.norm(xi))
-        log_sum += math.log(nrm)
-        xi = xi / nrm
-        j += n
-        while running() and j >= int(math.ceil((len(samples) + 1) * period / h)):
-            samples.append(log_sum / (j * h))
-            tail = samples[-settings.sample_window:]
-            converged = len(tail) == settings.sample_window and float(np.std(tail)) < settings.std_tolerance
-
-    def march_free(n: int):
-        while n > 0 and running():
-            take = min(n, int(math.ceil((len(samples) + 1) * period / h)) - j)
-            step = free_steps(take)
-            advance(step.real if real_query else step, take)
-            n -= take
-
-    while running():
-        tau_c = msf.detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
-        if tau_c is None:
-            march_free(final_j - j)
-            break
-        cell = int(math.floor((tau_c - t0 + 1e-9 * h) / h))
-        on_grid = abs(tau_c - t0 - cell * h) <= 1e-9 * h
-        w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
-        march_free(w_start - j)
-        if not running():
-            break
-        state = msf.propagate_free(p, state, (t0 + w_start * h) - state.tau)
-        width = (w_end - w_start) * h
+    def window(state, tau_c, width):
         est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta)
         if not est.consistent:
             est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta / 10.0)
@@ -522,19 +551,27 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
                 f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
                 f"delta; estimate accepted (counts {est.event_counts})"
             )
+        return est
+
+    def to_step(n, tau_c, start, est):
+        if est is None:
+            step = free_steps(n)
+            return step.real if real_query else step
         try:
-            p_event, discarded = msf.coupled_step_propagator(est.phi, coupling, query, width)
+            p_event, discarded = msf.coupled_step_propagator(est.phi, coupling, query, n * h)
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         if real_query:
             imag_events.append(discarded)
-        warnings += [
+        warnings.extend(
             f"grazing impact at tau_c={e.tau_c:.6f} (|v_pre|={abs(e.v_pre):.2e})"
             for e in est.events if e.grazing
-        ]
-        state = est.final
-        advance(p_event, w_end - j)
+        )
+        return p_event
 
+    samples, converged = _march_samples(
+        _record_steps(p, settings, base_state, window), settings, p.forcing_period, to_step
+    )
     return msf.TLEResult(
         alpha=query.alpha, beta=query.beta, tle=samples[-1] if samples else 0.0,
         converged=converged, periods_used=len(samples), samples=samples,
@@ -542,3 +579,41 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
         imag_discard_free=float(np.linalg.norm(np.imag(free_steps(1.0)))) if real_query else 0.0,
         imag_discard_events=imag_events,
     )
+
+
+def record_saltation_tles(p: ImpactOscillatorParams, alphas, settings,
+                          base_state: OscState) -> list[float]:
+    """The exponents compute_tle samples last, from saltation matrices on its own trajectory.
+
+    compute_tle's march (_record_steps, shared by all alphas) with classical
+    propagators: exp((J + alpha*H)*dt) from scipy between impacts and the
+    saltation matrix at each impact of every window's central run, in
+    place of the window's finite-difference Jacobian and its matrix-log
+    coupling.  So the impacts and the sample times are compute_tle's;
+    saltation_tle_oracle follows simulate's trajectory instead, a
+    different chaotic orbit after a few dozen periods.
+    """
+    from scipy.linalg import expm
+
+    from msflab import msf
+
+    h = settings.scan_step
+    steps = itertools.tee(_record_steps(
+        p, settings, base_state,
+        lambda state, tau_c, width: msf.event_window_jacobian(p, state, width, settings.jacobi_delta),
+    ), len(alphas))
+    out = []
+    for alpha, alpha_steps in zip(alphas, steps):
+        a_mat = variational_matrix(p.zeta, alpha)
+
+        def to_step(n, tau_c, start, est):
+            if est is None:
+                return expm(a_mat * (n * h))
+            step, cursor = np.eye(2), start.tau
+            for ev in est.events:
+                step = saltation_matrix(p, ev.tau_c, ev.v_pre) @ expm(a_mat * (ev.tau_c - cursor)) @ step
+                cursor = ev.tau_c
+            return expm(a_mat * (est.final.tau - cursor)) @ step
+
+        out.append(_march_samples(alpha_steps, settings, p.forcing_period, to_step)[0][-1])
+    return out

@@ -221,8 +221,9 @@ class TestConfig:
             ("[probe]\nsigma = nan\n", "sigma must be finite"),
             ("[probe]\nrng_seed = -1\n", "rng_seed must be non-negative"),
             ("[network]\nsigma = inf\n", "sigma must be finite"),
+            ("[probe]\nscan_step = inf\n", "scan_step must be finite"),
         ],
-        ids=["probe_sigma", "probe_rng_seed", "network_sigma"],
+        ids=["probe_sigma", "probe_rng_seed", "network_sigma", "probe_scan_step"],
     )
     def test_bad_probe_and_network_values_rejected(self, tmp_path, ini, message):
         with pytest.raises(ConfigError, match=message):
@@ -312,6 +313,15 @@ class TestCli:
         cfg = _write(tmp_path, f"[simulate]\n{key} = 0\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, ini",
+        [("probe", "[probe]\nscan_step = inf\n"), ("tle", "[tle]\njacobi_delta = inf\n")],
+        ids=["probe_scan_step", "tle_jacobi_delta"],
+    )
+    def test_infinite_setting_is_config_error(self, tmp_path, command, ini):
+        cfg = _write(tmp_path, ini)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_zero_periods_override_is_config_error(self, tmp_path):
         out = tmp_path / "out"

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    direct_tle, literal_march_samples, literal_power, literal_steps, smooth_tle_oracle,
+    direct_tle, literal_march_samples, literal_power, literal_steps, record_saltation_tles,
+    smooth_tle_oracle,
 )
 from msflab import jacobian, msf
 from msflab.jacobian import GrazingSingularityError
@@ -136,11 +137,23 @@ class TestSettings:
             dict(std_tolerance=0.0),
             dict(scan_step=-1e-3),
             dict(jacobi_delta=0.0),
+            dict(sample_window=10.0),
+            dict(max_periods=50.5),
+            dict(transient_periods=True),
+            dict(std_tolerance=math.nan),
+            dict(scan_step=math.inf),
+            dict(jacobi_delta=math.inf),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TLESettings(**kwargs)
+
+    def test_accepts_numpy_counts(self):
+        s = TLESettings(
+            transient_periods=np.int64(50), max_periods=np.int32(20), sample_window=np.uint8(5)
+        )
+        assert (s.transient_periods, s.max_periods, s.sample_window) == (50, 20, 5)
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -556,6 +569,36 @@ class TestEventRecord:
         again = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
         assert len(seen) == len(first.imag_discard_events) >= 2
         assert _outcome(again) == _outcome(first)
+
+
+# A shortened horizon keeps four record marches under ten seconds; the
+# sample times are the protocol's.  The worst difference measured was
+# 2.6e-6 here (7.5e-6 over the full 2000 periods).
+SAME_TRAJECTORY_SETTINGS = TLESettings(max_periods=500)
+SAME_TRAJECTORY_ALPHAS = (0.0, -0.4, -0.8, -1.2)
+
+
+class TestSameTrajectory:
+    """compute_tle against saltation matrices composed along its own impacts.
+
+    Unlike the saltation and divergence gates, which follow simulate's
+    trajectory, this compares the estimator with a classical construction
+    on the trajectory it used, so it does not depend on which chaotic orbit
+    a base state's last bits select.
+    """
+
+    @pytest.mark.parametrize("later_periods", [0, 3])
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    def test_exponents_match_saltation_composition(self, preset, later_periods, request):
+        p = request.getfixturevalue(preset)
+        base = request.getfixturevalue(f"{preset}_base")
+        if later_periods:
+            base, _ = simulate(p, base, later_periods * p.forcing_period)
+        s, alphas = SAME_TRAJECTORY_SETTINGS, SAME_TRAJECTORY_ALPHAS
+        expected = record_saltation_tles(p, alphas, s, base)
+        for alpha, want in zip(alphas, expected):
+            r = compute_tle(p, SPRING_COUPLING, MSFQuery(alpha), s, base_state=base)
+            assert abs(r.tle - want) <= 1e-4, (alpha, r.tle, want)
 
 
 class TestSweep:

@@ -5,13 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ELASTIC, INELASTIC
 from oracles import LoopObserver, complex_mode_eval, complex_position_of, fixed_chunk_probe
 from msflab.jacobian import PropagationError
 from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings, settle_transient
-from msflab import network as network_module
 from msflab.network import (
     CouplingGraph,
     InvalidGraphError,
@@ -34,7 +31,6 @@ from msflab.network import (
 from msflab.oscillator import (
     ImpactOscillatorParams,
     OscState,
-    bisect_crossing,
     segment_states,
     simulate,
 )
@@ -309,6 +305,14 @@ class TestProbe:
             ProbeSettings(sigma=0.5, perturbation_magnitude=0.0)
         with pytest.raises(ValueError):
             ProbeSettings(sigma=0.5, record_window=300, max_periods=200)
+        for name, value in [
+            ("scan_step", math.inf), ("sync_threshold", math.nan),
+            ("perturbation_magnitude", math.inf), ("max_periods", 50.5),
+            ("record_window", True), ("transient_periods", 10.0),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                ProbeSettings(sigma=0.5, **{name: value})
+        assert ProbeSettings(sigma=0.5, max_periods=np.int64(20), record_window=np.int32(5))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
@@ -702,7 +706,7 @@ class TestModeFlows:
         _skip_unless_real_parts_match("oscillatory", math)
         segs, modes0, tau_a, _, scalars = _mode_case(request.getfixturevalue(preset), sigma)
         for node in range(2):
-            distance, _ = segs.wall_distance(modes0, tau_a, node)
+            distance = segs.wall_distance(modes0, tau_a, node)
             for dt in scalars:
                 expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
                 assert distance(dt) == expected
@@ -719,7 +723,7 @@ class TestModeFlows:
         _skip_unless_real_parts_match("overdamped", math)
         segs, modes0, tau_a, _, scalars = _mode_case(elastic, -1.0)
         for node in range(2):
-            distance, _ = segs.wall_distance(modes0, tau_a, node)
+            distance = segs.wall_distance(modes0, tau_a, node)
             for dt in scalars:
                 expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
                 assert distance(dt) == expected
@@ -760,76 +764,6 @@ class TestModeFlows:
             xp, _ = segs.steady(tau_a + dt)
             expected = (q @ modes)[:, 0] + xp
             for node in range(2):
-                x = segs.wall_distance(modes0, tau_a, node)[0](dt) + p.x_w
+                x = segs.wall_distance(modes0, tau_a, node)(dt) + p.x_w
                 assert abs(x - expected[node]) <= 1e-12
 
-
-CRITICAL = ImpactOscillatorParams(zeta=0.0, eta=0.712, f=1.0, x_w=2.0, R=1.0)
-REFINEMENT_CASES = [
-    (ELASTIC, 0.5, 2), (ELASTIC, 0.0, 2), (INELASTIC, 1.0, 2), (ELASTIC, -1.0, 2),
-    (CRITICAL, -0.5, 2), (ELASTIC, 0.4, 3),
-]
-
-
-class TestCertifiedRefinement:
-    """The probe's bisection with its Newton model equals the plain one, bit for bit."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        case=st.sampled_from(REFINEMENT_CASES),
-        seed=st.integers(0, 1000),
-        tau_a=st.sampled_from([317.25, 2.0e4, 1.0e5]),
-        depth=st.floats(-9.0, -0.3),
-    )
-    def test_model_keeps_every_midpoint(self, case, seed, tau_a, depth):
-        # A wall 10**depth of the node's range below its highest grid sample
-        # (depth -9: crossings that enter and leave it within a few cells).
-        p, sigma, nodes = case
-        graph = all_to_all_graph(nodes) if nodes > 2 else TWO_NODE_GRAPH
-        segs, modes0, _, dts, _ = _mode_case(p, sigma, graph, seed)
-        xs, _ = segs.eval(modes0, tau_a, dts)
-        node = seed % nodes
-        top, bottom = float(xs[node].max()), float(xs[node].min())
-        walled = _ModeSegments(replace(p, x_w=top - 10.0 ** depth * (top - bottom)), graph, COUPLING, sigma)
-        distance, model = walled.wall_distance(modes0, tau_a, node)
-        g = np.array([distance(dt) for dt in dts.tolist()])
-        cells = np.flatnonzero((g[1:] > 0.0) & (g[:-1] <= 0.0)) + 1
-        assume(cells.size)
-        for i in cells.tolist():
-            lo, hi = float(dts[i - 1]), float(dts[i])
-            plain, calls = _counted_bisection(distance, lo, hi, None)
-            fast, fast_calls = _counted_bisection(distance, lo, hi, model(lo, hi))
-            assert fast == plain
-            assert fast_calls <= calls + 1
-
-    def test_probe_crossings_evaluate_few_midpoints(self, monkeypatch):
-        counts = []
-        real = network_module.bisect_crossing
-
-        def counting(distance, lo, hi, model):
-            tau, calls = _counted_bisection(distance, lo, hi, model, real)
-            counts.append(calls)
-            return tau
-
-        monkeypatch.setattr(network_module, "bisect_crossing", counting)
-        base = settle_transient(ELASTIC, TLESettings(transient_periods=50))
-        x0 = _perturbed_start(base, 2, 1)
-        settings_ = ProbeSettings(sigma=0.5, max_periods=40, record_window=10, rng_seed=(1, 0))
-        _simulate_coupled(ELASTIC, TWO_NODE_GRAPH, COUPLING, 0.5, x0, base.tau, settings_)
-        assert len(counts) >= 30
-        assert np.median(counts) <= 10
-
-
-def _counted_bisection(distance, lo, hi, model, bisect=bisect_crossing):
-    """bisect_crossing's time and its number of closed-form evaluations."""
-    calls = [0]
-
-    def counted(f):
-        def wrapper(dt):
-            calls[0] += 1
-            return f(dt)
-        return wrapper
-
-    if model is not None:
-        model = (counted(model[0]), *model[1:])
-    return bisect(counted(distance), lo, hi, model), calls[0]

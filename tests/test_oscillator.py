@@ -91,8 +91,8 @@ class TestValidation:
             ImpactOscillatorParams(**kwargs)
 
     def test_without_wall_allows_infinite_position(self):
-        p = ImpactOscillatorParams(zeta=0.05, eta=1.0, wall_enabled=False)
-        assert not p.wall_enabled
+        p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=math.inf, wall_enabled=False)
+        assert not p.wall_enabled and p.x_w == math.inf
 
     def test_nondimensionalize(self):
         dim = DimensionalParams(m=2.0, c=0.4, k=8.0, F=4.0, Omega=1.424, X_w=1.0)
