@@ -14,15 +14,16 @@ Segments between impacts are the superposition of the underdamped
 homogeneous solution and the harmonic steady state, so they are evaluated
 in closed form rather than numerically integrated.  Impacts are located by
 scanning the analytic solution on a fixed grid and refining each bracketed
-wall crossing by bisection.  Long scans read tables of the decay and
-rotation factors, cached per (zeta, eta, scan step); bisection evaluates
-only the midpoints near a Newton estimate, the others taking signs that a
-rounding-error bound certifies (see bisect_crossing).  The impact times are
-segment_states' on the grid and at each midpoint, bit for bit, wherever
-math.cos and math.sin round as numpy's cos and sin do and numpy's exp
-rounds a float as an array element.  They did on every argument checked on
-x86-64 with numpy 2.4; a numpy build with its own float64 cos or sin may
-move impact times in the last bit.
+wall crossing by bisection; impacts that accumulate geometrically
+(complete chatter) end the run at their limit.  Long scans read tables of
+the decay and rotation factors, cached per (zeta, eta, scan step);
+bisection evaluates only the midpoints near a Newton estimate, the others
+taking signs that a rounding-error bound certifies (see bisect_crossing).
+The impact times are segment_states' on the grid and at each midpoint, bit
+for bit, wherever math.cos and math.sin round as numpy's cos and sin do and
+numpy's exp rounds a float as an array element.  They did on every argument
+checked on x86-64 with numpy 2.4; a numpy build with its own float64 cos or
+sin may move impact times in the last bit.
 
 All closed-form evaluation helpers preserve the floating dtype of their
 inputs, so callers that need extended precision can pass np.longdouble
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +46,8 @@ BISECTION_TOL = 1e-12           # impact-time refinement tolerance in tau
 GRAZING_TOL = 1e-8              # |v_pre| below this flags a grazing impact
 WALL_POSITION_TOL = 1e-9        # allowed |x - x_w| when applying the reset
 CHATTER_CAP = 10_000            # impacts per forcing period before aborting
+ACCUMULATION_RATIOS = 3         # successive interval ratios that must sit near R ...
+ACCUMULATION_TOL = 5e-3         # ... within this many units of 1 - R, for complete chatter
 _SCALAR_SCAN = 32               # grid points of a scan evaluated one by one, in scalars
 _FIRST_CHUNK = 256              # grid points in a table scan's first batch; later ones double
 _DETECT_CHUNK = 8192            # largest batch, and the length of the scan tables
@@ -61,13 +65,22 @@ class ResonanceError(InvalidParameterError):
 
 
 class ChatterError(RuntimeError):
-    """Impact accumulation exceeded the per-period cap."""
+    """Impacts accumulate, or more of them than a cap fall within one forcing period.
 
-    def __init__(self, tau: float, count: int, period: float):
+    With accumulating=True the impact intervals shrink geometrically towards
+    an accumulation point (complete chatter, see _Accumulation): tau is the
+    extrapolated accumulation time and count the impacts simulated.  Else
+    count impacts fell within one forcing period, the last at tau.
+    """
+
+    def __init__(self, tau: float, count: int, period: float, accumulating: bool = False):
         self.tau = tau
         self.count = count
         self.period = period
+        self.accumulating = accumulating
         super().__init__(
+            f"chatter: impacts accumulate at tau={tau:.8g} after {count} impacts"
+            if accumulating else
             f"chatter: {count} impacts within one forcing period "
             f"({period:.6g}) ending at tau={tau:.6g}"
         )
@@ -511,6 +524,36 @@ def apply_impact(p: ImpactOscillatorParams, s: OscState) -> tuple[OscState, Even
     return OscState(p.x_w, v_post, s.tau), record
 
 
+class _Accumulation:
+    """Running test for the geometric impact accumulation of complete chatter.
+
+    Against a wall the flow pushes into, impacts with restitution R < 1
+    come at intervals that shrink by a ratio tending to R, towards an
+    accumulation point (Budd and Dux, Phil. Trans. R. Soc. A 347, 1994).
+    push(tau) takes each impact time in order and returns the sum of the
+    geometric tail, t_inf = tau + dt*r/(1 - r) with dt the latest interval
+    and r its ratio to the one before, once the last ACCUMULATION_RATIOS
+    intervals are each positive and shorter than the one before, each
+    ratio lies within ACCUMULATION_TOL*(1 - R) of R, and the wall
+    acceleration f*cos(eta*tau) - x_w at the latest impact points into the
+    wall; else None.  The tolerance shrinks with 1 - R, so an orbit with
+    about one impact a period (ratios near 1) passes for no R < 1, and at
+    R = 1 only r = 1 would pass, which shrinking intervals never give.
+    """
+
+    def __init__(self, p: ImpactOscillatorParams):
+        self.p, self.tau, self.dt, self.run = p, math.nan, math.nan, 0
+
+    def push(self, tau: float) -> float | None:
+        p, dt, prev = self.p, tau - self.tau, self.dt
+        self.tau, self.dt = tau, dt
+        r = dt / prev if 0.0 < dt < prev else math.inf
+        self.run = self.run + 1 if abs(r - p.R) <= ACCUMULATION_TOL * (1.0 - p.R) else 0
+        if self.run < ACCUMULATION_RATIOS or not p.f * math.cos(p.eta * tau) > p.x_w:
+            return None
+        return tau + dt * r / (1.0 - r)
+
+
 def simulate(
     p: ImpactOscillatorParams,
     s0: OscState,
@@ -522,15 +565,20 @@ def simulate(
 
     Alternates closed-form free flight with impact resets; detection
     restarts from each impact time, so several impacts per scan step are
-    resolved sequentially.  Raises ChatterError when more than chatter_cap
-    impacts accumulate within one forcing period.
+    resolved sequentially.  Raises ChatterError for two causes: the
+    impacts accumulate geometrically (complete chatter, see _Accumulation),
+    reported at the extrapolated accumulation time, or more than
+    chatter_cap impacts, a positive int, fall within one forcing period.
     """
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
+    if type(chatter_cap) is bool or not isinstance(chatter_cap, int) or not 0 < chatter_cap < sys.maxsize:
+        raise InvalidParameterError(f"chatter_cap must be a positive int, got {chatter_cap!r}")
     t_end = s0.tau + duration
     period = p.forcing_period
     state = s0
     events: list[EventRecord] = []
+    accumulation = _Accumulation(p)
     recent = deque(maxlen=chatter_cap + 1)
     while True:
         remaining = t_end - state.tau
@@ -545,6 +593,9 @@ def simulate(
         state = OscState(p.x_w, state.v, tau_c)
         state, record = apply_impact(p, state)
         events.append(record)
+        t_inf = accumulation.push(tau_c)
+        if t_inf is not None:
+            raise ChatterError(t_inf, len(events), period, accumulating=True)
         recent.append(tau_c)
         if len(recent) == chatter_cap + 1 and tau_c - recent[0] < period:
             raise ChatterError(tau_c, len(recent), period)

@@ -1,9 +1,13 @@
+import itertools
+import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import grid_scan_impact, oscillator_rhs, rk4_integrate, taylor_expm
 from msflab import oscillator
@@ -218,9 +222,113 @@ class TestImpacts:
             assert e.v_post == -e.v_pre
 
     def test_chatter_raises(self):
+        # Complete chatter: the interval ratios settle at R = 0.3 long before the cap.
         p = ImpactOscillatorParams(zeta=0.05, eta=0.5975, f=1.0, x_w=0.05, R=0.3)
-        with pytest.raises(ChatterError):
+        with pytest.raises(ChatterError) as info:
             simulate(p, OscState(0.0, 0.0, 0.0), 10 * p.forcing_period, chatter_cap=200)
+        assert info.value.accumulating
+
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    def test_chatter_cap_raises(self, preset, request):
+        # The cap path: two impacts within one forcing period.  R = 1 never
+        # accumulates, and the inelastic preset's ratios are nowhere near 0.9.
+        p = request.getfixturevalue(preset)
+        with pytest.raises(ChatterError, match="chatter: 2 impacts within one forcing period") as info:
+            simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period, chatter_cap=1)
+        assert not info.value.accumulating and info.value.count == 2
+
+    @pytest.mark.parametrize("cap", [0, -1, -2, True, 1.5, "3", sys.maxsize])
+    def test_bad_chatter_cap_rejected(self, elastic, cap):
+        with pytest.raises(InvalidParameterError, match="chatter_cap"):
+            simulate(elastic, OscState(0.0, 0.0, 0.0), 1.0, chatter_cap=cap)
+
+
+def _geometric_taus(tau0, dt0, r, n):
+    """n impact times from tau0 whose intervals start at dt0 and shrink by r."""
+    taus, dt = [tau0], dt0
+    for _ in range(n - 1):
+        taus.append(taus[-1] + dt)
+        dt *= r
+    return taus
+
+
+def _pushes(p, taus):
+    watch = oscillator._Accumulation(p)
+    return [watch.push(tau) for tau in taus]
+
+
+class TestAccumulation:
+    """The running interval-ratio test for complete chatter."""
+
+    # x_w = -2 puts f*cos(eta*tau) - x_w >= 1 into the wall at every tau; x_w = 2 away from it.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        R=st.floats(0.05, 0.99),
+        offset=st.floats(-0.9, 0.9),
+        tau0=st.floats(0.0, 1e3),
+        dt0=st.floats(1e-3, 10.0),
+    )
+    def test_geometric_sequence_fires_at_its_limit(self, R, offset, tau0, dt0):
+        r = R + offset * oscillator.ACCUMULATION_TOL * (1.0 - R)
+        n = oscillator.ACCUMULATION_RATIOS + 2  # impacts that give that many ratios
+        taus = _geometric_taus(tau0, dt0, r, n)
+        p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=R)
+        *before, t_inf = _pushes(p, taus)
+        assert before == [None] * (n - 1)
+        assert t_inf == pytest.approx(tau0 + dt0 / (1.0 - r), rel=1e-12, abs=1e-9)
+        assert _pushes(replace(p, x_w=2.0), taus) == [None] * n
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        R=st.floats(0.01, 1.0),
+        a=st.floats(1e-6, 10.0),
+        b=st.floats(1e-6, 10.0),
+    )
+    @example(R=1.0, a=1.0, b=1.0)  # equal intervals exactly: r = R = 1
+    def test_constant_or_alternating_intervals_never_fire(self, R, a, b):
+        p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=R)
+        for first, second in ((a, a), (a, b)):
+            taus = list(itertools.accumulate([first, second] * 25, initial=0.0))
+            assert _pushes(p, taus) == [None] * len(taus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.floats(1e-3, 1.0, exclude_max=True), dt0=st.floats(1e-3, 10.0))
+    def test_elastic_never_fires(self, r, dt0):
+        p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=1.0)
+        taus = _geometric_taus(0.0, dt0, r, 40)
+        assert _pushes(p, taus) == [None] * len(taus)
+
+
+_CATALOGUE = json.loads((Path(__file__).parent / "catalogue_points.json").read_text())
+_CHATTER_POINT = 42  # the catalogue's one complete-chatter point
+_TRAP_POINT = 69     # R = 0.979 with about one impact per period
+
+
+def test_catalogue_accumulation_fires_only_on_chatter_point(elastic, inelastic):
+    """Settling every catalogue point, the ROADMAP grazing point and both
+    presets from rest over the 100-period transient, only the chatter point
+    raises.  Point 69 is the trap for a tolerance relative to R: with
+    R = 0.979 and about one impact a period its interval ratios sit near 1,
+    within 2% of R, yet off R by most of 1 - R."""
+    roadmap = ImpactOscillatorParams(
+        zeta=0.015380737517637964, eta=0.6355648465488226, x_w=2.011873244080891, R=0.823594755787125,
+    )
+    points = [ImpactOscillatorParams(**pt) for pt in _CATALOGUE] + [roadmap, elastic, inelastic]
+    raised = []
+    for i, p in enumerate(points):
+        try:
+            _, events = simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period)
+        except ChatterError as exc:
+            assert exc.accumulating
+            raised.append(i)
+            continue
+        if i == _TRAP_POINT:
+            dts = np.diff([e.tau_c for e in events])
+            ratios = dts[1:] / dts[:-1]
+            m = oscillator.ACCUMULATION_RATIOS
+            relative = np.abs(ratios - p.R) <= 0.02 * p.R
+            assert any(relative[k:k + m].all() for k in range(len(ratios) - m + 1))
+    assert raised == [_CHATTER_POINT]
 
 
 def _trajectory_states(p, base, periods):
@@ -526,18 +634,19 @@ class TestSimulate:
         assert xs[-1] == pytest.approx(s_direct.x, abs=1e-9)
         assert vs[-1] == pytest.approx(s_direct.v, abs=1e-9)
 
-    def test_catalogue_chatter_point_at_full_cap(self):
+    def test_catalogue_chatter_point_accumulates(self):
         # random_impacting catalogue point 42, settled from rest over its
-        # 100-period transient: the full default cap is reached at tau = 19.
+        # 100-period transient: the impact intervals shrink by a ratio that
+        # tends to R, and the sequence's limit is tau = 19.188244.
         p = ImpactOscillatorParams(
             zeta=0.07424109529981779, eta=0.34478727863484854,
             x_w=0.5666034302401003, R=0.5409710972632726,
         )
         with pytest.raises(ChatterError) as info:
             simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period)
-        assert str(info.value) == (
-            "chatter: 10001 impacts within one forcing period (18.2234) ending at tau=19.1886"
-        )
+        assert str(info.value).startswith("chatter: impacts accumulate at tau=19.1882")
+        assert info.value.accumulating and info.value.count == 14
+        assert info.value.tau == pytest.approx(19.188244, abs=1e-4)
 
     def test_sample_trajectory_raises_chatter_like_simulate(self):
         # A catalogue point whose impacts accumulate near tau = 19.
