@@ -6,10 +6,13 @@ the same presets and sigmas on the three-node all-to-all graph for the
 first THREE_NODE_SEEDS probe seeds (16 results; its two transverse modes
 share one generator), then the elastic preset at the negative sigmas
 OVERDAMPED_SIGMAS for the first OVERDAMPED_SEEDS probe seeds (4 results;
-their transverse mode is overdamped, s^2 > 0, and stays finite), and
-prints, per result, the fields of ProbeResult with every float written by
-repr.  Two commits give the same probe results bit for bit exactly when
-their outputs are identical, so a check is one diff:
+their transverse mode is overdamped, s^2 > 0, and stays finite), then
+the complete-chatter catalogue point CHATTER_POINT probed from rest at
+sigma = 0 over 5 periods (1 result), and prints, per result, the fields
+of ProbeResult with every float written by repr, or the type and message
+of the msflab exception it raised.  Two commits give the same probe
+results bit for bit exactly when their outputs are identical, so a check
+is one diff:
 
     PYTHONPATH=src python3 scripts/probe_parity.py > new.json
     PYTHONPATH=../old/src python3 scripts/probe_parity.py > old.json
@@ -36,6 +39,11 @@ import workloads  # noqa: E402
 THREE_NODE_SEEDS = 2
 OVERDAMPED_SIGMAS = (-0.6, -0.5)
 OVERDAMPED_SEEDS = 2
+# random_impacting catalogue point 42, whose impacts accumulate near tau = 19.19.
+CHATTER_POINT = msflab.ImpactOscillatorParams(
+    zeta=0.07424109529981779, eta=0.34478727863484854,
+    x_w=0.5666034302401003, R=0.5409710972632726,
+)
 
 
 def _floats(values) -> list[str]:
@@ -50,33 +58,38 @@ def main(argv=None) -> int:
     params = workloads.preset_params()
     bases = {n: msflab.settle_transient(p, workloads.TLE_SETTINGS) for n, p in params.items()}
     two, three = msflab.TWO_NODE_GRAPH, msflab.all_to_all_graph(3)
-    runs = [(two, s, params, workloads.SIGMAS) for s in range(workloads.PROBE_SEEDS)]
-    runs += [(three, s, params, workloads.SIGMAS) for s in range(THREE_NODE_SEEDS)]
+    grids = [(two, s, params, workloads.SIGMAS) for s in range(workloads.PROBE_SEEDS)]
+    grids += [(three, s, params, workloads.SIGMAS) for s in range(THREE_NODE_SEEDS)]
     elastic = {"elastic": params["elastic"]}
-    runs += [(two, s, elastic, OVERDAMPED_SIGMAS) for s in range(OVERDAMPED_SEEDS)]
+    grids += [(two, s, elastic, OVERDAMPED_SIGMAS) for s in range(OVERDAMPED_SEEDS)]
+    runs = [
+        (graph, name, p, sigma, bases[name], msflab.ProbeSettings(
+            sigma=sigma, rng_seed=(probe_seed, i), max_periods=workloads.PROBE_MAX_PERIODS,
+        ), probe_seed)
+        for graph, probe_seed, presets, sigmas in grids
+        for name, p in presets.items()
+        for i, sigma in enumerate(sigmas)
+    ]
+    runs.append((two, "chatter_point", CHATTER_POINT, 0.0, msflab.OscState(0.0, 0.0, 0.0),
+                 msflab.ProbeSettings(sigma=0.0, max_periods=5, record_window=5), 0))
     records = []
-    for graph, probe_seed, presets, sigmas in runs:
-        for name, p in presets.items():
-            for i, sigma in enumerate(sigmas):
-                settings = msflab.ProbeSettings(
-                    sigma=sigma,
-                    rng_seed=(probe_seed, i),
-                    max_periods=workloads.PROBE_MAX_PERIODS,
-                )
-                r = msflab.run_probe(
-                    p, msflab.SPRING_COUPLING, settings, graph=graph, base_state=bases[name]
-                )
-                records.append({
-                    "nodes": graph.n_nodes,
-                    "preset": name,
-                    "sigma": repr(sigma),
-                    "probe_seed": probe_seed,
-                    "synchronized": r.synchronized,
-                    "sync_time": None if r.sync_time is None else repr(float(r.sync_time)),
-                    "periods_run": r.periods_run,
-                    "local_maxima": _floats(r.local_maxima),
-                    "impact_times": _floats(r.impact_times),
-                })
+    for graph, name, p, sigma, base, settings, probe_seed in runs:
+        out = {"nodes": graph.n_nodes, "preset": name, "sigma": repr(sigma), "probe_seed": probe_seed}
+        try:
+            r = msflab.run_probe(p, msflab.SPRING_COUPLING, settings, graph=graph, base_state=base)
+        except Exception as exc:
+            if not workloads.is_typed_failure(exc):
+                raise
+            out["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            out.update({
+                "synchronized": r.synchronized,
+                "sync_time": None if r.sync_time is None else repr(float(r.sync_time)),
+                "periods_run": r.periods_run,
+                "local_maxima": _floats(r.local_maxima),
+                "impact_times": _floats(r.impact_times),
+            })
+        records.append(out)
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

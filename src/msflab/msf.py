@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import event_window_jacobian
+from .jacobian import PropagationError, event_window_jacobian
 from .matfuncs import exp_flow, mat_exp, mat_log
 from .oscillator import (
     _EPS,
@@ -302,6 +302,9 @@ def _event_record(p, base_state, settings) -> _EventRecord:
 
 # Free-step powers a query keeps; wall-free runs alternate between two.
 _FREE_POWERS = 8
+# Largest log growth of one free-step power: e^300 keeps the squared norm
+# the renormalization forms far inside the float range.
+_FREE_GROWTH = 300.0
 
 
 class _WindowMoments:
@@ -396,8 +399,15 @@ def compute_tle(
 
     # k impact-free steps with per-step renormalization leave the same unit
     # direction and log growth as exp(k*G) applied once, G the free step's
-    # coupled generator.
-    free_steps = exp_flow(_coupled_generator(record.log_free, coupling, query, h))
+    # coupled generator, while k*rate stays below _FREE_GROWTH.
+    generator = _coupled_generator(record.log_free, coupling, query, h)
+    (a, b), (c, d) = generator  # rate: the largest |Re| of G's eigenvalues mu +- s
+    rate = abs(0.5 * (a + d).real) + abs(np.sqrt(0.25 * (a - d) ** 2 + b * c).real)
+    if rate > _FREE_GROWTH:
+        raise PropagationError(f"one free step grows by e^{rate:.6g}, past e^{_FREE_GROWTH:g}, "
+                               f"at alpha={query.alpha!r}, beta={query.beta!r}")
+    max_take = int(_FREE_GROWTH / max(rate, 1e-300))  # finite at rate = 0 too
+    free_steps = exp_flow(generator)
     discard_free = float(np.linalg.norm(np.imag(free_steps(1.0))))
 
     if initial_perturbation is None:
@@ -441,7 +451,7 @@ def compute_tle(
     def march_free(n_steps: int):
         nonlocal j, xi, log_sum
         while n_steps > 0 and not converged and len(samples) < settings.max_periods:
-            take = min(n_steps, next_sample_j - j)
+            take = min(n_steps, next_sample_j - j, max_take)
             step = powers.get(take)
             if step is None:
                 if len(powers) == _FREE_POWERS:
@@ -510,8 +520,17 @@ class SweepPoint:
     error: str | None = None
 
 
-def _run_grid(worker, tasks: list, jobs: int | None) -> list:
-    """worker(task) for every task, in task order, serially or in a process pool.
+def _capture(task) -> tuple:
+    """(fn(*args), None) for a task (fn, args), or (None, "Type: message") if it raises."""
+    fn, args = task
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_grid(tasks: list, jobs: int | None) -> list:
+    """_capture(task) for every task (fn, args), in task order, serially or in a process pool.
 
     jobs=None uses one process per task, up to the CPU count; the order of
     the results never depends on the worker count.
@@ -519,18 +538,9 @@ def _run_grid(worker, tasks: list, jobs: int | None) -> list:
     if jobs is None:
         jobs = min(len(tasks), os.cpu_count() or 1)
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
+        return [_capture(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _sweep_worker(args) -> SweepPoint:
-    p, coupling, query, settings, base_state = args
-    try:
-        result = compute_tle(p, coupling, query, settings, base_state=base_state)
-        return SweepPoint(query.alpha, query.beta, result=result)
-    except Exception as exc:
-        return SweepPoint(query.alpha, query.beta, error=f"{type(exc).__name__}: {exc}")
+        return list(pool.map(_capture, tasks))
 
 
 def msf_sweep(
@@ -556,7 +566,7 @@ def msf_sweep(
     if base_state is None:
         base_state = settle_transient(p, settings)
     coupling = np.asarray(coupling, dtype=float)
-    tasks = [
-        (p, coupling, MSFQuery(a, b), settings, base_state) for a in alphas for b in betas
-    ]
-    return _run_grid(_sweep_worker, tasks, jobs)
+    queries = [MSFQuery(a, b) for a in alphas for b in betas]
+    tasks = [(compute_tle, (p, coupling, q, settings, base_state)) for q in queries]
+    outcomes = zip(queries, _run_grid(tasks, jobs))
+    return [SweepPoint(q.alpha, q.beta, result, error) for q, (result, error) in outcomes]

@@ -19,7 +19,6 @@ are exact and only impacts require event handling.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,9 +29,8 @@ from .msf import (
 )
 from .oscillator import (
     _SCAN_GUARD,
-    CHATTER_CAP,
+    _ChatterGuard,
     DEFAULT_SCAN_STEP,
-    ChatterError,
     ImpactOscillatorParams,
     OscState,
     WALL_POSITION_TOL,
@@ -460,7 +458,9 @@ def _simulate_coupled(
     check and the position difference of the first two nodes for the
     bifurcation record.  Terminates early once the deviation has stayed
     below sync_threshold for one full forcing period; raises
-    PropagationError at the first anchor state that is not finite.
+    PropagationError at the first anchor state that is not finite, and
+    ChatterError where one node's impacts accumulate or pass the cap, as
+    simulate does (each node keeps its own _ChatterGuard).
 
     Anchors sit at each impact and every _CHUNK samples after an anchor.
     Every sample of the window up to the next anchor comes from one matrix
@@ -498,7 +498,7 @@ def _simulate_coupled(
         tau0, abs(state[0] - state[2]), period, settings.sync_threshold, record_from
     )
     impact_times: list[float] = []
-    recent_impacts: deque = deque(maxlen=CHATTER_CAP + 1)
+    guards = [_ChatterGuard(p) for _ in range(n)]
 
     k = 1  # grid index of the window's first sample
     while k <= total:
@@ -551,12 +551,7 @@ def _simulate_coupled(
                     state[2 * node] = p.x_w
                     state[2 * node + 1] = -p.R * state[2 * node + 1]
                     impact_times.append(anchor_tau)
-                    recent_impacts.append(anchor_tau)
-            if (
-                len(recent_impacts) == recent_impacts.maxlen
-                and recent_impacts[-1] - recent_impacts[0] < period
-            ):
-                raise ChatterError(anchor_tau, len(recent_impacts), period)
+                    guards[node].push(anchor_tau)
         k += ci  # with an impact: the first grid index past it
         modes = segs.to_modes(state, anchor_tau)
 
@@ -611,15 +606,6 @@ def _settle_for_probe(p: ImpactOscillatorParams, settings: ProbeSettings) -> Osc
     )
 
 
-def _probe_worker(args) -> "BifurcationPoint":
-    p, coupling, settings, base_state = args
-    try:
-        result = run_probe(p, coupling, settings, base_state=base_state)
-        return BifurcationPoint(settings.sigma, result=result)
-    except Exception as exc:
-        return BifurcationPoint(settings.sigma, error=f"{type(exc).__name__}: {exc}")
-
-
 @dataclass
 class BifurcationPoint:
     """One sigma entry of a bifurcation scan."""
@@ -648,7 +634,9 @@ def bifurcation_scan(
         base_state = _settle_for_probe(p, settings)
     coupling = np.asarray(coupling, dtype=float)
     tasks = [
-        (p, coupling, replace(settings, sigma=s, rng_seed=(settings.rng_seed, i)), base_state)
+        (run_probe, (p, coupling, replace(settings, sigma=s, rng_seed=(settings.rng_seed, i)),
+                     TWO_NODE_GRAPH, base_state))
         for i, s in enumerate(sigmas)
     ]
-    return _run_grid(_probe_worker, tasks, jobs)
+    outcomes = zip(sigmas, _run_grid(tasks, jobs))
+    return [BifurcationPoint(s, result, error) for s, (result, error) in outcomes]

@@ -68,7 +68,7 @@ class ChatterError(RuntimeError):
     """Impacts accumulate, or more of them than a cap fall within one forcing period.
 
     With accumulating=True the impact intervals shrink geometrically towards
-    an accumulation point (complete chatter, see _Accumulation): tau is the
+    an accumulation point (complete chatter, see _ChatterGuard): tau is the
     extrapolated accumulation time and count the impacts simulated.  Else
     count impacts fell within one forcing period, the last at tau.
     """
@@ -524,34 +524,38 @@ def apply_impact(p: ImpactOscillatorParams, s: OscState) -> tuple[OscState, Even
     return OscState(p.x_w, v_post, s.tau), record
 
 
-class _Accumulation:
-    """Running test for the geometric impact accumulation of complete chatter.
+class _ChatterGuard:
+    """Chatter check on one oscillator's impact times, pushed in order.
 
-    Against a wall the flow pushes into, impacts with restitution R < 1
-    come at intervals that shrink by a ratio tending to R, towards an
-    accumulation point (Budd and Dux, Phil. Trans. R. Soc. A 347, 1994).
-    push(tau) takes each impact time in order and returns the sum of the
-    geometric tail, t_inf = tau + dt*r/(1 - r) with dt the latest interval
-    and r its ratio to the one before, once the last ACCUMULATION_RATIOS
-    intervals are each positive and shorter than the one before, each
-    ratio lies within ACCUMULATION_TOL*(1 - R) of R, and the wall
-    acceleration f*cos(eta*tau) - x_w at the latest impact points into the
-    wall; else None.  The tolerance shrinks with 1 - R, so an orbit with
-    about one impact a period (ratios near 1) passes for no R < 1, and at
-    R = 1 only r = 1 would pass, which shrinking intervals never give.
+    push(tau) raises ChatterError for complete chatter: impacts with R < 1
+    against a wall the flow pushes into come at intervals shrinking by a
+    ratio tending to R (Budd and Dux, Phil. Trans. R. Soc. A 347, 1994).
+    Once the last ACCUMULATION_RATIOS intervals are each positive and
+    shorter than the one before, each ratio within ACCUMULATION_TOL*(1 - R)
+    of R, and f*cos(eta*tau) > x_w at the latest impact (the uncoupled wall
+    acceleration, exact for a network node only at sigma = 0), it reports
+    the geometric tail's sum t_inf = tau + dt*r/(1 - r), dt the latest
+    interval and r its ratio to the one before.  The tolerance shrinks
+    with 1 - R, so ratios near 1 (about one impact a period) pass for no
+    R < 1, and nothing passes at R = 1.  Else it raises once more than cap
+    impacts fall within one forcing period.
     """
 
-    def __init__(self, p: ImpactOscillatorParams):
-        self.p, self.tau, self.dt, self.run = p, math.nan, math.nan, 0
+    def __init__(self, p: ImpactOscillatorParams, cap: int = CHATTER_CAP):
+        self.p, self.period, self.recent = p, p.forcing_period, deque(maxlen=cap + 1)
+        self.tau = self.dt = math.nan
+        self.run = self.count = 0
 
-    def push(self, tau: float) -> float | None:
+    def push(self, tau: float) -> None:
         p, dt, prev = self.p, tau - self.tau, self.dt
-        self.tau, self.dt = tau, dt
+        self.tau, self.dt, self.count = tau, dt, self.count + 1
         r = dt / prev if 0.0 < dt < prev else math.inf
         self.run = self.run + 1 if abs(r - p.R) <= ACCUMULATION_TOL * (1.0 - p.R) else 0
-        if self.run < ACCUMULATION_RATIOS or not p.f * math.cos(p.eta * tau) > p.x_w:
-            return None
-        return tau + dt * r / (1.0 - r)
+        if self.run >= ACCUMULATION_RATIOS and p.f * math.cos(p.eta * tau) > p.x_w:
+            raise ChatterError(tau + dt * r / (1.0 - r), self.count, self.period, accumulating=True)
+        self.recent.append(tau)
+        if len(self.recent) == self.recent.maxlen and tau - self.recent[0] < self.period:
+            raise ChatterError(tau, len(self.recent), self.period)
 
 
 def simulate(
@@ -566,20 +570,21 @@ def simulate(
     Alternates closed-form free flight with impact resets; detection
     restarts from each impact time, so several impacts per scan step are
     resolved sequentially.  Raises ChatterError for two causes: the
-    impacts accumulate geometrically (complete chatter, see _Accumulation),
+    impacts accumulate geometrically (complete chatter, see _ChatterGuard),
     reported at the extrapolated accumulation time, or more than
     chatter_cap impacts, a positive int, fall within one forcing period.
     """
+    for name in ("x", "v", "tau"):
+        if not math.isfinite(getattr(s0, name)):
+            raise InvalidParameterError(f"start state {name} must be finite, got {getattr(s0, name)!r}")
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
     if type(chatter_cap) is bool or not isinstance(chatter_cap, int) or not 0 < chatter_cap < sys.maxsize:
         raise InvalidParameterError(f"chatter_cap must be a positive int, got {chatter_cap!r}")
     t_end = s0.tau + duration
-    period = p.forcing_period
     state = s0
     events: list[EventRecord] = []
-    accumulation = _Accumulation(p)
-    recent = deque(maxlen=chatter_cap + 1)
+    guard = _ChatterGuard(p, chatter_cap)
     while True:
         remaining = t_end - state.tau
         if remaining <= 0.0:
@@ -593,12 +598,7 @@ def simulate(
         state = OscState(p.x_w, state.v, tau_c)
         state, record = apply_impact(p, state)
         events.append(record)
-        t_inf = accumulation.push(tau_c)
-        if t_inf is not None:
-            raise ChatterError(t_inf, len(events), period, accumulating=True)
-        recent.append(tau_c)
-        if len(recent) == chatter_cap + 1 and tau_c - recent[0] < period:
-            raise ChatterError(tau_c, len(recent), period)
+        guard.push(tau_c)
     return state, events
 
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -14,7 +15,7 @@ from oracles import (
     smooth_tle_oracle,
 )
 from msflab import jacobian, msf
-from msflab.jacobian import GrazingSingularityError
+from msflab.jacobian import GrazingSingularityError, PropagationError
 from msflab.matfuncs import exp_flow, mat_exp, mat_log
 from msflab.msf import (
     MSFQuery,
@@ -205,6 +206,25 @@ class TestSmoothLimit:
         want = max(roots.real)
         r = compute_tle(p, SPRING_COUPLING, MSFQuery(alpha, beta), TLESettings())
         assert r.tle == pytest.approx(want, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha, beta", [(5e3, 0.0), (1e4, 0.0), (1e6, 0.0), (0.0, 1e5)])
+    def test_strong_coupling_stays_in_float_range(self, alpha, beta):
+        # A period's free steps in one power would grow past e^709.
+        p = _smooth()
+        want = -p.zeta + cmath.sqrt(p.zeta**2 - 1.0 + alpha + 1j * beta).real
+        s = TLESettings(transient_periods=1, max_periods=20, sample_window=5)
+        r = compute_tle(p, SPRING_COUPLING, MSFQuery(alpha, beta), s)
+        assert r.tle == pytest.approx(want, rel=1e-3)
+
+    def test_strong_coupling_on_the_elastic_preset(self, elastic, elastic_base):
+        s = TLESettings(max_periods=20, sample_window=5)
+        r = compute_tle(elastic, SPRING_COUPLING, MSFQuery(1e4), s, base_state=elastic_base)
+        assert math.isfinite(r.tle) and r.tle > 90.0
+
+    def test_overflowing_free_step_names_the_query(self):
+        s = TLESettings(transient_periods=1, max_periods=20, sample_window=5)
+        with pytest.raises(PropagationError, match=r"alpha=1000000000000\.0, beta=0\.0"):
+            compute_tle(_smooth(), SPRING_COUPLING, MSFQuery(1e12, 0.0), s)
 
 
 class TestProtocolMetadata:
@@ -619,6 +639,15 @@ class TestSweep:
         pts = msf_sweep(elastic, SPRING_COUPLING, [0.0], [0.0], s, jobs=1, base_state=elastic_base)
         assert pts[0].error is None
         assert pts[0].result is not None
+
+    def test_failure_recorded_as_type_and_message(self):
+        s = TLESettings(transient_periods=1, max_periods=5, sample_window=5)
+        p = _smooth()
+        serial, pooled = (msf_sweep(p, SPRING_COUPLING, [1e12, 0.0], [0.0], s, jobs=j) for j in (1, 2))
+        assert serial[0].result is None
+        assert serial[0].error.startswith("PropagationError: one free step grows by e^")
+        assert serial[1].error is None and serial[1].result.tle == pytest.approx(-0.05, abs=0.1)
+        assert [(q.error, q.result) for q in pooled] == [(q.error, q.result) for q in serial]
 
 
 class TestTransient:

@@ -29,6 +29,7 @@ from msflab.network import (
     sync_verdict,
 )
 from msflab.oscillator import (
+    ChatterError,
     ImpactOscillatorParams,
     OscState,
     segment_states,
@@ -382,6 +383,18 @@ class TestProbe:
         res = run_probe(elastic, COUPLING, settings, base_state=elastic_base)
         assert not res.synchronized and res.periods_run == 300
         assert res.local_maxima and all(map(math.isfinite, res.local_maxima))
+
+    def test_complete_chatter_raises_like_simulate(self):
+        # Catalogue point 42 from rest: node impacts accumulate near tau = 19.19.
+        p = ImpactOscillatorParams(
+            zeta=0.07424109529981779, eta=0.34478727863484854,
+            x_w=0.5666034302401003, R=0.5409710972632726,
+        )
+        settings = ProbeSettings(sigma=0.0, max_periods=5, record_window=5)
+        with pytest.raises(ChatterError, match="chatter: impacts accumulate") as info:
+            run_probe(p, COUPLING, settings, base_state=OscState(0.0, 0.0, 0.0))
+        assert info.value.accumulating
+        assert info.value.tau == pytest.approx(19.185, abs=5e-3)
 
     def test_bifurcation_scan_worker_counts_agree(self, elastic, elastic_base):
         settings = ProbeSettings(

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -252,13 +253,19 @@ def _geometric_taus(tau0, dt0, r, n):
     return taus
 
 
-def _pushes(p, taus):
-    watch = oscillator._Accumulation(p)
-    return [watch.push(tau) for tau in taus]
+def _first_chatter(p, taus):
+    """(index, ChatterError) of the first impact time the guard raises on, or None."""
+    guard = oscillator._ChatterGuard(p)
+    for i, tau in enumerate(taus):
+        try:
+            guard.push(tau)
+        except ChatterError as exc:
+            return i, exc
+    return None
 
 
 class TestAccumulation:
-    """The running interval-ratio test for complete chatter."""
+    """The chatter guard's running interval-ratio test for complete chatter."""
 
     # x_w = -2 puts f*cos(eta*tau) - x_w >= 1 into the wall at every tau; x_w = 2 away from it.
     @settings(max_examples=200, deadline=None)
@@ -268,15 +275,21 @@ class TestAccumulation:
         tau0=st.floats(0.0, 1e3),
         dt0=st.floats(1e-3, 10.0),
     )
+    # Rounding the impact times moves the limit by about ulp(tau)*dt/(1 - r)**2,
+    # here 1e-9: the limit checked is the one of the times the guard receives.
+    @example(R=0.9899999999999999, offset=0.0, tau0=512.0, dt0=0.39904435519071935)
     def test_geometric_sequence_fires_at_its_limit(self, R, offset, tau0, dt0):
         r = R + offset * oscillator.ACCUMULATION_TOL * (1.0 - R)
         n = oscillator.ACCUMULATION_RATIOS + 2  # impacts that give that many ratios
         taus = _geometric_taus(tau0, dt0, r, n)
         p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=R)
-        *before, t_inf = _pushes(p, taus)
-        assert before == [None] * (n - 1)
-        assert t_inf == pytest.approx(tau0 + dt0 / (1.0 - r), rel=1e-12, abs=1e-9)
-        assert _pushes(replace(p, x_w=2.0), taus) == [None] * n
+        i, exc = _first_chatter(p, taus)
+        assert i == n - 1 and exc.accumulating and exc.count == n
+        t1, t2, t3 = map(Fraction, taus[-3:])
+        ratio = (t3 - t2) / (t2 - t1)
+        limit = t3 + (t3 - t2) * ratio / (1 - ratio)
+        assert exc.tau == pytest.approx(float(limit), rel=1e-12, abs=1e-9)
+        assert _first_chatter(replace(p, x_w=2.0), taus) is None
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -289,14 +302,14 @@ class TestAccumulation:
         p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=R)
         for first, second in ((a, a), (a, b)):
             taus = list(itertools.accumulate([first, second] * 25, initial=0.0))
-            assert _pushes(p, taus) == [None] * len(taus)
+            assert _first_chatter(p, taus) is None
 
     @settings(max_examples=100, deadline=None)
     @given(r=st.floats(1e-3, 1.0, exclude_max=True), dt0=st.floats(1e-3, 10.0))
     def test_elastic_never_fires(self, r, dt0):
         p = ImpactOscillatorParams(zeta=0.05, eta=1.0, x_w=-2.0, R=1.0)
         taus = _geometric_taus(0.0, dt0, r, 40)
-        assert _pushes(p, taus) == [None] * len(taus)
+        assert _first_chatter(p, taus) is None
 
 
 _CATALOGUE = json.loads((Path(__file__).parent / "catalogue_points.json").read_text())
@@ -678,6 +691,13 @@ class TestNonFiniteArguments:
     def test_detect_next_impact(self, elastic, horizon, scan_step, name):
         with pytest.raises(InvalidParameterError, match=name):
             detect_next_impact(elastic, OscState(0.0, 0.0, 0.0), horizon, scan_step)
+
+    @pytest.mark.parametrize("name", ["x", "v", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_simulate_start_state(self, elastic, name, value):
+        s0 = replace(OscState(0.0, 0.0, 0.0), **{name: value})
+        with pytest.raises(InvalidParameterError, match=f"start state {name} must be finite"):
+            simulate(elastic, s0, 10.0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_propagate_free(self, elastic, dt):
