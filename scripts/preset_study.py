@@ -6,12 +6,13 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect about 10 s (elastic) to 25 s (inelastic) for the default 21-point
-grid on one core (11 s and 23 s measured on a 2-vCPU x86-64 VM).  The
-exponent sweep takes about 3 s and 5 s of that, because its queries share
-one trajectory record; the rest is the probe scan, where the positive-exponent
-points are the slow ones because the pair never synchronizes and the probe
-runs its full horizon.
+Expect about 10 s (elastic) to 15 s (inelastic) for the default 21-point
+grid on one core (8-13 s and 12-20 s measured on a 2-vCPU x86-64 VM shared
+with other load).  The exponent sweep takes about 2 s and 3 s of that
+(1.6-2.6 s and 2.3-4.3 s measured), because its queries share one
+trajectory record and apply each window's coupled step in scalars; the rest
+is the probe scan, where the positive-exponent points are the slow ones
+because the pair never synchronizes and the probe runs its full horizon.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
         jobs=args.jobs,
         base_state=base,
     )
-    print(f"exponent sweep done in {time.perf_counter() - t0:.0f}s", flush=True)
+    print(f"exponent sweep done in {time.perf_counter() - t0:.1f}s", flush=True)
 
     probe = ProbeSettings(sigma=0.0, rng_seed=args.seed)
     scan = bifurcation_scan(

@@ -1,9 +1,12 @@
 """Write every TLE benchmark result as JSON, for bit-identity checks.
 
 Runs the compute_tle queries of the ``preset_tle``, ``smooth_grid`` and
-``random_impacting`` benchmark workloads for each workload seed given
-(default 3 and 7: 2 x (8 + 93 + 11) = 224 results), in the order the
-benchmark runs them, and prints, per query, every field of TLEResult with
+``random_impacting`` benchmark workloads for each workload seed given, in
+the order the benchmark runs them, and after ``preset_tle``'s the complex
+queries of COMPLEX_QUERIES on its base states (default seeds 3 and 7:
+2 x (8 + 4 + 93 + 11) = 232 results).  No workload runs a complex
+(beta != 0) event-window step, since ``smooth_grid`` is wall-free; these
+queries do.  Prints, per query, every field of TLEResult with
 every float written by repr, or the type and message of the msflab
 exception it raised.  Before a workload's queries it prints the settled
 base states they start from (x, v and tau by repr): the set-up's, and for
@@ -38,6 +41,8 @@ import msflab  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("preset_tle", "smooth_grid", "random_impacting")
+# (alpha, beta) run on each preset's preset_tle base state.
+COMPLEX_QUERIES = ((-0.5, 0.5), (-1.0, -0.25))
 
 
 def _field(value):
@@ -74,6 +79,20 @@ def _settles(name: str, setup):
     return [(label, lambda s=s: s) for label, s in bases.items()]
 
 
+def _complex_queries(seed: int, bases):
+    """(label, call) per COMPLEX_QUERIES point on each preset, with a seeded perturbation."""
+    out = []
+    for j, (name, p) in enumerate(workloads.preset_params().items()):
+        for k, (alpha, beta) in enumerate(COMPLEX_QUERIES):
+            xi = workloads.unit_vector((seed, j, len(workloads.SIGMAS) + k))
+            call = lambda p=p, b=bases[name], q=msflab.MSFQuery(alpha, beta), xi=xi: (
+                msflab.compute_tle(p, msflab.SPRING_COUPLING, q, workloads.TLE_SETTINGS,
+                                   base_state=b, initial_perturbation=xi)
+            )
+            out.append((f"{name} alpha={alpha!r} beta={beta!r}", call))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
@@ -90,6 +109,9 @@ def main(argv=None) -> int:
                 records.append(_record(name, seed, "settle", label, call))
             for q in workload.queries(setup):
                 records.append(_record(name, seed, "query", q.label, q.call))
+            if name == "preset_tle":
+                for label, call in _complex_queries(seed, setup):
+                    records.append(_record("preset_tle_complex", seed, "query", label, call))
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)

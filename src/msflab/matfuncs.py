@@ -52,13 +52,11 @@ def _entries(m) -> tuple[list, bool]:
     return a.astype(complex if is_complex else float).ravel().tolist(), is_complex
 
 
-def exp_flow(m) -> Callable[[float], np.ndarray]:
-    """The one-parameter group t -> exp(t*m) of a 2x2 matrix m.
-
-    The half trace, the traceless part and s are computed once here; each
-    call then costs a few scalar operations.  Real m gives real matrices.
-    """
-    (a, b, c, d), is_complex = _entries(m)
+def scalar_exp_flow(entries, is_complex: bool) -> Callable[[float], tuple]:
+    """t -> the row-major entries of exp(t*m), for m's finite row-major entries;
+    real entries give real ones.  The half trace, the traceless part and s are
+    computed once here; each call then costs a few scalar operations."""
+    a, b, c, d = entries
     mu = 0.5 * (a + d)
     n0 = 0.5 * (a - d)
     s2 = n0 * n0 + b * c
@@ -85,9 +83,15 @@ def exp_flow(m) -> Callable[[float], np.ndarray]:
         e = exp(t * mu)
         e0 = e * base(t * s)
         sh = e * (sinh(t * s) / s if s else t)
-        return np.array([[e0 + sh * p, sh * b], [sh * c, e0 + sh * q]])
+        return e0 + sh * p, sh * b, sh * c, e0 + sh * q
 
     return at
+
+
+def exp_flow(m) -> Callable[[float], np.ndarray]:
+    """The one-parameter group t -> exp(t*m) of a 2x2 matrix m; real m gives real matrices."""
+    at = scalar_exp_flow(*_entries(m))
+    return lambda t: np.array(at(t)).reshape(2, 2)
 
 
 def mat_exp(m) -> np.ndarray:

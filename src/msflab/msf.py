@@ -25,6 +25,7 @@ standard deviation settles.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jacobian import PropagationError, event_window_jacobian
-from .matfuncs import exp_flow, mat_exp, mat_log
+from .matfuncs import exp_flow, mat_log, scalar_exp_flow
 from .oscillator import (
     _EPS,
     DEFAULT_SCAN_STEP,
@@ -129,21 +130,28 @@ class TLEResult:
     imag_discard_events: list[float] = field(default_factory=list, repr=False)
 
 
-def _coupled_generator(log_phi, coupling, query: MSFQuery, h: float) -> np.ndarray:
-    """log_phi + (alpha + i*beta)*coupling*h, the step's coupled generator."""
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h!r}")
+def _coupling_shift(coupling, query: MSFQuery, h: float) -> np.ndarray:
+    """(alpha + i*beta)*coupling*h, what a step's coupled generator adds to log Phi;
+    ValueError unless coupling is 2x2 and h finite and positive."""
     coupling = np.asarray(coupling, dtype=float)
-    return log_phi + (query.alpha + 1j * query.beta) * coupling * h
+    if coupling.shape != (2, 2):
+        raise ValueError(f"coupling matrix must be 2x2, got shape {coupling.shape}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    return (query.alpha + 1j * query.beta) * coupling * h
 
 
-def _coupled_exp(log_phi, coupling, query: MSFQuery, h: float) -> tuple[np.ndarray, float]:
-    """exp of the coupled generator and the discarded imaginary mass (see below)."""
-    prop = mat_exp(_coupled_generator(log_phi, coupling, query, h))
-    if query.beta == 0.0:
-        discarded = float(np.linalg.norm(np.imag(prop)))
-        return np.real(prop).copy(), discarded
-    return prop, 0.0
+def _window_step(log_phi: list, shift: list, real_query: bool) -> tuple[np.ndarray, float]:
+    """coupled_step_propagator's result from log Phi's and the shift's row-major
+    entries, in scalars, bit for bit as mat_exp, np.real and np.linalg.norm."""
+    generator = [z + dz for z, dz in zip(log_phi, shift)]
+    if not all(map(cmath.isfinite, generator)):
+        raise ValueError("matrix contains non-finite entries")
+    a, b, c, d = scalar_exp_flow(generator, True)(1.0)
+    if real_query:
+        imag = np.array((a.imag, b.imag, c.imag, d.imag))
+        return np.array(((a.real, b.real), (c.real, d.real))), math.sqrt(imag.dot(imag))
+    return np.array(((a, b), (c, d))), 0.0
 
 
 def coupled_step_propagator(
@@ -155,9 +163,10 @@ def coupled_step_propagator(
     queries (beta = 0) the exact result is real, so the imaginary part of
     the computed matrix is dropped and its Frobenius norm returned for
     auditing; for beta != 0 the complex matrix is returned unchanged with a
-    reported magnitude of 0.
+    reported magnitude of 0.  coupling must be 2x2 and h finite and positive.
     """
-    return _coupled_exp(mat_log(phi_single), coupling, query, h)
+    shift = _coupling_shift(coupling, query, h).ravel().tolist()
+    return _window_step(mat_log(phi_single).ravel().tolist(), shift, query.beta == 0.0)
 
 
 def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscState:
@@ -216,8 +225,8 @@ class _EventRecord:
         """(tau_c, w_start, w_end) of window i, or None; windows 0..i-1 must exist."""
         return self._entry(self.impacts, i, self._next_impact)
 
-    def window(self, i: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        """(log Phi, warnings) of window i, whose impact must exist."""
+    def window(self, i: int) -> tuple[list, tuple[str, ...]]:
+        """(log Phi's row-major entries, warnings) of window i, whose impact must exist."""
         return self._entry(self.windows, i, lambda: self._estimate(*self.impacts[i]))
 
     @staticmethod
@@ -269,7 +278,7 @@ class _EventRecord:
                     f"delta; estimate accepted (counts {est.event_counts})"
                 )
         try:
-            log_phi = mat_log(est.phi)
+            log_phi = mat_log(est.phi).ravel().tolist()
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         for event in est.events:
@@ -386,21 +395,20 @@ def compute_tle(
     its window Jacobians once, as far as the longest of them needs.  The
     record is not locked; run concurrent queries in processes.
     """
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.shape != (2, 2):
-        raise ValueError(f"coupling matrix must be 2x2, got shape {coupling.shape}")
+    h = settings.scan_step
+    # Row-major coupling shifts of one and two cells (free steps, event windows).
+    shifts = {w: _coupling_shift(coupling, query, w * h).ravel().tolist() for w in (1, 2)}
     if base_state is None:
         base_state = settle_transient(p, settings)
     record = _event_record(p, base_state, settings)
 
-    h = settings.scan_step
     period = p.forcing_period
     real_query = query.beta == 0.0
 
     # k impact-free steps with per-step renormalization leave the same unit
     # direction and log growth as exp(k*G) applied once, G the free step's
     # coupled generator, while k*rate stays below _FREE_GROWTH.
-    generator = _coupled_generator(record.log_free, coupling, query, h)
+    generator = record.log_free + np.reshape(shifts[1], (2, 2))
     (a, b), (c, d) = generator  # rate: the largest |Re| of G's eigenvalues mu +- s
     rate = abs(0.5 * (a + d).real) + abs(np.sqrt(0.25 * (a - d) ** 2 + b * c).real)
     if rate > _FREE_GROWTH:
@@ -432,6 +440,15 @@ def compute_tle(
     moments = _WindowMoments(settings.sample_window, settings.std_tolerance)
     powers: dict[int, np.ndarray] = {}  # take -> free_steps(take), as applied
 
+    def apply(step: np.ndarray):
+        """xi <- step xi renormalized, by the dots of step @ xi and np.linalg.norm."""
+        nonlocal xi, log_sum
+        xi = step.dot(xi)
+        re, im = xi.real, xi.imag
+        nrm = math.sqrt(re.dot(re) + im.dot(im))
+        log_sum += math.log(nrm)
+        xi = xi / nrm
+
     def emit_samples():
         """Emit every sample whose grid index the march has reached."""
         nonlocal k_period, next_sample_j, converged
@@ -449,7 +466,7 @@ def compute_tle(
             next_sample_j = int(math.ceil(k_period * period / h))
 
     def march_free(n_steps: int):
-        nonlocal j, xi, log_sum
+        nonlocal j
         while n_steps > 0 and not converged and len(samples) < settings.max_periods:
             take = min(n_steps, next_sample_j - j, max_take)
             step = powers.get(take)
@@ -457,11 +474,9 @@ def compute_tle(
                 if len(powers) == _FREE_POWERS:
                     powers.clear()
                 step = free_steps(take)
-                step = powers[take] = step.real if real_query else step
-            xi = step @ xi
-            nrm = float(np.linalg.norm(xi))
-            log_sum += math.log(nrm)
-            xi = xi / nrm
+                # Cast back exactly, once, not in every product with the complex xi.
+                step = powers[take] = step.real.astype(complex) if real_query else step
+            apply(step)
             j += take
             n_steps -= take
             emit_samples()
@@ -479,18 +494,14 @@ def compute_tle(
 
         log_phi, notes = record.window(i)
         try:
-            p_event, discarded = _coupled_exp(log_phi, coupling, query, (w_end - w_start) * h)
+            p_event, discarded = _window_step(log_phi, shifts[w_end - w_start], real_query)
         except Exception as exc:
             raise type(exc)(
                 f"{exc} (event window at tau_c={tau_c:.6f})"
             ) from exc
         if real_query:
             imag_events.append(discarded)
-
-        xi = p_event @ xi
-        nrm = float(np.linalg.norm(xi))
-        log_sum += math.log(nrm)
-        xi = xi / nrm
+        apply(p_event)
         warnings.extend(notes)
         j = w_end
         i += 1

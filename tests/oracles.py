@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from msflab.matfuncs import mat_exp
 from msflab.network import _ModeSegments
 from msflab.oscillator import (
     BISECTION_TOL,
@@ -526,9 +527,11 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     """compute_tle's march with every impact and window computed in place.
 
     The reference for the event record: _record_steps for this query alone,
-    with compute_tle's free-step and event-window propagators.  Returns the
-    TLEResult or raises what the kernels raise at the point the march
-    reaches them.
+    with compute_tle's free-step propagators and each event-window step
+    built here in numpy, exp(log Phi + (alpha + i*beta)*H*dt) through
+    mat_exp with np.real and np.linalg.norm of np.imag, where compute_tle
+    works in scalars.  Returns the TLEResult or raises what the kernels
+    raise at the point the march reaches them.
     """
     from msflab import msf
 
@@ -558,11 +561,13 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
             step = free_steps(n)
             return step.real if real_query else step
         try:
-            p_event, discarded = msf.coupled_step_propagator(est.phi, coupling, query, n * h)
+            shift = (query.alpha + 1j * query.beta) * coupling * (n * h)
+            p_event = mat_exp(msf.mat_log(est.phi) + shift)
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         if real_query:
-            imag_events.append(discarded)
+            imag_events.append(float(np.linalg.norm(np.imag(p_event))))
+            p_event = np.real(p_event).copy()
         warnings.extend(
             f"grazing impact at tau_c={e.tau_c:.6f} (|v_pre|={abs(e.v_pre):.2e})"
             for e in est.events if e.grazing

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,91 @@ class TestCoupledStepPropagator:
         )
         assert np.all(np.isfinite(out2))
         assert discard2 >= 0.0
+
+    @pytest.mark.parametrize("coupling", [[1.0, 0.0], 1.0, np.eye(3)])
+    def test_rejects_coupling_not_2x2(self, coupling):
+        phi = np.array([[0.99, 0.001], [-0.002, 0.97]])
+        with pytest.raises(ValueError, match="coupling"):
+            coupled_step_propagator(phi, coupling, MSFQuery(-0.5), 1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_rejects_step_not_finite_positive(self, h):
+        phi = np.array([[0.99, 0.001], [-0.002, 0.97]])
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            coupled_step_propagator(phi, SPRING_COUPLING, MSFQuery(-0.5), h)
+
+
+_ENTRY = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+_REAL = st.floats(-1e3, 1e3)
+
+
+class TestWindowStep:
+    """compute_tle's scalar window step and BLAS-dot march against their numpy form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_phi=st.lists(_ENTRY, min_size=4, max_size=4),
+        coupling=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        defective=st.booleans(),
+        alpha=st.floats(-3.0, 3.0),
+        beta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(bool)),
+        width=st.sampled_from([1, 2]),
+    )
+    def test_equals_mat_exp_real_and_norm(self, log_phi, coupling, defective, alpha, beta, width):
+        coupling = np.array(coupling).reshape(2, 2)
+        if defective:
+            # a = d and b = 0 stay so under the spring coupling: s = 0.
+            log_phi[1], log_phi[3], coupling = 0j, log_phi[0], SPRING_COUPLING
+        query = MSFQuery(alpha, beta)
+        dt = width * TLESettings().scan_step
+        prop = mat_exp(np.array(log_phi).reshape(2, 2) + (alpha + 1j * beta) * coupling * dt)
+        if beta == 0.0:
+            want = np.real(prop).copy(), float(np.linalg.norm(np.imag(prop)))
+        else:
+            want = prop, 0.0
+        shift = msf._coupling_shift(coupling, query, dt).ravel().tolist()
+        got = msf._window_step(log_phi, shift, beta == 0.0)
+        assert got[0].dtype == want[0].dtype and got[0].shape == (2, 2)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].hex() == want[1].hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.lists(_REAL, min_size=8, max_size=8),
+        x=st.lists(_REAL, min_size=4, max_size=4),
+        complex_step=st.booleans(),
+    )
+    def test_dot_and_dot_norm_equal_matmul_and_norm(self, m, x, complex_step):
+        step = np.array(m[:4]).reshape(2, 2)
+        if complex_step:
+            step = step + 1j * np.array(m[4:]).reshape(2, 2)
+        xi = np.array([complex(x[0], x[1]), complex(x[2], x[3])])
+        assert step.dot(xi).tobytes() == (step @ xi).tobytes()
+        # compute_tle keeps a real query's free steps cast to complex.
+        assert step.astype(complex).dot(xi).tobytes() == (step @ xi).tobytes()
+        x_re, x_im = xi.real, xi.imag
+        assert math.sqrt(x_re.dot(x_re) + x_im.dot(x_im)) == float(np.linalg.norm(xi))
+
+    def test_non_finite_generator_names_the_window(self, elastic, elastic_base, monkeypatch):
+        # A window logarithm patched to overflow: the window step raises the
+        # message mat_exp gives, with the window's impact time.
+        real = msf.mat_log
+        calls = []
+
+        def overflowing_windows(m):
+            calls.append(m)
+            return real(m) if len(calls) == 1 else np.full((2, 2), complex(math.inf, 0.0))
+
+        monkeypatch.setattr(msf, "mat_log", overflowing_windows)
+        s = TLESettings(max_periods=30, sample_window=20)
+        with pytest.raises(ValueError) as info:
+            compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
+        assert type(info.value) is ValueError
+        assert re.fullmatch(
+            r"matrix contains non-finite entries \(event window at tau_c=\d+\.\d{6}\)",
+            str(info.value),
+        )
 
 
 class TestPowerStepper:
