@@ -13,6 +13,7 @@ recorded so callers can see when that assumption broke.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,9 +91,11 @@ def estimate_jacobian(
         raise ValueError(f"t must be non-negative, got {t!r}")
     x0 = np.atleast_1d(np.asarray(x0))
     n = x0.shape[0]
+    if n == 0:
+        raise ValueError("x0 must have at least one component")
     y0, count0 = flow(x0, t) if central is None else central
     y0 = np.atleast_1d(np.asarray(y0))
-    if not np.all(np.isfinite(np.asarray(y0, dtype=float))):
+    if not _finite(y0):
         raise PropagationError("flow returned a non-finite central state")
     counts = [int(count0)]
     columns = []
@@ -102,17 +105,21 @@ def estimate_jacobian(
         realized = xp[i] - x0[i]
         yi, ci = flow(xp, t)
         yi = np.atleast_1d(np.asarray(yi))
-        if not np.all(np.isfinite(np.asarray(yi, dtype=float))):
+        if not _finite(yi):
             raise PropagationError(f"flow returned a non-finite state for direction {i}")
         columns.append((yi - y0) / realized)
         counts.append(int(ci))
-    phi = np.stack(columns, axis=1).astype(float)
     return JacobiEstimate(
-        phi=phi,
+        phi=np.array(columns, dtype=float).T.copy(),
         delta_used=float(delta),
         event_counts=tuple(counts),
-        consistent=all(c == counts[0] for c in counts[1:]) if n else True,
+        consistent=counts.count(counts[0]) == len(counts),
     )
+
+
+def _finite(y: np.ndarray) -> bool:
+    """Every entry finite once cast to float64."""
+    return all(map(math.isfinite, np.asarray(y, dtype=float).ravel().tolist()))
 
 
 def oscillator_flow(
@@ -177,13 +184,17 @@ def event_window_jacobian(
         flow, np.array([s_pre.x, s_pre.v]), window, delta,
         central=(np.array([final.x, final.v]), len(events)),
     )
-    sv = np.linalg.svd(est.phi, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-        raise GrazingSingularityError(
-            f"window propagator at tau={s_pre.tau:.6g} is numerically singular "
-            f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
-            f"to grazing for a logarithm to exist"
-        )
+    # sv_min/sv_max = |det|/sv_max**2 >= |det|/|phi|_F**2, so a determinant
+    # clear of that bound, rounding included, needs no decomposition.
+    (a, b), (c, d) = est.phi.tolist()
+    if not abs(a * d - b * c) > 2e-12 * (a * a + b * b + c * c + d * d):
+        sv = np.linalg.svd(est.phi, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
+            raise GrazingSingularityError(
+                f"window propagator at tau={s_pre.tau:.6g} is numerically singular "
+                f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
+                f"to grazing for a logarithm to exist"
+            )
     return WindowEstimate(
         est.phi, est.delta_used, est.event_counts, est.consistent, final, tuple(events)
     )

@@ -15,10 +15,13 @@ homogeneous solution and the harmonic steady state, so they are evaluated
 in closed form rather than numerically integrated.  Impacts are located by
 scanning the analytic solution on a fixed grid and refining each bracketed
 wall crossing by bisection; impacts that accumulate geometrically
-(complete chatter) end the run at their limit.  Long scans read tables of
-the decay and rotation factors, cached per (zeta, eta, scan step);
-bisection evaluates only the midpoints near a Newton estimate, the others
-taking signs that a rounding-error bound certifies (see bisect_crossing).
+(complete chatter) end the run at their limit.  A short scan skips the
+grid points that a quadratic bound on the segment, rounding included,
+places inside the wall, such as every point of an event window after a
+transversal reset.  Long scans read tables of the decay and rotation
+factors, cached per (zeta, eta, scan step); bisection evaluates only the
+midpoints near a Newton estimate, the others taking signs that a
+rounding-error bound certifies (see bisect_crossing).
 The impact times are segment_states' on the grid and at each midpoint, bit
 for bit, wherever math.cos and math.sin round as numpy's cos and sin do and
 numpy's exp rounds a float as an array element.  They did on every argument
@@ -49,7 +52,7 @@ CHATTER_CAP = 10_000            # impacts per forcing period before aborting
 ACCUMULATION_RATIOS = 3         # successive interval ratios that must sit near R ...
 ACCUMULATION_TOL = 5e-3         # ... within this many units of 1 - R, for complete chatter
 _SCALAR_SCAN = 32               # grid points of a scan evaluated one by one, in scalars
-_FIRST_CHUNK = 256              # grid points in a table scan's first batch; later ones double
+_FIRST_CHUNK = 2048             # grid points in a table scan's first batch; later ones double
 _DETECT_CHUNK = 8192            # largest batch, and the length of the scan tables
 _SCAN_GUARD = 1e-8              # |x - x_w| per unit amplitude below which a table
                                 # sample is recomputed with the closed form
@@ -218,20 +221,19 @@ def steady_state_coefficients(p: ImpactOscillatorParams) -> tuple[float, float]:
     return one_minus * p.f / denom, two_ze * p.f / denom
 
 
-def segment_states(p, x0, v0, tau0, dts, lib=np):
+def segment_states(p, x0, v0, tau0, dts):
     """Closed-form segment solution at offsets ``dts`` from (x0, v0, tau0).
 
     Vectorized over dts and dtype-generic: float64 in, float64 out;
     longdouble in, longdouble out.  Returns (x, v) arrays (or scalars for
-    scalar dts).  lib=math takes cos and sin from math, for scalars; the
-    decay always uses np.exp.  Valid only while no wall crossing occurs;
-    callers are responsible for event handling.
+    scalar dts).  Valid only while no wall crossing occurs; callers are
+    responsible for event handling.
     """
     a_p, b_p = steady_state_coefficients(p)
     zeta = p.zeta
     wd = p.omega_d
     eta = p.eta
-    cos, sin = lib.cos, lib.sin
+    cos, sin = np.cos, np.sin
 
     ph0 = eta * tau0
     xp0 = a_p * cos(ph0) + b_p * sin(ph0)
@@ -277,8 +279,43 @@ def propagate_free(p: ImpactOscillatorParams, s: OscState, dt: float) -> OscStat
         raise InvalidParameterError(f"dt must be finite and non-negative, got {dt!r}")
     if dt == 0.0:
         return s
-    x, v = segment_states(p, s.x, s.v, s.tau, dt, math)
-    return OscState(float(x), float(v), s.tau + dt)
+    c = _constants(p)
+    return OscState(*_free_state(c, s.tau, *_homogeneous(c, s.x, s.v, s.tau), dt), s.tau + dt)
+
+
+def _constants(p: ImpactOscillatorParams) -> tuple:
+    """(zeta, wd, eta, x_w, a_p, b_p): the parameters every closed-form evaluation reads."""
+    a_p, b_p = steady_state_coefficients(p)
+    return p.zeta, p.omega_d, p.eta, p.x_w, a_p, b_p
+
+
+def _homogeneous(c: tuple, x: float, v: float, tau: float) -> tuple[float, float, float]:
+    """(y, w, k) of the segment from (x, v, tau): its homogeneous part and k = (w + zeta*y)/wd.
+
+    segment_states' per-segment constants in its operations, with the phase
+    cos and sin taken once (math.cos, math.sin); c is _constants(p).
+    """
+    zeta, wd, eta, _, a_p, b_p = c
+    ph0 = eta * tau
+    cp, sp = math.cos(ph0), math.sin(ph0)
+    y = x - (a_p * cp + b_p * sp)
+    w = v - eta * (b_p * cp - a_p * sp)
+    return y, w, (w + zeta * y) / wd
+
+
+def _free_state(c: tuple, tau0: float, y: float, w: float, k: float, dt: float) -> tuple[float, float]:
+    """segment_states(p, x0, v0, tau0, dt) as floats, from the segment's _homogeneous.
+
+    Its operations in math.cos and math.sin (see the module docstring).
+    """
+    zeta, wd, eta, _, a_p, b_p = c
+    decay = float(np.exp(-zeta * dt))
+    cs, sn = math.cos(wd * dt), math.sin(wd * dt)
+    ph = eta * (tau0 + dt)
+    cp, sp = math.cos(ph), math.sin(ph)
+    x = decay * (y * cs + k * sn) + (a_p * cp + b_p * sp)
+    v = decay * (w * cs - ((y + zeta * w) / wd) * sn) + eta * (b_p * cp - a_p * sp)
+    return x, v
 
 
 def flow_functions(s2: float, lib):
@@ -320,10 +357,14 @@ def _scan_table(zeta: float, eta: float, step: float) -> np.ndarray:
 
     Columns exp(-zeta*t)*cos(wd*t), exp(-zeta*t)*sin(wd*t), cos(eta*t) and
     sin(eta*t): with them x - x_w over a chunk is one matrix-vector product
-    (see _scan_chunk).  Two entries cover a sweep over both presets.
+    (see _scan_chunk).  Two entries cover a sweep over both presets.  Kept
+    in column-major order, where that product runs about three times faster;
+    the products then round differently, far inside _SCAN_GUARD.
     """
     wd = math.sqrt(1.0 - zeta * zeta)
-    return flow_table([(-wd * wd, -zeta, wd)], eta, step, _DETECT_CHUNK)
+    table = np.asfortranarray(flow_table([(-wd * wd, -zeta, wd)], eta, step, _DETECT_CHUNK))
+    table.flags.writeable = False
+    return table
 
 
 def _wall_distance(p, tau0, y0, w0, a_p, b_p):
@@ -344,13 +385,13 @@ def _wall_distance(p, tau0, y0, w0, a_p, b_p):
     exp, cos, sin = np.exp, math.cos, math.sin
 
     def distance(dt):
-        decay = exp(-zeta * dt)
+        decay = float(exp(-zeta * dt))
         ph = eta * (tau0 + dt)
         xh = decay * (y0 * cos(wd * dt) + k0 * sin(wd * dt))
         return xh + (a_p * cos(ph) + b_p * sin(ph)) - x_w
 
     def motion(dt):
-        decay = exp(-zeta * dt)
+        decay = float(exp(-zeta * dt))
         c, s = cos(wd * dt), sin(wd * dt)
         ph = eta * (tau0 + dt)
         cp, sp = cos(ph), sin(ph)
@@ -358,11 +399,19 @@ def _wall_distance(p, tau0, y0, w0, a_p, b_p):
         return g, decay * (kv * c - yv * s) + eta * (b_p * cp - a_p * sp)
 
     def model(lo, hi):
-        free, forced = abs(y0) + abs(k0), abs(a_p) + abs(b_p)
-        err = free * (40 + 4 * hi) + (1 + eta) * forced * (12 + 2 * eta * (abs(tau0) + hi))
-        return motion, _EPS * (err + abs(x_w)) + 1e-300, free + eta * eta * forced
+        return (motion, *_model_bounds(eta, x_w, abs(y0) + abs(k0), abs(a_p) + abs(b_p), tau0, hi))
 
     return distance, model
+
+
+def _model_bounds(eta, x_w, free, forced, tau0, hi):
+    """(err, accel) of _wall_distance's model over offsets [0, hi].
+
+    free is |y0| + |k0| and forced |a_p| + |b_p|; err bounds the rounding
+    error of distance and motion, accel the exact |x''|.
+    """
+    err = free * (40 + 4 * hi) + (1 + eta) * forced * (12 + 2 * eta * (abs(tau0) + hi))
+    return _EPS * (err + abs(x_w)) + 1e-300, free + eta * eta * forced
 
 
 def bisect_crossing(distance, lo: float, hi: float, model=None) -> float:
@@ -424,64 +473,104 @@ def detect_next_impact(
     (see _wall_distance), to BISECTION_TOL in tau.  Crossings that enter
     and leave the wall strictly between consecutive scan points are
     invisible at this resolution, by design of the detection protocol.
-
-    Scans of at most _SCALAR_SCAN points, and the first point of longer
-    ones (where a chattering impact sits), are evaluated in scalars and
-    stop at the first crossing.  Longer scans then read cached tables from
-    s (see _scan_chunk) in chunks growing up to _DETECT_CHUNK points.
-    Tables and closed form differ by rounding only, which grows with tau
-    (about 1e-11 at tau = 2e4 without damping), so a table sample within
-    _SCAN_GUARD times the amplitude of the wall is recomputed with the
-    closed form: every sign, and with it the crossing found, is the one
-    segment_states gives on the same grid.  Scalars use math.cos, math.sin
-    and numpy's exp, so the time returned equals the direct evaluation's
-    bit for bit where those round as numpy's array functions do.
+    The scan itself is simulate's, see _crossing_offset.
     """
+    _check_scan(horizon, scan_step)
+    if not p.wall_enabled or horizon <= 0.0:
+        return None
+    c = _constants(p)
+    dt = _crossing_offset(p, c, s.x, s.v, s.tau, *_homogeneous(c, s.x, s.v, s.tau), horizon, scan_step)
+    return None if dt is None else s.tau + dt
+
+
+def _check_scan(horizon: float, scan_step: float) -> None:
+    """InvalidParameterError unless scan_step is finite and positive and horizon finite in steps."""
     if not 0.0 < scan_step < math.inf:
         raise InvalidParameterError(f"scan_step must be positive and finite, got {scan_step!r}")
     if not horizon / scan_step < math.inf:
         raise InvalidParameterError(f"horizon must be finite in scan steps, got {horizon!r}")
-    if not p.wall_enabled or horizon <= 0.0:
-        return None
 
+
+def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
+    """detect_next_impact's crossing as an offset from tau, or None, for horizon > 0.
+
+    (x, v, tau) is the segment's start, (y, w, k) its _homogeneous and c
+    _constants(p).  Scans of at most _SCALAR_SCAN points, and the first
+    point of longer ones (where a chattering impact sits), are scalar and
+    stop at the first crossing.  A scalar point at offset t is skipped
+    where g0 + v*t + accel*t**2/2 + (2 + t_last)*err, plus this bound's own
+    rounding, is negative (g0 = x - x_w; err and accel the model's up to
+    the last scalar point t_last): the closed form starts within err of g0
+    and v and stays within err of the exact solution, so that point's
+    distance is not positive.  After a reset (g0 = 0, v < 0) this skips a
+    whole event window unless |v| is tiny; before a crossing, its lead.
+
+    Longer scans then read cached tables from the start (see _scan_chunk)
+    in chunks growing up to _DETECT_CHUNK points.  Tables and closed form
+    differ by rounding only, which grows with tau (about 1e-11 at tau = 2e4
+    without damping), so a table sample within _SCAN_GUARD times the
+    amplitude of the wall is recomputed with the closed form: every sign,
+    and with it the crossing found, is the one segment_states gives on the
+    same grid.  Scalars use math.cos, math.sin and numpy's exp, so the time
+    returned equals the direct evaluation's bit for bit where those round
+    as numpy's array functions do.
+    """
+    zeta, wd, eta, x_w, a_p, b_p = c
     n_total = int(math.ceil(horizon / scan_step))
     t_end = min(n_total * scan_step, horizon)
-    a_p, b_p = steady_state_coefficients(p)
-    ph0 = p.eta * s.tau
-    y = s.x - (a_p * math.cos(ph0) + b_p * math.sin(ph0))
-    w = s.v - p.eta * (b_p * math.cos(ph0) - a_p * math.sin(ph0))
-    distance, model = _wall_distance(p, s.tau, y, w, a_p, b_p)
+    n_scalar = n_total if n_total <= _SCALAR_SCAN else 1
+    t_last = t_end if n_scalar == n_total else scan_step
 
-    def crossing(k):
-        lo, hi = (k - 1) * scan_step, t_end if k == n_total else k * scan_step
-        return s.tau + bisect_crossing(distance, lo, hi, model(lo, hi))
-
-    prev = s.x - p.x_w
-    for k in range(1, (n_total if n_total <= _SCALAR_SCAN else 1) + 1):
-        g = distance(t_end if k == n_total else k * scan_step)
+    g0 = x - x_w
+    err, accel = _model_bounds(eta, x_w, abs(y) + abs(k), abs(a_p) + abs(b_p), tau, t_last)
+    slack = (2.0 + t_last) * err + 4.0 * _EPS * (abs(g0) + (abs(v) + accel * t_last) * t_last)
+    half = 0.5 * accel
+    distance = None  # built at the first point evaluated
+    prev = g0
+    for j in range(1, n_scalar + 1):
+        t = t_end if j == n_total else j * scan_step
+        if g0 + t * (v + t * half) + slack < 0.0:
+            prev = 0.0
+            continue
+        if distance is None:
+            distance, model = _wall_distance(p, tau, y, w, a_p, b_p)
+        g = distance(t)
         if g > 0.0 and not prev > 0.0:
-            return crossing(k)
+            lo = (j - 1) * scan_step
+            return bisect_crossing(distance, lo, t, model(lo, t))
         prev = g
     if n_total <= _SCALAR_SCAN:
         return None
 
-    table = _scan_table(p.zeta, p.eta, scan_step)
-    guard = _SCAN_GUARD * (abs(p.x_w) + abs(a_p) + abs(b_p) + abs(y) + abs(w))
-    g_prev, k0, n = s.x - p.x_w, 0, _FIRST_CHUNK
+    if distance is None:
+        distance, model = _wall_distance(p, tau, y, w, a_p, b_p)
+    table = _scan_table(zeta, eta, scan_step)
+    guard = _SCAN_GUARD * (abs(x_w) + abs(a_p) + abs(b_p) + abs(y) + abs(w))
+    g_prev, k0, n = g0, 0, _FIRST_CHUNK
     while k0 < n_total:
         n = min(n, n_total - k0)
-        gs, y, w = _scan_chunk(p, table[:n], s.tau + k0 * scan_step, y, w, a_p, b_p)
-        for j in np.flatnonzero(np.abs(gs) < guard):
-            gs[j] = distance((k0 + j + 1) * scan_step)
-        if k0 + n == n_total:
-            # Keep the final sample exactly on the horizon endpoint.
-            gs[-1] = distance(t_end)
-        beyond = np.empty(n + 1, dtype=bool)
-        beyond[0] = g_prev > 0.0
-        np.greater(gs, 0.0, out=beyond[1:])
-        rises = np.flatnonzero(beyond[1:] > beyond[:-1])
-        if rises.size:
-            return crossing(k0 + int(rises[0]) + 1)
+        gs, y, w = _scan_chunk(p, table[:n], tau + k0 * scan_step, y, w, a_p, b_p)
+        # Samples before the first one above -guard are certainly inside the
+        # wall: none is recomputed and none rises, so only the rest is read,
+        # and on the last chunk at least the horizon sample.
+        near = gs > -guard
+        near[-1] |= k0 + n == n_total
+        i0 = int(near.argmax())
+        if near[i0]:
+            part = gs[i0:]
+            for j in np.flatnonzero(np.abs(part) < guard):
+                part[j] = distance((k0 + i0 + j + 1) * scan_step)
+            if k0 + n == n_total:
+                # Keep the final sample exactly on the horizon endpoint.
+                part[-1] = distance(t_end)
+            beyond = np.empty(n - i0 + 1, dtype=bool)
+            beyond[0] = (gs[i0 - 1] if i0 else g_prev) > 0.0
+            np.greater(part, 0.0, out=beyond[1:])
+            rises = np.flatnonzero(beyond[1:] > beyond[:-1])
+            if rises.size:
+                j = k0 + i0 + int(rises[0]) + 1
+                lo, hi = (j - 1) * scan_step, t_end if j == n_total else j * scan_step
+                return bisect_crossing(distance, lo, hi, model(lo, hi))
         g_prev = gs[-1]
         k0, n = k0 + n, min(2 * n, _DETECT_CHUNK)
     return None
@@ -516,12 +605,12 @@ def apply_impact(p: ImpactOscillatorParams, s: OscState) -> tuple[OscState, Even
         raise InvalidParameterError(
             f"state is not on the wall: |x - x_w| = {abs(s.x - p.x_w):.3e}"
         )
-    v_pre = s.v
-    v_post = -p.R * v_pre
-    record = EventRecord(
-        tau_c=s.tau, v_pre=v_pre, v_post=v_post, grazing=abs(v_pre) < GRAZING_TOL
-    )
-    return OscState(p.x_w, v_post, s.tau), record
+    record = _impact_record(p, s.tau, s.v)
+    return OscState(p.x_w, record.v_post, s.tau), record
+
+
+def _impact_record(p: ImpactOscillatorParams, tau_c: float, v_pre: float) -> EventRecord:
+    return EventRecord(tau_c, v_pre, -p.R * v_pre, abs(v_pre) < GRAZING_TOL)
 
 
 class _ChatterGuard:
@@ -573,6 +662,13 @@ def simulate(
     impacts accumulate geometrically (complete chatter, see _ChatterGuard),
     reported at the extrapolated accumulation time, or more than
     chatter_cap impacts, a positive int, fall within one forcing period.
+
+    This is the event layer's one segment loop: detect_next_impact and
+    propagate_free wrap the same per-segment core.  Each free-flight
+    segment's phase and homogeneous constants are computed once and shared
+    by its scan, its bisection and its propagation, and the state is
+    carried in floats, so every result equals the composition of those
+    public functions bit for bit.
     """
     for name in ("x", "v", "tau"):
         if not math.isfinite(getattr(s0, name)):
@@ -581,25 +677,35 @@ def simulate(
         raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
     if type(chatter_cap) is bool or not isinstance(chatter_cap, int) or not 0 < chatter_cap < sys.maxsize:
         raise InvalidParameterError(f"chatter_cap must be a positive int, got {chatter_cap!r}")
-    t_end = s0.tau + duration
-    state = s0
+    x, v, tau = s0.x, s0.v, s0.tau
+    t_end = tau + duration
     events: list[EventRecord] = []
-    guard = _ChatterGuard(p, chatter_cap)
+    c = guard = None
     while True:
-        remaining = t_end - state.tau
+        remaining = t_end - tau
         if remaining <= 0.0:
             break
-        tau_c = detect_next_impact(p, state, remaining, scan_step)
-        if tau_c is None:
-            state = propagate_free(p, state, remaining)
+        _check_scan(remaining, scan_step)
+        c = c or _constants(p)
+        y, w, k = _homogeneous(c, x, v, tau)
+        dt = _crossing_offset(p, c, x, v, tau, y, w, k, remaining, scan_step) if p.wall_enabled else None
+        if dt is None:
+            x, v = _free_state(c, tau, y, w, k, remaining)
+            tau += remaining
             break
-        state = propagate_free(p, state, tau_c - state.tau)
         # The bisection bracket is BISECTION_TOL wide; land exactly on the wall.
-        state = OscState(p.x_w, state.v, tau_c)
-        state, record = apply_impact(p, state)
+        tau_c = tau + dt
+        if tau_c != tau:  # as propagate_free, which keeps the state over dt = 0
+            v = _free_state(c, tau, y, w, k, tau_c - tau)[1]
+        record = _impact_record(p, tau_c, v)
         events.append(record)
-        guard.push(tau_c)
-    return state, events
+        x, v, tau = p.x_w, record.v_post, tau_c
+        if len(events) > 1:  # one impact never trips the guard
+            if guard is None:
+                guard = _ChatterGuard(p, chatter_cap)
+                guard.push(events[0].tau_c)
+            guard.push(tau_c)
+    return OscState(x, v, tau), events
 
 
 def sample_trajectory(

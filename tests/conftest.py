@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from msflab.msf import TLESettings, settle_transient
@@ -26,3 +29,45 @@ def elastic_base():
 @pytest.fixture(scope="session")
 def inelastic_base():
     return settle_transient(INELASTIC, TLESettings())
+
+
+@pytest.fixture(scope="session")
+def libm_trig_matches_numpy():
+    """Skip unless math.cos/sin round as numpy's scalar and array cos/sin do.
+
+    detect_next_impact evaluates scalars with math.cos and math.sin where
+    segment_states uses numpy's; bit identity holds only where the two
+    agree, so a host where they differ skips rather than reporting a scan
+    fault.  The arguments span the rotation angles wd*dt and the forcing
+    phases eta*tau the tests reach.
+    """
+    rng = np.random.default_rng(7)
+    args = np.concatenate([rng.uniform(0.0, 10.0, 2000), rng.uniform(0.0, 3e4, 2000)])
+    cos_arr, sin_arr = np.cos(args), np.sin(args)
+    for i, a in enumerate(args.tolist()):
+        if not (math.cos(a) == np.cos(a) == cos_arr[i] and math.sin(a) == np.sin(a) == sin_arr[i]):
+            pytest.skip(
+                f"math and numpy cos/sin round differently at {a!r} on this host, "
+                f"so impact times may differ from segment_states' in the last bit"
+            )
+
+
+@pytest.fixture(scope="session")
+def numpy_exp_scalar_matches_array():
+    """Skip unless numpy's exp rounds a float as it rounds the same array element.
+
+    The scalar scans, the bisection and propagate_free call np.exp on one
+    float where segment_states calls it on arrays; numpy may dispatch its
+    own SIMD exponential for arrays.  The arguments span the decays
+    -zeta*dt the tests reach.
+    """
+    rng = np.random.default_rng(11)
+    args = np.concatenate([-rng.uniform(0.0, 1e-2, 2000), -rng.uniform(0.0, 40.0, 2000)])
+    exp_arr = np.exp(args)
+    for i, a in enumerate(args.tolist()):
+        if not np.exp(a) == exp_arr[i]:
+            pytest.skip(
+                f"numpy.exp rounds the float {a!r} differently from the same array "
+                f"element on this host, so impact times may differ from segment_states' "
+                f"in the last bit"
+            )

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from msflab.jacobian import GrazingSingularityError, InvalidWindowError, estimate_jacobian
 from msflab.matfuncs import mat_exp
 from msflab.network import _ModeSegments
 from msflab.oscillator import (
@@ -21,6 +22,8 @@ from msflab.oscillator import (
     WALL_POSITION_TOL,
     ImpactOscillatorParams,
     OscState,
+    _ChatterGuard,
+    apply_impact,
     bisect_crossing,
     segment_states,
     simulate,
@@ -75,6 +78,71 @@ def grid_scan_impact(
         else:
             lo = mid
     return s.tau + 0.5 * (lo + hi)
+
+
+def loop_simulate(
+    p: ImpactOscillatorParams, s0: OscState, duration: float, scan_step: float = DEFAULT_SCAN_STEP
+) -> tuple[OscState, list]:
+    """simulate()'s event loop over reference kernels: the reference for its segment core.
+
+    The loop simulate ran before its segments shared one scalar core, step
+    for step: detect the next impact (here grid_scan_impact), propagate to
+    it (segment_states, keeping the state over a zero step, as
+    propagate_free did), land on the wall, apply the reset and push the
+    chatter guard; the last segment propagates to the end.
+    """
+    def propagate(s, dt):
+        if dt == 0.0:
+            return s
+        x, v = segment_states(p, s.x, s.v, s.tau, dt)
+        return OscState(float(x), float(v), s.tau + dt)
+
+    t_end = s0.tau + duration
+    state, events, guard = s0, [], _ChatterGuard(p)
+    while True:
+        remaining = t_end - state.tau
+        if remaining <= 0.0:
+            break
+        tau_c = grid_scan_impact(p, state, remaining, scan_step)
+        if tau_c is None:
+            state = propagate(state, remaining)
+            break
+        state = propagate(state, tau_c - state.tau)
+        state, record = apply_impact(p, OscState(p.x_w, state.v, tau_c))
+        events.append(record)
+        guard.push(tau_c)
+    return state, events
+
+
+def loop_event_window(p: ImpactOscillatorParams, s_pre: OscState, window: float, delta: float):
+    """event_window_jacobian's (phi, final, events, event_counts) over loop_simulate.
+
+    estimate_jacobian on loop_simulate's flow from s_pre, with the central
+    run's impact count and the singular-value test checked as
+    event_window_jacobian checks them: InvalidWindowError and
+    GrazingSingularityError carry its messages.
+    """
+    inner = window / 16.0
+    final, events = loop_simulate(p, s_pre, window, inner)
+    if len(events) != 1:
+        raise InvalidWindowError(
+            f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "
+            f"{len(events)} impacts of the central trajectory; exactly one required"
+        )
+
+    def flow(z, t):
+        end, run_events = loop_simulate(p, OscState(float(z[0]), float(z[1]), s_pre.tau), t, inner)
+        return np.array([end.x, end.v]), len(run_events)
+
+    est = estimate_jacobian(flow, np.array([s_pre.x, s_pre.v]), window, delta)
+    sv = np.linalg.svd(est.phi, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
+        raise GrazingSingularityError(
+            f"window propagator at tau={s_pre.tau:.6g} is numerically singular "
+            f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
+            f"to grazing for a logarithm to exist"
+        )
+    return est.phi, final, events, est.event_counts
 
 
 class LoopObserver:

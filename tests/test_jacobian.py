@@ -1,8 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from oracles import saltation_matrix
+from oracles import loop_event_window, saltation_matrix
+from msflab import msf
+from msflab.config import load_preset
 from msflab.jacobian import (
     DEFAULT_DELTA,
     GrazingSingularityError,
@@ -13,6 +18,7 @@ from msflab.jacobian import (
     event_window_jacobian,
     oscillator_flow,
 )
+from msflab.msf import TLESettings, settle_transient
 from msflab.oscillator import (
     ImpactOscillatorParams,
     OscState,
@@ -78,6 +84,32 @@ class TestEstimateJacobian:
         with pytest.raises(PropagationError):
             estimate_jacobian(flow, np.array([0.0, 0.0]), 1.0)
 
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            estimate_jacobian(lambda z, t: (z, 0), np.array([]), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x0=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+        delta=st.sampled_from([1e-9, 1e-7, 1e-3]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+    )
+    def test_equals_stacked_columns(self, x0, delta, dtype):
+        # The realized-perturbation columns, stacked and cast to float64 at the end.
+        def flow(z, t):
+            return np.sin(z * t) + z[::-1] * z, int(z[0] > 0.5)
+
+        x0 = np.array(x0, dtype=dtype)
+        y0 = flow(x0, 0.7)[0]
+        columns = []
+        for i in range(len(x0)):
+            xp = x0.copy()
+            xp[i] = xp[i] + delta
+            columns.append((flow(xp, 0.7)[0] - y0) / (xp[i] - x0[i]))
+        est = estimate_jacobian(flow, x0, 0.7, delta)
+        assert est.phi.tobytes() == np.stack(columns, axis=1).astype(float).tobytes()
+        assert est.phi.flags.c_contiguous
+
     def test_wall_flow_counts_events(self, elastic, elastic_base):
         flow = oscillator_flow(elastic, tau0=elastic_base.tau)
         x0 = np.array([elastic_base.x, elastic_base.v])
@@ -135,3 +167,98 @@ class TestEventWindowJacobian:
         assert isinstance(
             JacobiEstimate(np.eye(2), 1e-7, (0, 0, 0), True), JacobiEstimate
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory(preset: str):
+    """(p, base, starts, impacts): 30 periods from the settled base state.
+
+    starts[i] is the state segment i starts from (the base, then each
+    post-impact state) and impacts[i] the impact that ends it.
+    """
+    p = load_preset(preset).oscillator
+    base = settle_transient(p, TLESettings())
+    _, events = simulate(p, base, 30 * p.forcing_period)
+    starts = [base] + [OscState(p.x_w, e.v_post, e.tau_c) for e in events]
+    return p, base, starts, [e.tau_c for e in events]
+
+
+@st.composite
+def _windows(draw):
+    """(p, s_pre, window): an event window on a preset's trajectory.
+
+    Placed on the scan grid from the base state as the event record places
+    it, one or two cells wide, and sometimes shifted by whole cells so that
+    it holds no impact, or two.
+    """
+    p, base, starts, impacts = _trajectory(draw(st.sampled_from(["elastic", "inelastic"])))
+    i = draw(st.integers(0, len(impacts) - 1))
+    h = TLESettings().scan_step
+    cells = draw(st.integers(1, 2))
+    shift = draw(st.sampled_from([0, 0, 0, -2, -1, 1]))
+    w_start = int((impacts[i] - base.tau) // h) - (cells - 1) + shift
+    # The start state comes from the last segment that begins before the window.
+    j = max(k for k in range(i + 2) if k < len(starts) and starts[k].tau <= base.tau + w_start * h)
+    s_pre = propagate_free(p, starts[j], (base.tau + w_start * h) - starts[j].tau)
+    return p, s_pre, cells * h
+
+
+def _window_outcome(run):
+    """run()'s (phi bytes, final, events, event_counts), or its typed failure."""
+    try:
+        phi, final, events, counts = run()
+    except (InvalidWindowError, GrazingSingularityError) as exc:
+        return type(exc), str(exc)
+    return phi.tobytes(), final, list(events), counts
+
+
+class TestWindowEqualsLoop:
+    """event_window_jacobian against estimate_jacobian on simulate's reference loop."""
+
+    @staticmethod
+    def _both(p, s_pre, window):
+        def lean():
+            est = event_window_jacobian(p, s_pre, window, DEFAULT_DELTA)
+            return est.phi, est.final, est.events, est.event_counts
+
+        return (
+            _window_outcome(lean),
+            _window_outcome(lambda: loop_event_window(p, s_pre, window, DEFAULT_DELTA)),
+        )
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=80, deadline=None)
+    @given(case=_windows())
+    def test_random_windows(self, case):
+        lean, loop = self._both(*case)
+        assert lean == loop
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    def test_grazing_window(self, monkeypatch):
+        # The ROADMAP grazing point: the window at tau = 1174.72 is singular.
+        p = ImpactOscillatorParams(
+            zeta=0.015380737517637964, eta=0.6355648465488226,
+            x_w=2.011873244080891, R=0.823594755787125,
+        )
+        settings_ = TLESettings(transient_periods=100, max_periods=150)
+        starts = []
+        real = msf.event_window_jacobian
+
+        def recording(p_, s_pre, window, *args):
+            starts.append((s_pre, window))
+            return real(p_, s_pre, window, *args)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        record = msf._EventRecord(p, settle_transient(p, settings_), settings_, ())
+        with pytest.raises(GrazingSingularityError):
+            for i in range(10_000):
+                if record.impact(i) is None:
+                    break
+                record.window(i)
+        lean, loop = self._both(p, *starts[-1])
+        assert lean[0] is GrazingSingularityError
+        assert lean == loop
+        # The windows before it are regular, and equal too.
+        for s_pre, window in starts[-4:-1]:
+            lean, loop = self._both(p, s_pre, window)
+            assert lean == loop

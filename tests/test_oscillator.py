@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import grid_scan_impact, oscillator_rhs, rk4_integrate, taylor_expm
 from msflab import oscillator
+from msflab.config import load_preset
 from msflab.oscillator import (
     BISECTION_TOL,
+    GRAZING_TOL,
     ChatterError,
     DimensionalParams,
     ImpactOscillatorParams,
@@ -368,48 +370,6 @@ def _trajectory_states(p, base, periods):
     return cases
 
 
-@pytest.fixture(scope="module")
-def libm_trig_matches_numpy():
-    """Skip unless math.cos/sin round as numpy's scalar and array cos/sin do.
-
-    detect_next_impact evaluates scalars with math.cos and math.sin where
-    segment_states uses numpy's; bit identity holds only where the two
-    agree, so a host where they differ skips rather than reporting a scan
-    fault.  The arguments span the rotation angles wd*dt and the forcing
-    phases eta*tau the tests reach.
-    """
-    rng = np.random.default_rng(7)
-    args = np.concatenate([rng.uniform(0.0, 10.0, 2000), rng.uniform(0.0, 3e4, 2000)])
-    cos_arr, sin_arr = np.cos(args), np.sin(args)
-    for i, a in enumerate(args.tolist()):
-        if not (math.cos(a) == np.cos(a) == cos_arr[i] and math.sin(a) == np.sin(a) == sin_arr[i]):
-            pytest.skip(
-                f"math and numpy cos/sin round differently at {a!r} on this host, "
-                f"so impact times may differ from segment_states' in the last bit"
-            )
-
-
-@pytest.fixture(scope="module")
-def numpy_exp_scalar_matches_array():
-    """Skip unless numpy's exp rounds a float as it rounds the same array element.
-
-    The scalar scans, the bisection and propagate_free call np.exp on one
-    float where segment_states calls it on arrays; numpy may dispatch its
-    own SIMD exponential for arrays.  The arguments span the decays
-    -zeta*dt the tests reach.
-    """
-    rng = np.random.default_rng(11)
-    args = np.concatenate([-rng.uniform(0.0, 1e-2, 2000), -rng.uniform(0.0, 40.0, 2000)])
-    exp_arr = np.exp(args)
-    for i, a in enumerate(args.tolist()):
-        if not np.exp(a) == exp_arr[i]:
-            pytest.skip(
-                f"numpy.exp rounds the float {a!r} differently from the same array "
-                f"element on this host, so impact times may differ from segment_states' "
-                f"in the last bit"
-            )
-
-
 def _nonresonant(draw, x_w=0.0):
     """Oscillator parameters with zeta in [0, 0.2] and eta in [0.3, 3] that have a steady state."""
     zeta, eta = draw(st.floats(0.0, 0.2)), draw(st.floats(0.3, 3.0))
@@ -583,6 +543,123 @@ class TestImpactLocation:
         assert bisect_crossing(line, 0.0, 1.0, model) == plain
         # Two Newton points, then the midpoints within about 2*err of the root.
         assert len(evaluated) <= 4 + math.log2(1.0 + 4.0 * err / BISECTION_TOL)
+
+
+# Both presets and every eighth catalogue point.
+_SKIP_POINTS = [load_preset(name).oscillator for name in ("elastic", "inelastic")] + [
+    ImpactOscillatorParams(**point) for point in _CATALOGUE[::8]
+]
+
+
+def _window_scan(draw):
+    """(horizon, step): an event window's inner scan, window/16, over part of, all or
+    more than one window, up to a scan past _SCALAR_SCAN points."""
+    window = draw(st.sampled_from([1e-3, 2e-3]))
+    step = window / 16.0
+    return draw(st.sampled_from([window, window - step / 3.0, 0.5 * window, 2.0 * window, 40 * step])), step
+
+
+@st.composite
+def _post_reset_states(draw):
+    """(p, s, horizon, step): on the wall just after a reset, v_post from -3 to below
+    GRAZING_TOL, where the scan's bound certifies every window point unless |v_post|
+    is tiny or the force returns the mass within the window."""
+    p = draw(st.sampled_from(_SKIP_POINTS))
+    v_post = -(10.0 ** draw(st.floats(math.log10(GRAZING_TOL) - 2.0, math.log10(3.0))))
+    s = OscState(p.x_w, v_post, draw(st.floats(0.0, 2e4)))
+    return (p, s, *_window_scan(draw))
+
+
+@st.composite
+def _window_starts(draw):
+    """(p, s, horizon, step): a window start up to one window before an upward wall
+    crossing at speed 1e-7 to 3, where the bound certifies the leading points."""
+    p = draw(st.sampled_from(_SKIP_POINTS))
+    tau_c = draw(st.floats(1.0, 2e4))
+    horizon, step = _window_scan(draw)
+    lead = draw(st.floats(0.0, 0.999)) * 16.0 * step
+    x, v = segment_states(p, p.x_w, 10.0 ** draw(st.floats(-7.0, 0.5)), tau_c, -lead)
+    return p, OscState(float(x), float(v), tau_c - lead), horizon, step
+
+
+@st.composite
+def _tight_bound_states(draw):
+    """(p, s, horizon, step) where the scan's quadratic bound is exact but for O(t**4).
+
+    Undamped, with the steady state at its extreme (cos(eta*tau) = -1), the
+    homogeneous velocity zero and its displacement y < 0, the pull towards
+    the wall at t = 0 equals the model's accel, |y| + eta**2*a_p.  The wall
+    sits where the bound reaches it at grid point k, give or take a few
+    rounding units, so only the model's err term stops the skip from
+    certifying a point the plain scan may see beyond the wall.
+    """
+    eta = draw(st.floats(0.3, 0.9))
+    tau = (2 * draw(st.integers(0, 50)) + 1) * math.pi / eta
+    a_p, b_p = steady_state_coefficients(ImpactOscillatorParams(zeta=0.0, eta=eta, wall_enabled=False))
+    cp, sp = math.cos(eta * tau), math.sin(eta * tau)
+    y = -draw(st.floats(0.1, 2.0))
+    x, v = y + (a_p * cp + b_p * sp), eta * (b_p * cp - a_p * sp)  # w = 0
+    step = draw(st.sampled_from([1e-3 / 16.0, 2e-3 / 16.0]))
+    t = draw(st.integers(1, 2)) * step
+    x_w = x + 0.5 * (abs(y) + eta * eta * a_p) * t * t + draw(st.floats(-1e-15, 1e-15))
+    return ImpactOscillatorParams(zeta=0.0, eta=eta, x_w=x_w, R=0.5), OscState(x, v, tau), 16.0 * step, step
+
+
+class TestCertifiedSkip:
+    """The short scan's certified skip keeps detect_next_impact equal to the direct scan."""
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_post_reset_states())
+    def test_post_reset_states(self, case):
+        p, s, horizon, step = case
+        assert detect_next_impact(p, s, horizon, step) == grid_scan_impact(p, s, horizon, step)
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_window_starts())
+    def test_window_starts(self, case):
+        p, s, horizon, step = case
+        assert detect_next_impact(p, s, horizon, step) == grid_scan_impact(p, s, horizon, step)
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_tight_bound_states())
+    # Draws where the bound without its err term certifies the point just
+    # before the one the plain scan sees beyond the wall (about one in 300).
+    @example(case=(
+        ImpactOscillatorParams(zeta=0.0, eta=0.712, x_w=-2.7969367485273504, R=0.5),
+        OscState(-2.796936762565919, -2.547114929658596e-14, 251.50390625648623), 0.001, 6.25e-05,
+    ))
+    @example(case=(
+        ImpactOscillatorParams(zeta=0.0, eta=0.8999999999999999, x_w=-7.043304262829639, R=0.5),
+        OscState(-7.043304310042954, -2.5530081525101965e-14, 52.35987755982989), 0.002, 0.000125,
+    ))
+    @example(case=(
+        ImpactOscillatorParams(zeta=0.0, eta=0.8114373980767153, x_w=-3.0276631570357893, R=0.5),
+        OscState(-3.027663160996069, -2.909289768432534e-16, 3.8716389718246376), 0.001, 6.25e-05,
+    ))
+    def test_tight_bound_states(self, case):
+        p, s, horizon, step = case
+        assert detect_next_impact(p, s, horizon, step) == grid_scan_impact(p, s, horizon, step)
+
+    def test_window_points_skipped_after_reset(self, monkeypatch):
+        # A transversal reset in an event window: no scan point is evaluated.
+        p = _SKIP_POINTS[0]
+        evaluated = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, a):
+                evaluated.append(a)
+                return np.exp(a)
+
+        monkeypatch.setattr(oscillator, "np", CountingNumpy())
+        s = OscState(p.x_w, -0.5, 123.4)
+        assert detect_next_impact(p, s, 2e-3, 2e-3 / 16.0) is None
+        assert evaluated == []
 
 
 class TestSimulate:
