@@ -9,7 +9,14 @@ methods on the class, so calls msflab makes internally are timed too.
 Builds the workload's set-up once, untimed, then runs its query set
 --passes times and prints per pass, per layer, the self time (minus the
 time of enclosed spans) and the call count, plus the remainder of the
-pass outside every span:
+pass outside every span.
+
+run_probe is split further by spans on the msflab.network functions of
+PROBE_PARTS that the timed checkout defines (names it lacks are skipped,
+so one script times old and new checkouts alike): the table scan, the
+crossing refinement, the closed-form recomputation and the sync
+bookkeeping; run_probe's own self time is the rest of the probe.  A
+second line per pass prints that split:
 
     PYTHONPATH=src python3 scripts/layer_times.py --workload random_impacting --seed 3
 
@@ -17,7 +24,8 @@ msflab is imported from PYTHONPATH, so the script can time another
 checkout's source; the workload definitions come from this checkout's
 perfbench/.  The spans add under a microsecond per call, a few per mille
 of a random_impacting pass.  Typed msflab failures count as results, as
-in the benchmark.
+in the benchmark.  The probe's part spans add about a microsecond per call,
+up to about a tenth of a preset_probe pass.
 """
 
 from __future__ import annotations
@@ -30,18 +38,28 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import msflab  # noqa: E402
-from msflab import msf  # noqa: E402
+from msflab import msf, network  # noqa: E402
 import workloads  # noqa: E402
 
 LAYERS = ("settle_transient", "_next_impact", "_estimate", "run_probe")
+# The parts of run_probe: msflab.network functions and _ModeSegments or
+# _SyncObserver methods, "Class.method" for a method.
+PROBE_PARTS = {
+    "scan": ("_ModeSegments.scan_rows", "_ModeSegments.scan", "_first_crossing"),
+    "refine": ("bisect_crossing", "_ModeSegments.wall_distance"),
+    "recompute": ("_ModeSegments.to_modes", "_ModeSegments.terms", "_ModeSegments.eval",
+                  "_ModeSegments.point"),
+    "bookkeeping": ("_sync_measures", "_kept_samples", "_SyncObserver.observe",
+                    "_SyncObserver.skip"),
+}
 
 
 class Spans:
     """Self time and calls per layer; a span's self time excludes the spans it encloses."""
 
     def __init__(self):
-        self.self_s = dict.fromkeys(LAYERS, 0.0)
-        self.calls = dict.fromkeys(LAYERS, 0)
+        self.self_s = dict.fromkeys(LAYERS + tuple(PROBE_PARTS), 0.0)
+        self.calls = dict.fromkeys(self.self_s, 0)
         self.stack: list[list] = []
 
     def wrap(self, name: str, fn):
@@ -73,6 +91,12 @@ def install(spans: Spans) -> None:
                 setattr(module, name, wrapper)
     for name in ("_next_impact", "_estimate"):
         setattr(msf._EventRecord, name, spans.wrap(name, getattr(msf._EventRecord, name)))
+    for part, names in PROBE_PARTS.items():
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            target = getattr(network, owner) if owner else network
+            if attr in vars(target):
+                setattr(target, attr, spans.wrap(part, getattr(target, attr)))
 
 
 def main(argv=None) -> int:
@@ -100,10 +124,17 @@ def main(argv=None) -> int:
                 if not workloads.is_typed_failure(exc):
                     raise
         total = perf_counter() - t0
-        parts = {k: (spans.self_s[k] - before[0][k], spans.calls[k] - before[1][k]) for k in LAYERS}
-        rest = total - sum(s for s, _ in parts.values())
-        cells = "  ".join(f"{k} {s:.3f} s/{c}" for k, (s, c) in parts.items())
+        parts = {k: (spans.self_s[k] - before[0][k], spans.calls[k] - before[1][k])
+                 for k in spans.self_s}
+        layers = {k: parts[k] for k in LAYERS}
+        layers["run_probe"] = (sum(parts[k][0] for k in ("run_probe", *PROBE_PARTS)),
+                               parts["run_probe"][1])
+        rest = total - sum(s for s, _ in layers.values())
+        cells = "  ".join(f"{k} {s:.3f} s/{c}" for k, (s, c) in layers.items())
         print(f"pass {n}: {total:.3f} s  {cells}  rest {rest:.3f} s")
+        if layers["run_probe"][1]:
+            split = "  ".join(f"{k} {parts[k][0]:.3f} s/{parts[k][1]}" for k in PROBE_PARTS)
+            print(f"  run_probe split: {split}  rest {parts['run_probe'][0]:.3f} s")
     return 0
 
 

@@ -8,7 +8,10 @@ share one generator), then the elastic preset at the negative sigmas
 OVERDAMPED_SIGMAS for the first OVERDAMPED_SEEDS probe seeds (4 results;
 their transverse mode is overdamped, s^2 > 0, and stays finite), then
 the complete-chatter catalogue point CHATTER_POINT probed from rest at
-sigma = 0 over 5 periods (1 result), and prints, per result, the fields
+sigma = 0 over 5 periods (1 result), then the undamped CRITICAL point at
+sigma = -0.5 from CRITICAL_BASE for the first CRITICAL_SEEDS probe seeds
+(2 results; its transverse generator is critical, s^2 = 0, with the flow
+factors 1 and dt), 103 results in all, and prints, per result, the fields
 of ProbeResult with every float written by repr, or the type and message
 of the msflab exception it raised.  Two commits give the same probe
 results bit for bit exactly when their outputs are identical, so a check
@@ -20,7 +23,7 @@ is one diff:
 
 msflab is imported from PYTHONPATH, so the script can run against another
 checkout's source; the workload definition comes from this checkout's
-perfbench/.  Takes about half a minute on one core.
+perfbench/.  Takes about 10-20 s on one core.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ CHATTER_POINT = msflab.ImpactOscillatorParams(
     zeta=0.07424109529981779, eta=0.34478727863484854,
     x_w=0.5666034302401003, R=0.5409710972632726,
 )
+# zeta = 0 and sigma*gamma = 1 give the transverse generator s^2 = 0.
+CRITICAL = msflab.ImpactOscillatorParams(zeta=0.0, eta=0.712, x_w=2.0, R=1.0)
+CRITICAL_BASE = msflab.OscState(1.2, 0.4, 0.0)
+CRITICAL_SEEDS = 2
 
 
 def _floats(values) -> list[str]:
@@ -72,6 +79,12 @@ def main(argv=None) -> int:
     ]
     runs.append((two, "chatter_point", CHATTER_POINT, 0.0, msflab.OscState(0.0, 0.0, 0.0),
                  msflab.ProbeSettings(sigma=0.0, max_periods=5, record_window=5), 0))
+    runs += [
+        (two, "critical_point", CRITICAL, -0.5, CRITICAL_BASE, msflab.ProbeSettings(
+            sigma=-0.5, rng_seed=(probe_seed, 0), max_periods=workloads.PROBE_MAX_PERIODS,
+        ), probe_seed)
+        for probe_seed in range(CRITICAL_SEEDS)
+    ]
     records = []
     for graph, name, p, sigma, base, settings, probe_seed in runs:
         out = {"nodes": graph.n_nodes, "preset": name, "sigma": repr(sigma), "probe_seed": probe_seed}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,8 +29,10 @@ from .msf import (
     MSFQuery, TLEResult, TLESettings, _check_settings, _run_grid, compute_tle, settle_transient,
 )
 from .oscillator import (
+    _EPS,
     _SCAN_GUARD,
     _ChatterGuard,
+    _model_bounds,
     DEFAULT_SCAN_STEP,
     ImpactOscillatorParams,
     OscState,
@@ -43,7 +46,13 @@ from .oscillator import (
 _CHUNK = 4096
 _DIFF_GUARD = 1e-12  # |dev - threshold| and |d_j - d_(j-1)| per unit bound below
                      # which a table sample is recomputed with the closed form
+_POINTS = 8  # at most this many offsets are recomputed one by one, in floats
 ZERO_MODE_TOL = 1e-9
+# The recomputation's scalar flow functions (see _ModeSegments).
+_POINT_LIB = SimpleNamespace(
+    cos=math.cos, sin=math.sin,
+    cosh=lambda x: float(np.cosh(x)), sinh=lambda x: float(np.sinh(x)),
+)
 
 
 class InvalidGraphError(ValueError):
@@ -177,13 +186,6 @@ def sync_verdict(spectrum: ModeSpectrum, margin: float = 1e-3) -> str:
     return "marginal"
 
 
-def _negative_seed(seed) -> bool:
-    """Whether an int seed, or an entry of a (nested) seed tuple, is negative."""
-    if isinstance(seed, (tuple, list)):
-        return any(map(_negative_seed, seed))
-    return isinstance(seed, (int, np.integer)) and seed < 0
-
-
 @dataclass(frozen=True)
 class ProbeSettings:
     """Protocol constants for the direct synchronization probe."""
@@ -200,8 +202,13 @@ class ProbeSettings:
     def __post_init__(self):
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma!r}")
-        if _negative_seed(self.rng_seed):
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
+        try:
+            np.random.default_rng(self.rng_seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"rng_seed must be non-negative ints, or nested sequences of them, that numpy "
+                f"accepts as a seed; got {self.rng_seed!r} ({exc})"
+            ) from None
         _check_settings(
             self, ("max_periods", "record_window", "transient_periods"),
             ("perturbation_magnitude", "sync_threshold", "scan_step"),
@@ -234,6 +241,14 @@ class _ModeSegments:
     Multiplying by the reciprocal, as numpy's complex division does, gives
     the complex form's values bit for bit wherever these functions round
     as the complex ones' parts do (numpy's SIMD array cosh and sinh may not).
+
+    eval evaluates arrays of offsets, point one offset in Python floats:
+    math's cos and sin, numpy's exp, cosh and sinh on floats (math's exp,
+    cosh and sinh round differently from numpy's arrays on x86-64), the
+    modes summed in eval's order.  So point gives eval's bits wherever those
+    functions round as numpy's array functions do.  Both read A_k u and
+    to_modes' Q^T product from numpy's matmul, whose BLAS kernels may fuse
+    multiply-adds that Python floats cannot reproduce.
     """
 
     def __init__(self, p, graph: CouplingGraph, coupling, sigma: float):
@@ -261,8 +276,27 @@ class _ModeSegments:
             distinct.setdefault(key, len(distinct))
             for key in zip(self.s_squares, self.half_traces)
         ]
-        self._generators = [(s2, m, math.sqrt(abs(s2)) or 1.0) for s2, m in distinct]
+        self._generators = [(s2, float(m), math.sqrt(abs(s2)) or 1.0) for s2, m in distinct]
         self._ap, self._bp = steady_state_coefficients(p)
+        # Per-run constants of the window loop's scalar work: q by rows, by
+        # columns and as q_i - q_0 by columns, A_k's entries and r per mode.
+        self._q_rows, self._q_cols = self.q.tolist(), self.q.T.tolist()
+        self._dq_cols = [[q_ik - q_k[0] for q_ik in q_k[1:]] for q_k in self._q_cols]
+        self._entries = [a.ravel().tolist() for a in self.traceless]
+        self._traceless = np.array(self.traceless)
+        self._mode_r = [self._generators[g][2] for g in self._generator_of]
+        self._scan_flows = [(flow_functions(s2, math), m, r) for s2, m, r in self._generators]
+        self._point_flows = [
+            (*flow_functions(s2, _POINT_LIB), m, r, 1.0 / r) for s2, m, r in self._generators
+        ]
+        # Per mode the wall distance's flow constants and its model's growth
+        # exponent g, and the model's scale of free (see wall_distance).
+        self._wall_modes = [
+            (m, r, 1.0 / r, *flow_functions(s2, math), s2, max(m, 0.0) + (r if s2 >= 0.0 else 0.0))
+            for s2, m, r in (self._generators[g] for g in self._generator_of)
+        ]
+        rate = max(abs(m) + r for _, m, r in self._generators)
+        self._wall_scale = max(1.0, rate) ** 2 * max(1.0, self.n / 8)
 
     def steady(self, taus):
         """Shared steady state (positions, velocities) at absolute times."""
@@ -272,11 +306,25 @@ class _ModeSegments:
         vp = self.p.eta * (self._bp * cos_ph - self._ap * sin_ph)
         return xp, vp
 
-    def to_modes(self, state: np.ndarray, tau: float) -> np.ndarray:
-        """Mode coordinates (n, 2) of the deviation from the steady state."""
-        xp, vp = self.steady(tau)
-        dev = state.reshape(self.n, 2) - np.array([xp, vp]).T
-        return self.q.T @ dev
+    def _steady_at(self, tau: float):
+        """steady at one time, in math.cos and math.sin."""
+        ph = self.p.eta * tau
+        c, s = math.cos(ph), math.sin(ph)
+        return self._ap * c + self._bp * s, self.p.eta * (self._bp * c - self._ap * s)
+
+    def to_modes(self, state, tau: float) -> np.ndarray:
+        """Mode coordinates (n, 2) of the deviation of (x_0, v_0, x_1, ...) from the steady state."""
+        xp, vp = self._steady_at(tau)
+        return self.q.T @ np.array([[x - xp, v - vp] for x, v in zip(state[0::2], state[1::2])])
+
+    def terms(self, modes: np.ndarray) -> list:
+        """(u_0, u_1, (A u)_0, (A u)_1) per mode of mode coordinates u: eval's per-mode constants.
+
+        numpy applies the one matrix-vector product of eval's A_k @ u to
+        each stacked A_k, so A u comes out with eval's bits.
+        """
+        au = np.matmul(self._traceless, modes[:, :, None])
+        return [(*u, *w) for u, w in zip(modes.tolist(), au[:, :, 0].tolist())]
 
     def eval(self, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
         """Node positions and velocities at offsets dts from the anchor."""
@@ -295,72 +343,204 @@ class _ModeSegments:
         xp, vp = self.steady(tau_a + dts)
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
-    def wall_distance(self, modes0: np.ndarray, tau_a: float, node: int):
-        """x - x_w of one node at scalar offset dt from the anchor, as a function of dt.
+    def point(self, terms: list, tau_a: float, dt: float):
+        """eval at one offset in Python floats: lists of node positions and velocities."""
+        flows = []
+        for cosh, sinh, m, r, inv_r in self._point_flows:
+            rdt = r * dt
+            flows.append((cosh(rdt), sinh(rdt) * inv_r, float(np.exp(m * dt))))
+        modes = []
+        for (u0, u1, au0, au1), g in zip(terms, self._generator_of):
+            ch, shc, env = flows[g]
+            modes.append((env * (ch * u0 + shc * au0), env * (ch * u1 + shc * au1)))
+        xp, vp = self._steady_at(tau_a + dt)
+        xs, vs = [], []
+        for row in self._q_rows:
+            x = v = 0.0
+            for qk, (mx, mv) in zip(row, modes):
+                x += qk * mx
+                v += qk * mv
+            xs.append(x + xp)
+            vs.append(v + vp)
+        return xs, vs
 
-        The impact bisection's distance: eval's position in math, with the
-        per-mode constants computed once instead of at every call.
+    def measures(self, modes: np.ndarray, terms: list, tau_a: float, dts: np.ndarray):
+        """_sync_measures of eval's node states at offsets dts.
+
+        A few offsets go through point and the measures through floats,
+        which round as numpy's (a nan deviation spreads as numpy's max
+        spreads it), returned as lists; more go through eval.
         """
-        terms = []
-        for k in range(self.n):
-            s2, m, r = self._generators[self._generator_of[k]]
-            u, a = modes0[k], self.traceless[k]
-            au0 = float(a[0, 0] * u[0] + a[0, 1] * u[1])
-            terms.append((float(self.q[node, k]), float(m), r, 1.0 / r,
-                          *flow_functions(s2, math), float(u[0]), au0))
+        if dts.size > _POINTS:
+            xs, vs = self.eval(modes, tau_a, dts)
+            return _sync_measures(xs[1:] - xs[0], vs[1:] - vs[0])
+        devs, ds = [], []
+        for dt in dts.tolist():
+            (x0, *xs), (v0, *vs) = self.point(terms, tau_a, dt)
+            node = [math.sqrt((x - x0) * (x - x0) + (v - v0) * (v - v0)) for x, v in zip(xs, vs)]
+            devs.append(max(node) if all(e == e for e in node) else math.nan)
+            ds.append(abs(xs[0] - x0))
+        return devs, ds
+
+    def wall_distance(self, terms: list, tau_a: float, node: int):
+        """x - x_w of one node at scalar offset dt from the anchor, and its model.
+
+        distance(dt) is eval's position in math, (A u)_0 included, with the
+        per-mode constants computed once; the plain bisection has always
+        read it.  model(lo, hi) is bisect_crossing's through the
+        oscillator's _model_bounds.  Over offsets [0, hi] each mode's part
+        e^(m t)*(c*u_0 + sn/r*(A u)_0) of x stays below its size |q_k|*(|u_0|
+        + |(A u)_0|/r) times e^(g*hi), g = max(m, 0) plus r for s^2 >= 0;
+        applying B multiplies a size by at most rate = |m| + r, so x' and x''
+        stay below rate and rate^2 times it (motion's velocity reads B u).
+        free is the sum of the grown sizes, scaled by max(1, rate)^2 over
+        the modes, which covers the rate that _model_bounds takes as 1, and
+        by n/8 past eight modes for the longer sums.
+        """
+        row, sizes = [], []
+        for (u0, u1, _, _), (a00, a01, _, _), qk, (m, r, inv_r, cosh, sinh, s2, g) in zip(
+            terms, self._entries, self._q_rows[node], self._wall_modes
+        ):
+            au0 = a00 * u0 + a01 * u1
+            row.append((qk, m, r, inv_r, cosh, sinh, u0, au0, m * u0 + au0, m * au0 + s2 * u0))
+            sizes.append((abs(qk) * (abs(u0) + abs(au0) * inv_r), g))
+        scale = self._wall_scale
         eta, ap, bp, x_w = self.p.eta, self._ap, self._bp, self.p.x_w
         exp, cos, sin = math.exp, math.cos, math.sin
 
         def distance(dt):
             x = 0.0
-            for qk, m, r, inv_r, cosh, sinh, u0, au0 in terms:
+            for qk, m, r, inv_r, cosh, sinh, u0, au0, _, _ in row:
                 rdt = r * dt
                 x += qk * exp(m * dt) * (cosh(rdt) * u0 + sinh(rdt) * inv_r * au0)
             ph = eta * (tau_a + dt)
             return x + ap * cos(ph) + bp * sin(ph) - x_w
 
-        return distance
+        def motion(dt):
+            x = v = 0.0
+            for qk, m, r, inv_r, cosh, sinh, u0, au0, bu0, abu0 in row:
+                rdt = r * dt
+                e, ch, sh = qk * exp(m * dt), cosh(rdt), sinh(rdt) * inv_r
+                x += e * (ch * u0 + sh * au0)
+                v += e * (ch * bu0 + sh * abu0)
+            ph = eta * (tau_a + dt)
+            cp, sp = cos(ph), sin(ph)
+            return x + ap * cp + bp * sp - x_w, v + eta * (bp * cp - ap * sp)
 
-    def scan_rows(self, modes0: np.ndarray, tau_a: float, tau_g: float, col_max: list):
-        """Coefficients on flow_table's columns, at offsets from the grid point tau_g.
+        def model(lo, hi):
+            free = sum(size * exp(min(g * hi, 700.0)) for size, g in sizes)
+            return (motion, *_model_bounds(eta, x_w, scale * free, abs(ap) + abs(bp), tau_a, hi))
 
-        The mode state at tau_a is carried to tau_g in scalar math and folded
-        with the eigenvectors and the forcing phase into rows for x of every
-        node, then x_i - x_0 and v_i - v_0 for i >= 1 (the steady state
-        cancels in those).  Also returns the bound sum |coef|*col_max over
-        the rows of x and v, with col_max the table's largest |value| per
-        column: no node's position or velocity in the window exceeds it.
+        return distance, model
+
+    def scan_table(self, step: float) -> tuple:
+        """The per-run table of scan: flow_table on one window, transposed, with
+        each column's largest |value| and, per generator, the least and
+        largest norm of its column pair on the grid."""
+        values = np.ascontiguousarray(flow_table(self._generators, self.p.eta, step, _CHUNK).T)
+        norms = [np.hypot(values[2 * g], values[2 * g + 1]) for g in range(len(self._generators))]
+        return values, np.abs(values).max(axis=1).tolist(), [(float(r.min()), float(r.max())) for r in norms]
+
+    def scan(self, terms: list, tau_a: float, tau_g: float, size: int, table: tuple):
+        """One window's table values at the size grid offsets from tau_g, their bound and floor.
+
+        The mode state at tau_a is carried to the grid point tau_g in
+        scalar math and folded with the eigenvectors and the forcing phase
+        into coefficients on flow_table's columns: rows for x of every node,
+        then x_i - x_0 and v_i - v_0 of each node i >= 1 in turn (q_i - q_0
+        applied to the modes, without the steady state); the values are
+        their product with the scan_table.  The bound, each mode's larger
+        sum |coef|*col_max over its x and v columns summed over the modes
+        (|q| <= 1) plus the forcing's, exceeds every node's |x| and |v| in
+        the window.  The floor is a lower bound of the table's first node
+        pair deviation sqrt(dx^2 + dv^2) over the window: per generator the
+        pair's 2x2 block M maps its column pair, of norm between lo and hi,
+        so one generator's part is at least sigma_min(M)*lo >= |det M|/|M|_F*lo
+        and each other's at most |M|_F*hi; less the product's rounding,
+        width*eps times the pair's sums |coef|*col_max.  Zero or negative
+        where no such bound shows.
         """
+        values, col_max, spans = table
+        n, width = self.n, len(col_max)
         dt = tau_g - tau_a
         flows = []
-        for s2, m, r in self._generators:
-            c, sn = flow_functions(s2, math)
+        for (c, sn), m, r in self._scan_flows:
             e = math.exp(m * dt)
-            flows.append((e * c(r * dt), e * sn(r * dt) / r, r))
-        width = 2 * len(flows) + 2
-        x = [[0.0] * width for _ in range(self.n)]
-        v = [[0.0] * width for _ in range(self.n)]
-        for k, (u0, u1) in enumerate(modes0.tolist()):
-            gen = self._generator_of[k]
-            ec, es, r = flows[gen]
-            a00, a01, a10, a11 = self.traceless[k].ravel().tolist()
-            w0 = ec * u0 + es * (a00 * u0 + a01 * u1)
-            w1 = ec * u1 + es * (a10 * u0 + a11 * u1)
+            flows.append((e * c(r * dt), e * sn(r * dt) / r))
+        rows = [[0.0] * width for _ in range(3 * n - 2)]
+        diffs = list(zip(rows[n::2], rows[n + 1::2]))
+        bound = 0.0
+        for (u0, u1, au0, au1), g, (a00, a01, a10, a11), r, q_k, dq_k in zip(
+            terms, self._generator_of, self._entries, self._mode_r, self._q_cols, self._dq_cols
+        ):
+            ec, es = flows[g]
+            w0, w1 = ec * u0 + es * au0, ec * u1 + es * au1
             aw0, aw1 = (a00 * w0 + a01 * w1) / r, (a10 * w0 + a11 * w1) / r
-            for xi, vi, qik in zip(x, v, self.q[:, k].tolist()):
-                xi[2 * gen] += qik * w0
-                xi[2 * gen + 1] += qik * aw0
-                vi[2 * gen] += qik * w1
-                vi[2 * gen + 1] += qik * aw1
+            j = 2 * g
+            for row, qik in zip(rows, q_k):
+                row[j] += qik * w0
+                row[j + 1] += qik * aw0
+            for (dx, dv), dq in zip(diffs, dq_k):
+                dx[j] += dq * w0
+                dx[j + 1] += dq * aw0
+                dv[j] += dq * w1
+                dv[j + 1] += dq * aw1
+            c0, c1 = col_max[j], col_max[j + 1]
+            bound += max(abs(w0) * c0 + abs(aw0) * c1, abs(w1) * c0 + abs(aw1) * c1)
         eta, ph = self.p.eta, self.p.eta * tau_g
-        ca = self._ap * math.cos(ph) + self._bp * math.sin(ph)
-        sa = self._bp * math.cos(ph) - self._ap * math.sin(ph)
-        for xi, vi in zip(x, v):
-            xi[-2:] = ca, sa
-            vi[-2:] = eta * sa, -eta * ca
-        bound = max(sum(abs(c) * b for c, b in zip(row, col_max)) for row in x + v)
-        diffs = [[a - b for a, b in zip(row, rows0[0])] for rows0 in (x, v) for row in rows0[1:]]
-        return np.array(x + diffs), bound
+        c, s = math.cos(ph), math.sin(ph)
+        ca, sa = self._ap * c + self._bp * s, self._bp * c - self._ap * s
+        for row in rows[:n]:
+            row[-2:] = ca, sa
+        c0, c1 = col_max[-2:]
+        bound += max(abs(ca) * c0 + abs(sa) * c1, eta * (abs(sa) * c0 + abs(ca) * c1))
+        parts, sums = [], 0.0
+        dx, dv = diffs[0]
+        for g, (lo, hi) in enumerate(spans):
+            j = 2 * g
+            a, b, c, d = dx[j], dx[j + 1], dv[j], dv[j + 1]
+            norm, ad, bc = math.sqrt(a * a + b * b + c * c + d * d), a * d, b * c
+            det = abs(ad - bc) - 4.0 * _EPS * (abs(ad) + abs(bc))
+            parts.append((det / norm * lo if norm else 0.0, norm * hi))
+            sums += (abs(a) + abs(c)) * col_max[j] + (abs(b) + abs(d)) * col_max[j + 1]
+        others = sum(hi for _, hi in parts)
+        floor = max(lo - (others - hi) for lo, hi in parts) * (1.0 - 1e-9) - width * _EPS * sums
+        return np.array(rows) @ values[:, :size], bound, floor
+
+
+def _first_crossing(x_rows: np.ndarray, g0: list, x_w: float, guard: float, positions):
+    """The first column where a node's x - x_w turns positive, and the nodes that do so there.
+
+    x_rows holds a window's table positions, g0 each node's exact x - x_w
+    before its first column and positions(cols) eval's positions at
+    columns.  Columns within guard of the wall take eval's signs, the others
+    the table's, which differs from eval's by far less.  Usually the first
+    column near the wall is certain and the crossing; else the window from
+    there is decided as a whole.  Returns (window size, []) without a
+    crossing, also where the table holds a nan.
+    """
+    size = x_rows.shape[1]
+    if not x_rows.max() > x_w - guard:
+        return size, []
+    hot = x_rows > x_w - guard
+    a = min(j for i, j in enumerate(hot.argmax(axis=1).tolist()) if hot[i, j])
+    column = x_rows[:, a].tolist()  # every node's column a - 1 lies inside by more than guard
+    if all(abs(x - x_w) >= guard for x in column):
+        nodes = [i for i, x in enumerate(column) if x > x_w and (a or g0[i] <= 0.0)]
+        if nodes:
+            return a, nodes
+    g = x_rows[:, a:] - x_w
+    unsure = np.flatnonzero((np.abs(g) < guard).any(axis=0))
+    if unsure.size:
+        g[:, unsure] = positions(a + unsure) - x_w
+    rises = g > 0.0
+    rises[:, 1:] &= g[:, :-1] <= 0.0
+    if not a:
+        rises[:, 0] &= np.array(g0) <= 0.0
+    cols = np.flatnonzero(rises.any(axis=0))
+    if not cols.size:
+        return size, []
+    return a + int(cols[0]), np.flatnonzero(rises[:, cols[0]]).tolist()
 
 
 def _sync_measures(dx: np.ndarray, dv: np.ndarray):
@@ -368,74 +548,97 @@ def _sync_measures(dx: np.ndarray, dv: np.ndarray):
     return np.sqrt(dx**2 + dv**2).max(axis=0), np.abs(dx[0])
 
 
-def _kept_samples(dev, d, prev_d: float, threshold: float, margin: float, peaks: bool):
-    """Indices of the consumed samples to recompute with the closed form.
-
-    dev and d are the table's approximate largest deviation and |x1 - x2|
-    of the samples a window commits, prev_d the exact |x1 - x2| before them.
-    Recomputed are the samples whose dev lies within margin of threshold,
-    the last two (the observer carries them, and the last one may anchor
-    the next window) and, where peaks are read, both samples of every step
-    of d smaller than margin (prev_d counted) and every approximate peak.
-    Every other decision the observer takes is the exact one.
-    """
-    keep = np.abs(dev - threshold) < margin
-    keep[-2:] = True
-    if peaks:
-        ext = np.concatenate(([prev_d], d))
-        close = np.abs(np.diff(ext)) < margin  # close[j]: d[j] against the one before
-        keep |= close
-        keep[:-1] |= close[1:] | ((ext[:-2] < ext[1:-1]) & (ext[1:-1] > ext[2:]))
-    return np.flatnonzero(keep)
-
-
 class _SyncObserver:
-    """The probe's sync check and bifurcation record, one numpy pass per block.
+    """The probe's sync check and bifurcation record, a few numpy passes per block.
 
     Synchronized once the largest node deviation has stayed below threshold
     for a forcing period (sync_time: the start of that stretch); maxima are
     the local maxima of |x1 - x2| at tau >= record_from.  prev_diff_tau is
     the last sample consumed: on a sync stop, the one before the stop sample.
+    Samples are grid points tau0 + j*step, consumed in blocks.
     """
 
-    def __init__(self, tau0, diff0, period, threshold, record_from):
-        self.period, self.threshold, self.record_from = period, threshold, record_from
+    def __init__(self, tau0, step, diff0, period, threshold, record_from):
+        self.tau0, self.step, self.period = tau0, step, period
+        self.threshold, self.record_from = threshold, record_from
         self.below_start, self.sync_time, self.maxima = None, None, []
         # nan stands for the sample before the start: no maximum is read there.
         self.prev_prev_diff, self.prev_diff, self.prev_diff_tau = math.nan, diff0, tau0
 
-    def observe(self, taus, dev, d) -> bool:
-        """Consume committed grid samples with their _sync_measures; True to stop (synced)."""
-        below = dev < self.threshold
-        stop, done = taus.size, False
-        if not below.any():
+    def observe(self, k: int, dev, dx, margin: float, exact) -> bool:
+        """Consume the samples k, k + 1, ... of a block; True to stop (synchronized).
+
+        dev and dx hold the table's largest node deviation and x1 - x0 per
+        sample, dev None where every deviation is certified at or above
+        threshold + margin, and exact(idx) eval's (deviations, |x1 - x0|) at
+        sample indices idx.  The table's values lie within far less than
+        margin of eval's, so the decisions they take are the exact ones;
+        eval decides the rest: deviations within margin of the threshold,
+        and each candidate maximum (no step of |dx| into it below -margin,
+        none out of it above margin) with its neighbours across a step
+        smaller than margin.  The last two diffs are carried exact where a
+        maximum here or in the next block may read them, else as the
+        table's.
+        """
+        size = dx.size
+        stop, done = size, False
+        if dev is None:
             self.below_start = None
         else:
-            # A below-threshold run starts one past the last sample not below,
-            # or at the carried start when it began in an earlier block.
-            last_above = np.maximum.accumulate(np.where(below, -1, np.arange(taus.size)))
-            run_start = taus[np.minimum(last_above + 1, taus.size - 1)]
-            if self.below_start is not None:
-                run_start[last_above < 0] = self.below_start
-            hits = np.flatnonzero(below & (taus - run_start >= self.period))
-            if hits.size:
-                stop, done = int(hits[0]), True
-                self.sync_time = float(run_start[stop])
+            near = np.flatnonzero(np.abs(dev - self.threshold) < margin)
+            if near.size:
+                dev = dev.copy()
+                dev[near] = exact(near)[0]
+            below = dev < self.threshold
+            if not below.any():
+                self.below_start = None
             else:
-                self.below_start = float(run_start[-1]) if below[-1] else None
+                # A below-threshold run starts one past the last sample not below,
+                # or at the carried start when it began in an earlier block.
+                taus = self.tau0 + (k + np.arange(size)) * self.step
+                last_above = np.maximum.accumulate(np.where(below, -1, np.arange(size)))
+                run_start = taus[np.minimum(last_above + 1, size - 1)]
+                if self.below_start is not None:
+                    run_start[last_above < 0] = self.below_start
+                hits = np.flatnonzero(below & (taus - run_start >= self.period))
+                if hits.size:
+                    stop, done = int(hits[0]), True
+                    self.sync_time = float(run_start[stop])
+                else:
+                    self.below_start = float(run_start[-1]) if below[-1] else None
         if not stop:
             return done
-        if taus[stop - 1] < self.record_from:
-            # Every window centre lies before record_from: carry the last two diffs.
-            d = np.concatenate(([self.prev_diff], d[max(stop - 2, 0):stop]))
+        last = self.tau0 + (k + stop - 1) * self.step
+        if last < self.record_from - 2.0 * self.step:
+            d = [self.prev_diff] + np.abs(dx[max(stop - 2, 0):stop]).tolist()
         else:
-            # Each consumed sample closes the window (prev_prev, prev, it).
-            d = np.concatenate(([self.prev_prev_diff, self.prev_diff], d[:stop]))
-            centre_taus = np.concatenate(([self.prev_diff_tau], taus[:stop]))[:-1]
-            peaks = (d[:-2] < d[1:-1]) & (d[1:-1] > d[2:]) & (centre_taus >= self.record_from)
-            self.maxima.extend(d[1:-1][peaks].tolist())
+            # d[j] is centred between d[j - 1] and d[j + 1], j >= 1; the first
+            # two are the carried ones and d[j + 2] is sample j.
+            d = np.concatenate(([self.prev_prev_diff, self.prev_diff], np.abs(dx[:stop])))
+            steps = np.diff(d)
+            c = np.flatnonzero((steps[:-1] > -margin) & (steps[1:] < margin)) + 1
+            if c.size > _POINTS:  # a plateau of close steps, in arrays
+                close = np.abs(steps) < margin
+                need = np.concatenate((c, c[close[c - 1]] - 1, c[close[c]] + 1, [stop, stop + 1]))
+                need = np.unique(need[need >= 2])
+                d[need] = exact(need - 2)[1]
+                peaks = c[(d[c - 1] < d[c]) & (d[c] > d[c + 1])].tolist()
+            else:
+                need = {stop, stop + 1}
+                for j in c.tolist():
+                    need.update((j, j - 1) if abs(steps[j - 1]) < margin else (j,))
+                    if abs(steps[j]) < margin:
+                        need.add(j + 1)
+                need = sorted(j for j in need if j >= 2)
+                d[need] = exact([j - 2 for j in need])[1]
+                peaks = [j for j in c.tolist() if d[j - 1] < d[j] > d[j + 1]]
+            self.maxima.extend(
+                float(d[j]) for j in peaks
+                if (self.tau0 + (k + j - 2) * self.step if j > 1 else self.prev_diff_tau)
+                >= self.record_from
+            )
         self.prev_prev_diff, self.prev_diff = float(d[-2]), float(d[-1])
-        self.prev_diff_tau = float(taus[stop - 1])
+        self.prev_diff_tau = last
         return done
 
 
@@ -464,88 +667,85 @@ def _simulate_coupled(
 
     Anchors sit at each impact and every _CHUNK samples after an anchor.
     Every sample of the window up to the next anchor comes from one matrix
-    product of _ModeSegments.scan_rows with a per-run flow_table, which
+    product of _ModeSegments.scan's rows with a per-run flow_table, which
     differs from _ModeSegments.eval by rounding only.  Those values only
-    decide booleans, and eval recomputes each sample whose decision they
-    cannot certify or whose value is kept: |x - x_w| below _SCAN_GUARD
-    times the window's bound, and the samples _kept_samples names with a
-    margin of _DIFF_GUARD times the bound.  The margins hold with room to
-    spare: the table's values and eval's both differ from the exact
-    solution by about 1e-15 times the bound in node differences (plus
-    |v_i - v_0|*ulp(tau), small wherever a decision on them is close),
-    and in absolute positions by at most about |v|*ulp(tau) +
-    ulp(eta*tau)*|A|, near 1e-11 at tau = 2e4.  So every result equals
-    evaluating each sample with eval, bit for bit, wherever numpy's
-    elementwise functions give an element the same bits whatever the
-    array around it.
+    decide booleans, and eval recomputes, in floats through
+    _ModeSegments.point, each sample whose decision they cannot certify or
+    whose value is kept: |x - x_w| below _SCAN_GUARD times the window's
+    bound, and the samples _SyncObserver asks for with a margin of
+    _DIFF_GUARD times the bound.  Where the scan's floor, or else the table,
+    puts the first node pair's deviation above threshold by twice that
+    margin, no deviation is compared at all.  The margins hold with room to
+    spare: the table's values and eval's both differ from the exact solution
+    by about 1e-15 times the bound in node differences (plus
+    |v_i - v_0|*ulp(tau), small wherever a decision on them is close), and in
+    absolute positions by at most about |v|*ulp(tau) + ulp(eta*tau)*|A|, near
+    1e-11 at tau = 2e4.  So every result equals evaluating each sample with
+    eval, bit for bit, wherever numpy's elementwise functions give an
+    element the same bits whatever the array around it and point rounds as
+    eval.  Each crossing is refined by bisect_crossing with the crossing
+    node's certified model, which keeps the plain bisection's midpoints.
     """
     segs = _ModeSegments(p, graph, coupling, sigma)
     n = graph.n_nodes
     period = p.forcing_period
     h = settings.scan_step
+    threshold = settings.sync_threshold
     total = int(math.ceil(settings.max_periods * period / h))
-    table = np.ascontiguousarray(flow_table(segs._generators, p.eta, h, _CHUNK).T)
-    col_max = np.abs(table).max(axis=1).tolist()
+    table = segs.scan_table(h)
 
-    state = np.asarray(x0, dtype=float).copy()
+    state = np.asarray(x0, dtype=float)
     if state.shape != (2 * n,):
         raise ValueError(f"state must have length {2 * n}, got shape {state.shape}")
+    state = state.tolist()
     anchor_tau = tau0
-    modes = segs.to_modes(state, anchor_tau)
 
     record_from = tau0 + (settings.max_periods - settings.record_window) * period
-    obs = _SyncObserver(
-        tau0, abs(state[0] - state[2]), period, settings.sync_threshold, record_from
-    )
+    obs = _SyncObserver(tau0, h, abs(state[0] - state[2]), period, threshold, record_from)
     impact_times: list[float] = []
     guards = [_ChatterGuard(p) for _ in range(n)]
 
     k = 1  # grid index of the window's first sample
     while k <= total:
-        if not np.isfinite(state).all():
+        if not all(map(math.isfinite, state)):
             raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6g}")
-        taus = tau0 + np.arange(k, min(k + _CHUNK, total + 1), dtype=float) * h
-        rows, bound = segs.scan_rows(modes, anchor_tau, tau0 + (k - 1) * h, col_max)
-        vals = rows @ table[:, : taus.size]
+        modes = segs.to_modes(state, anchor_tau)
+        terms = segs.terms(modes)
+        size = min(_CHUNK, total + 1 - k)
+        vals, bound, floor = segs.scan(terms, anchor_tau, tau0 + (k - 1) * h, size, table)
 
-        ci = taus.size  # first sample past a wall crossing
-        if p.wall_enabled and vals[:n].max() > p.x_w - _SCAN_GUARD * bound:
-            g = vals[:n] - p.x_w
-            unsure = np.flatnonzero((np.abs(g) < _SCAN_GUARD * bound).any(axis=0))
-            if unsure.size:
-                g[:, unsure] = segs.eval(modes, anchor_tau, taus[unsure] - anchor_tau)[0] - p.x_w
-            crossings = (g > 0.0) & (np.column_stack([state[0::2] - p.x_w, g[:, :-1]]) <= 0.0)
-            hit_cols = np.flatnonzero(crossings.any(axis=0))
-            if hit_cols.size:
-                ci = int(hit_cols[0])
-        keep = np.empty(0, dtype=int)
-        if ci > 0:
-            dev, d = _sync_measures(vals[n : 2 * n - 1, :ci], vals[2 * n - 1 :, :ci])
-            keep = _kept_samples(
-                dev, d, obs.prev_diff, settings.sync_threshold, _DIFF_GUARD * bound,
-                peaks=taus[ci - 1] >= record_from - 2.0 * h,
+        ci, nodes = size, []  # ci: first sample past a wall crossing
+        if p.wall_enabled:
+            ci, nodes = _first_crossing(
+                vals[:n], [x - p.x_w for x in state[0::2]], p.x_w, _SCAN_GUARD * bound,
+                lambda cols: segs.eval(modes, anchor_tau, tau0 + (k + cols) * h - anchor_tau)[0],
             )
-        dts = taus[keep] - anchor_tau
-        if ci < taus.size:
-            # The impact point is evaluated with the kept samples, last.
-            lo_dt = float(taus[ci - 1]) - anchor_tau if ci > 0 else 0.0
-            hi_dt = float(taus[ci]) - anchor_tau
-            dts = np.append(dts, min(
-                bisect_crossing(segs.wall_distance(modes, anchor_tau, node), lo_dt, hi_dt)
-                for node in np.flatnonzero(crossings[:, ci]).tolist()
-            ))
-        xs, vs = segs.eval(modes, anchor_tau, dts)
         if ci > 0:
-            ex, ev = xs[:, : keep.size], vs[:, : keep.size]
-            dev[keep], d[keep] = _sync_measures(ex[1:] - ex[0], ev[1:] - ev[0])
-            if obs.observe(taus[:ci], dev, d):
+            margin = _DIFF_GUARD * bound
+            pair = vals[n:n + 2, :ci]
+            limit = (threshold + 2.0 * margin) * (1.0 + 1e-12)
+            above = floor > limit or np.einsum("ij,ij->j", pair, pair).min() > limit * limit
+            dev = None if above else _sync_measures(vals[n::2, :ci], vals[n + 1::2, :ci])[0]
+
+            def exact(idx):  # eval's measures at samples idx of this window, called at once
+                return segs.measures(modes, terms, anchor_tau, tau0 + (k + np.asarray(idx)) * h - anchor_tau)
+
+            if obs.observe(k, dev, vals[n, :ci], margin, exact):
                 break
         # The next anchor: the window's last sample, or the impact point.
-        state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
-        if ci == taus.size:
-            anchor_tau = float(taus[-1])
+        if ci == size:
+            dt = tau0 + (k + size - 1) * h - anchor_tau
         else:
-            anchor_tau += float(dts[-1])
+            lo = tau0 + (k + ci - 1) * h - anchor_tau if ci > 0 else 0.0
+            hi = tau0 + (k + ci) * h - anchor_tau
+            walls = [segs.wall_distance(terms, anchor_tau, node) for node in nodes]
+            dt = min(bisect_crossing(distance, lo, hi, model(lo, hi)) for distance, model in walls)
+        xs, vs = segs.point(terms, anchor_tau, dt)
+        state = [c for xv in zip(xs, vs) for c in xv]
+        if ci == size:
+            anchor_tau = tau0 + (k + size - 1) * h
+        else:
+            anchor_tau += dt
             for node in range(n):
                 if abs(state[2 * node] - p.x_w) <= WALL_POSITION_TOL and state[2 * node + 1] > 0.0:
                     state[2 * node] = p.x_w
@@ -553,7 +753,6 @@ def _simulate_coupled(
                     impact_times.append(anchor_tau)
                     guards[node].push(anchor_tau)
         k += ci  # with an impact: the first grid index past it
-        modes = segs.to_modes(state, anchor_tau)
 
     synchronized = obs.sync_time is not None
     periods_run = min(

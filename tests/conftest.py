@@ -71,3 +71,27 @@ def numpy_exp_scalar_matches_array():
                 f"element on this host, so impact times may differ from segment_states' "
                 f"in the last bit"
             )
+
+
+@pytest.fixture(scope="session")
+def numpy_hyperbolic_scalar_matches_array():
+    """Skip unless numpy's cosh and sinh round a float as they round the same array element.
+
+    The coupled probe's scalar recomputation (_ModeSegments.point) calls
+    np.cosh and np.sinh on one float where _ModeSegments.eval calls them on
+    arrays, for overdamped modes (s^2 > 0); math.cosh and math.sinh round
+    differently on x86-64, so the scalars go through numpy.  The arguments
+    span the products r*dt the tests reach.
+    """
+    rng = np.random.default_rng(13)
+    args = np.concatenate([rng.uniform(0.0, 1e-2, 2000), rng.uniform(0.0, 12.0, 2000)])
+    for name in ("cosh", "sinh"):
+        func = getattr(np, name)
+        values = func(args)
+        for i, a in enumerate(args.tolist()):
+            if not func(a) == values[i]:
+                pytest.skip(
+                    f"numpy.{name} rounds the float {a!r} differently from the same array "
+                    f"element on this host, so the probe's recomputation may differ from "
+                    f"_ModeSegments.eval in the last bit"
+                )

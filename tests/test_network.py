@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import LoopObserver, complex_mode_eval, complex_position_of, fixed_chunk_probe
 from msflab.jacobian import PropagationError
@@ -18,7 +19,6 @@ from msflab.network import (
     _ModeSegments,
     _simulate_coupled,
     _SyncObserver,
-    _kept_samples,
     _sync_measures,
     all_to_all_graph,
     analyze_network,
@@ -32,9 +32,11 @@ from msflab.oscillator import (
     ChatterError,
     ImpactOscillatorParams,
     OscState,
+    bisect_crossing,
     segment_states,
     simulate,
 )
+from conftest import ELASTIC, INELASTIC
 
 COUPLING = np.asarray(SPRING_COUPLING, dtype=float)
 
@@ -182,6 +184,9 @@ def _perturbed_start(base: OscState, n_nodes: int, seed: int) -> np.ndarray:
     return x0
 
 
+@pytest.mark.usefixtures(
+    "libm_trig_matches_numpy", "numpy_exp_scalar_matches_array", "numpy_hyperbolic_scalar_matches_array"
+)
 class TestBlockedProbeMatchesFixedChunks:
     """The table-scanned probe equals the fixed 4096-sample chunk loop bit for bit."""
 
@@ -244,10 +249,11 @@ class TestBlockedProbeMatchesFixedChunks:
         firsts = []
         observe = _SyncObserver.observe
 
-        def spy(obs, taus, dev, d):
+        def spy(obs, k, dev, dx, margin, exact):
+            d = np.abs(dx)
             if d.size > 1 and obs.prev_diff < d[0] > d[1]:
-                firsts.append(float(taus[0]))
-            return observe(obs, taus, dev, d)
+                firsts.append(obs.tau0 + k * obs.step)
+            return observe(obs, k, dev, dx, margin, exact)
 
         monkeypatch.setattr(_SyncObserver, "observe", spy)
         x0 = np.array([0.31, -0.12, -0.55, 0.40])
@@ -323,6 +329,12 @@ class TestProbe:
     @pytest.mark.parametrize("seed", [-1, np.int64(-3), (-1, 0), (7, -2), ((1, -1), 0)])
     def test_rejects_negative_seed(self, seed):
         with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            ProbeSettings(sigma=0.5, rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, "abc", (1, 2.5), [3, "x"], 2**70 + 0.5, {"a": 1}])
+    def test_rejects_seeds_numpy_rejects(self, seed):
+        # Rejected when the settings are built, not as an untyped error in run_probe.
+        with pytest.raises(ValueError, match="rng_seed must be non-negative ints"):
             ProbeSettings(sigma=0.5, rng_seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 12345, (7, 3), ((99, 0), 1), None])
@@ -434,6 +446,7 @@ class TestProbe:
 STEP = 0.125
 PERIOD = 1.0
 THRESHOLD = 1e-10
+MARGIN = 1e-12
 
 
 def _stream(diffs, tau0=0.0):
@@ -444,29 +457,68 @@ def _stream(diffs, tau0=0.0):
     return taus, xs, np.zeros_like(xs)
 
 
-def _feed(observer, stream, cuts) -> bool:
+def _feed(observer, stream, cuts, noise=None) -> bool:
     taus, xs, vs = stream
     bounds = [0, *cuts, taus.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        block = (xs[:, a:b], vs[:, a:b])
+        if a == b:
+            continue
         if isinstance(observer, _SyncObserver):
-            block = _sync_measures(block[0][1:] - block[0][0], block[1][1:] - block[1][0])
-        if a < b and observer.observe(taus[a:b], *block):
+            # The table's values: the exact ones, or with noise within a quarter
+            # margin of them; dev None where every deviation clears the threshold.
+            dev, d = _sync_measures(xs[1:, a:b] - xs[0, a:b], vs[1:, a:b] - vs[0, a:b])
+            table_dev, table_dx = dev, xs[1, a:b] - xs[0, a:b]
+            if noise is not None:
+                table_dev = dev + noise.uniform(-0.25, 0.25, dev.size) * MARGIN
+                table_dx = table_dx + noise.uniform(-0.25, 0.25, table_dx.size) * MARGIN
+            stop = observer.observe(
+                a + 1, None if dev.min() >= THRESHOLD + 2 * MARGIN else table_dev, table_dx,
+                MARGIN, lambda idx, dev=dev, d=d: (dev[idx], d[idx]),
+            )
+        else:
+            stop = observer.observe(taus[a:b], xs[:, a:b], vs[:, a:b])
+        if stop:
             return True
     return False
 
 
-def _outcome(observer_cls, stream, cuts, record_from, diff0=0.5, tau0=0.0):
-    obs = observer_cls(tau0, diff0, PERIOD, THRESHOLD, record_from)
-    stopped = _feed(obs, stream, cuts)
+def _outcome(observer_cls, stream, cuts, record_from, diff0=0.5, tau0=0.0, noise=None):
+    if observer_cls is _SyncObserver:
+        obs = _SyncObserver(tau0, STEP, diff0, PERIOD, THRESHOLD, record_from)
+    else:
+        obs = observer_cls(tau0, diff0, PERIOD, THRESHOLD, record_from)
+    stopped = _feed(obs, stream, cuts, noise)
     periods_run = int(math.floor((obs.prev_diff_tau - tau0) / PERIOD))
     return stopped, obs.sync_time, obs.maxima, periods_run, obs.prev_diff_tau
 
 
-def _assert_matches_loop(stream, cuts, record_from, **kwargs):
-    fast = _outcome(_SyncObserver, stream, cuts, record_from, **kwargs)
+def _assert_matches_loop(stream, cuts, record_from, noise=None, **kwargs):
+    fast = _outcome(_SyncObserver, stream, cuts, record_from, noise=noise, **kwargs)
     assert fast == _outcome(LoopObserver, stream, cuts, record_from, **kwargs)
     return fast
+
+
+def _random_stream(rng):
+    """Random diffs, chunk cuts and observer start for the random stream tests.
+
+    Stretches below the threshold (0 or 1e-12) alternate with stretches of
+    quantized levels, which also make plateaus.
+    """
+    pieces = []
+    for _ in range(int(rng.integers(1, 8))):
+        length = int(rng.integers(1, 14))
+        if rng.random() < 0.4:
+            pieces.append(rng.choice([0.0, 1e-12], size=length))
+        else:
+            pieces.append(rng.choice([1e-3, 2e-3, 3e-3, 0.5], size=length))
+    diffs = np.concatenate(pieces)
+    size = diffs.size
+    cuts = sorted(set(rng.integers(1, size + 1, int(rng.integers(0, 6))).tolist()))
+    tau0 = float(rng.choice([0.0, 3.375]))
+    return _stream(diffs, tau0), cuts, dict(
+        record_from=tau0 + STEP * int(rng.integers(-1, size + 1)),
+        diff0=float(rng.choice([0.0, 1e-3, 0.5])), tau0=tau0,
+    )
 
 
 class TestSyncObserver:
@@ -547,71 +599,91 @@ class TestSyncObserver:
         rng = np.random.default_rng(2024)
         synced = with_maxima = 0
         for _ in range(400):
-            # Stretches below the threshold (0 or 1e-12) alternate with
-            # stretches of quantized levels, which also make plateaus.
-            pieces = []
-            for _ in range(int(rng.integers(1, 8))):
-                length = int(rng.integers(1, 14))
-                if rng.random() < 0.4:
-                    pieces.append(rng.choice([0.0, 1e-12], size=length))
-                else:
-                    pieces.append(rng.choice([1e-3, 2e-3, 3e-3, 0.5], size=length))
-            diffs = np.concatenate(pieces)
-            size = diffs.size
-            cuts = sorted(set(rng.integers(1, size + 1, int(rng.integers(0, 6))).tolist()))
-            tau0 = float(rng.choice([0.0, 3.375]))
-            outcome = _assert_matches_loop(
-                _stream(diffs, tau0), cuts,
-                record_from=tau0 + STEP * int(rng.integers(-1, size + 1)),
-                diff0=float(rng.choice([0.0, 1e-3, 0.5])), tau0=tau0,
-            )
+            stream, cuts, start = _random_stream(rng)
+            outcome = _assert_matches_loop(stream, cuts, **start)
+            synced += outcome[0]
+            with_maxima += bool(outcome[2])
+        assert synced > 50 and with_maxima > 100
+
+    def test_random_streams_from_a_rounded_table(self):
+        # The table's values lie within a quarter margin of the exact ones,
+        # plateaus included: every decision is still the exact stream's.
+        rng = np.random.default_rng(2025)
+        synced = with_maxima = 0
+        for _ in range(400):
+            stream, cuts, start = _random_stream(rng)
+            outcome = _assert_matches_loop(stream, cuts, noise=rng, **start)
             synced += outcome[0]
             with_maxima += bool(outcome[2])
         assert synced > 50 and with_maxima > 100
 
 
-MARGIN = 1e-12
+def _kept(dev=None, d=None, prev_d=0.05, peaks=True, prev_prev_d=math.nan) -> list[int]:
+    """Samples one observed block asks eval for, on synthetic table values.
 
-
-def _kept(dev=None, d=None, prev_d=0.05, peaks=True) -> list[int]:
-    """_kept_samples on synthetic values: d defaults to a rising ramp, dev far above THRESHOLD."""
+    d defaults to a rising ramp and dev to values far above THRESHOLD.  The
+    block is samples 1..size of the grid; with peaks its centres lie at or
+    after record_from, without it the next block's first one lies more than
+    two steps before record_from.
+    """
     size = len(d if d is not None else dev)
     d = np.linspace(0.1, 0.9, size) if d is None else np.asarray(d, dtype=float)
-    dev = np.ones(size) if dev is None else np.asarray(dev, dtype=float)
-    return _kept_samples(dev, d, prev_d, THRESHOLD, MARGIN, peaks).tolist()
+    dev = None if dev is None else np.asarray(dev, dtype=float)
+    record_from = 0.0 if peaks else (size + 4) * STEP
+    obs = _SyncObserver(0.0, STEP, prev_d, 1e9, THRESHOLD, record_from)
+    obs.prev_prev_diff = prev_prev_d
+    asked = set()
+
+    def exact(idx):
+        asked.update(np.asarray(idx).tolist())
+        return np.ones(len(idx)), d[idx]
+
+    obs.observe(1, dev, d, MARGIN, exact)
+    return sorted(asked)
 
 
 class TestKeptSamples:
-    """Which consumed samples the table scan recomputes with the closed form."""
+    """Which samples the observer recomputes with the closed form."""
 
     @pytest.mark.parametrize("peaks", [True, False])
     def test_last_two_only_without_close_calls(self, peaks):
-        assert _kept(d=[0.1, 0.2, 0.3, 0.4, 0.5], peaks=peaks) == [3, 4]
-        assert _kept(d=[0.1], peaks=peaks) == [0]
-        assert _kept(d=[0.1, 0.2], peaks=peaks) == [0, 1]
+        # Where no maximum can read them, the table's last two are carried.
+        last_two = [[3, 4], [0], [0, 1]] if peaks else [[], [], []]
+        assert _kept(d=[0.1, 0.2, 0.3, 0.4, 0.5], peaks=peaks) == last_two[0]
+        assert _kept(d=[0.1], peaks=peaks) == last_two[1]
+        assert _kept(d=[0.1, 0.2], peaks=peaks) == last_two[2]
 
     @pytest.mark.parametrize("peaks", [True, False])
     def test_deviation_within_margin_of_threshold(self, peaks):
         dev = [1.0, THRESHOLD + 0.5 * MARGIN, THRESHOLD - 0.5 * MARGIN, THRESHOLD,
                THRESHOLD + 2 * MARGIN, THRESHOLD - 2 * MARGIN, 0.0, 1.0, 1.0]
-        assert _kept(dev=dev, peaks=peaks) == [1, 2, 3, 7, 8]
+        assert _kept(dev=dev, peaks=peaks) == ([1, 2, 3, 7, 8] if peaks else [1, 2, 3])
 
     def test_close_steps_keep_both_samples(self):
+        # Candidates 1 and 3 take their neighbours across the close steps.
         d = [0.1, 0.2, 0.2 + 0.5 * MARGIN, 0.3, 0.3, 0.4, 0.5, 0.6, 0.7]
         assert _kept(d=d) == [1, 2, 3, 4, 7, 8]
-        assert _kept(d=d, peaks=False) == [7, 8]
+        assert _kept(d=d, peaks=False) == []
 
     def test_step_from_the_carried_difference(self):
+        # The close step from the carried 0.1 matters where 0.1 may be a maximum.
         d = [0.1 + 0.5 * MARGIN, 0.2, 0.3, 0.4, 0.5]
-        assert _kept(d=d, prev_d=0.1) == [0, 3, 4]
-        assert _kept(d=d, prev_d=0.1, peaks=False) == [3, 4]
+        assert _kept(d=d, prev_d=0.1, prev_prev_d=0.05) == [0, 3, 4]
+        assert _kept(d=d, prev_d=0.1, prev_prev_d=0.2) == [3, 4]
+        assert _kept(d=d, prev_d=0.1) == [3, 4]  # nothing precedes the start
+        assert _kept(d=d, prev_d=0.1, prev_prev_d=0.05, peaks=False) == []
 
     def test_peaks_including_the_first_sample(self):
         # Peaks centred on samples 0 (after the carried 0.1) and 3.
         d = [0.5, 0.2, 0.3, 0.6, 0.4, 0.45, 0.5, 0.55]
         assert _kept(d=d, prev_d=0.1) == [0, 3, 6, 7]
         assert _kept(d=d, prev_d=0.7) == [3, 6, 7]
-        assert _kept(d=d, prev_d=0.1, peaks=False) == [6, 7]
+        assert _kept(d=d, prev_d=0.1, peaks=False) == []
+
+    def test_plateau_is_recomputed_whole(self):
+        # More candidates than the scalar path takes: every sample is exact.
+        d = [0.3] * 12
+        assert _kept(d=d) == list(range(12))
 
 
 def _real_parts_match_complex(kind: str, lib) -> str | None:
@@ -719,7 +791,7 @@ class TestModeFlows:
         _skip_unless_real_parts_match("oscillatory", math)
         segs, modes0, tau_a, _, scalars = _mode_case(request.getfixturevalue(preset), sigma)
         for node in range(2):
-            distance = segs.wall_distance(modes0, tau_a, node)
+            distance, _ = segs.wall_distance(segs.terms(modes0), tau_a, node)
             for dt in scalars:
                 expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
                 assert distance(dt) == expected
@@ -736,7 +808,7 @@ class TestModeFlows:
         _skip_unless_real_parts_match("overdamped", math)
         segs, modes0, tau_a, _, scalars = _mode_case(elastic, -1.0)
         for node in range(2):
-            distance = segs.wall_distance(modes0, tau_a, node)
+            distance, _ = segs.wall_distance(segs.terms(modes0), tau_a, node)
             for dt in scalars:
                 expected = complex_position_of(segs, modes0, tau_a, node, dt) - segs.p.x_w
                 assert distance(dt) == expected
@@ -777,6 +849,113 @@ class TestModeFlows:
             xp, _ = segs.steady(tau_a + dt)
             expected = (q @ modes)[:, 0] + xp
             for node in range(2):
-                x = segs.wall_distance(modes0, tau_a, node)(dt) + p.x_w
+                x = segs.wall_distance(segs.terms(modes0), tau_a, node)[0](dt) + p.x_w
                 assert abs(x - expected[node]) <= 1e-12
 
+
+
+# zeta = 0 and sigma*gamma = 1 make the transverse generator [[0, 1], [0, 0]]: s^2 = 0.
+CRITICAL = ImpactOscillatorParams(zeta=0.0, eta=0.712, f=1.0, x_w=2.0, R=1.0)
+# (params, sigma, nodes) with the transverse modes oscillatory, overdamped or critical.
+GENERATOR_KINDS = [
+    (ELASTIC, 0.5, 2), (INELASTIC, 1.0, 2), (ELASTIC, 0.0, 2), (ELASTIC, 0.4, 3),
+    (ELASTIC, -0.6, 2), (INELASTIC, -1.0, 2), (ELASTIC, -0.5, 3),
+    (CRITICAL, -0.5, 2), (CRITICAL, -1.0 / 3.0, 3),
+]
+
+
+def _kinds_segments(case):
+    p, sigma, nodes = case
+    graph = all_to_all_graph(nodes) if nodes > 2 else TWO_NODE_GRAPH
+    return _ModeSegments(p, graph, COUPLING, sigma)
+
+
+def test_generator_kinds_cover_all_three_flows():
+    s_squares = [s2 for case in GENERATOR_KINDS for s2 in _kinds_segments(case).s_squares]
+    assert min(s_squares) < 0.0 < max(s_squares) and 0.0 in s_squares
+    assert 0.0 in _kinds_segments(GENERATOR_KINDS[-1]).s_squares
+
+
+@pytest.mark.usefixtures(
+    "libm_trig_matches_numpy", "numpy_exp_scalar_matches_array", "numpy_hyperbolic_scalar_matches_array"
+)
+class TestScalarRecomputation:
+    """_ModeSegments.point, in Python floats, equals the array eval bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(GENERATOR_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-4.0, 1.0),
+        tau_a=st.floats(0.0, 2e4),
+        dts=st.lists(st.floats(0.0, 4.2), min_size=1, max_size=6),
+    )
+    def test_point_equals_eval(self, case, seed, scale, tau_a, dts):
+        segs = _kinds_segments(case)
+        modes = np.random.default_rng(seed).normal(size=(segs.n, 2)) * 10.0**scale
+        xs, vs = segs.eval(modes, tau_a, np.array(dts))
+        terms = segs.terms(modes)
+        for j, dt in enumerate(dts):
+            assert segs.point(terms, tau_a, dt) == (xs[:, j].tolist(), vs[:, j].tolist())
+
+    @pytest.mark.parametrize("case", GENERATOR_KINDS[:1] + GENERATOR_KINDS[3:5] + GENERATOR_KINDS[7:8])
+    def test_measures_equal_sync_measures_of_eval(self, case):
+        # A few offsets go through point, more through eval: the same measures.
+        segs = _kinds_segments(case)
+        modes = np.random.default_rng(1).normal(size=(segs.n, 2))
+        terms = segs.terms(modes)
+        dts = np.random.default_rng(2).uniform(0.0, 4.1, 20).tolist()
+        xs, vs = segs.eval(modes, 317.25, np.array(dts))
+        expected = [m.tolist() for m in _sync_measures(xs[1:] - xs[0], vs[1:] - vs[0])]
+        assert [m.tolist() for m in segs.measures(modes, terms, 317.25, np.array(dts))] == expected
+        few = [segs.measures(modes, terms, 317.25, np.array(dts[j:j + 3])) for j in range(0, 20, 3)]
+        assert [v for dev, _ in few for v in dev] == expected[0]
+        assert [v for _, d in few for v in d] == expected[1]
+
+
+class TestCertifiedProbeBisection:
+    """The probe's bisection with its crossing model keeps the plain bisection's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(GENERATOR_KINDS),
+        gap=st.floats(1e-10, 2e-2),
+        speed=st.floats(1e-4, 3.0),
+        others=st.tuples(st.floats(1e-3, 1.0), st.floats(-2.0, 2.0)),
+        tau_a=st.floats(0.0, 2e4),
+    )
+    def test_model_returns_the_plain_bisection(self, case, gap, speed, others, tau_a):
+        # Node 0 starts gap inside the wall at speed towards it; the first grid
+        # cell where its distance turns positive brackets the crossing.
+        segs = _kinds_segments(case)
+        x_w, h = segs.p.x_w, 1e-3
+        state = [x_w - gap, speed] + [x_w - others[0], others[1]] * (segs.n - 1)
+        distance, model = segs.wall_distance(segs.terms(segs.to_modes(state, tau_a)), tau_a, 0)
+        cells = [j for j in range(1, 64) if distance(j * h) > 0.0]
+        assume(cells and distance((cells[0] - 1) * h) <= 0.0)
+        lo, hi = (cells[0] - 1) * h, cells[0] * h
+        assert bisect_crossing(distance, lo, hi, model(lo, hi)) == bisect_crossing(distance, lo, hi)
+
+    @pytest.mark.parametrize("preset, sigma", [("elastic", 0.25), ("inelastic", 0.5), ("elastic", -0.6)])
+    def test_few_evaluations_per_impact(self, preset, sigma, request, monkeypatch):
+        counts = {"refinements": 0, "evaluations": 0}
+        wall_distance = _ModeSegments.wall_distance
+
+        def counted(fn):
+            def wrapper(dt):
+                counts["evaluations"] += 1
+                return fn(dt)
+            return wrapper
+
+        def counting(segs, terms, tau_a, node):
+            distance, model = wall_distance(segs, terms, tau_a, node)
+            counts["refinements"] += 1
+            return counted(distance), lambda lo, hi: (counted(model(lo, hi)[0]), *model(lo, hi)[1:])
+
+        monkeypatch.setattr(_ModeSegments, "wall_distance", counting)
+        settings = ProbeSettings(sigma=sigma, rng_seed=(3, 1), max_periods=80, record_window=40)
+        res = run_probe(request.getfixturevalue(preset), COUPLING, settings,
+                        base_state=request.getfixturevalue(f"{preset}_base"))
+        assert counts["refinements"] >= len(res.impact_times) > 40
+        # The plain bisection takes about 30 per impact.
+        assert counts["evaluations"] / counts["refinements"] < 12
