@@ -11,26 +11,35 @@ Builds the workload's set-up once, untimed, then runs its query set
 time of enclosed spans) and the call count, plus the remainder of the
 pass outside every span.
 
-run_probe is split further by spans on the msflab.network functions of
-PROBE_PARTS that the timed checkout defines (names it lacks are skipped,
-so one script times old and new checkouts alike): the table scan, the
-crossing refinement, the closed-form recomputation and the sync
-bookkeeping; run_probe's own self time is the rest of the probe.  A
-second line per pass prints that split:
+Three layers are split further by spans on the msflab functions of PARTS
+that the timed checkout defines (names it lacks are skipped, so one script
+times old and new checkouts alike).  A part's span counts only inside its
+own layer, so a function that two layers call (bisect_crossing inside an
+event window's runs) is timed as part of the layer's own part there:
+  - _next_impact: the scan (scalar points, table chunks and their
+    recomputation) and the bisection;
+  - _estimate: the window's three runs, the difference quotient and the
+    logarithm, the free flight to the window start being the rest;
+  - run_probe: the table scan, the crossing refinement, the closed-form
+    recomputation and the sync bookkeeping.
+A line per pass and split layer prints each part, then the layer's own
+self time as its rest:
 
     PYTHONPATH=src python3 scripts/layer_times.py --workload random_impacting --seed 3
 
 msflab is imported from PYTHONPATH, so the script can time another
 checkout's source; the workload definitions come from this checkout's
-perfbench/.  The spans add under a microsecond per call, a few per mille
-of a random_impacting pass.  Typed msflab failures count as results, as
-in the benchmark.  The probe's part spans add about a microsecond per call,
-up to about a tenth of a preset_probe pass.
+perfbench/.  The layer spans add under a microsecond per call, a few per
+mille of a random_impacting pass; each part span adds about a microsecond
+per call, up to about a tenth of a preset_probe pass and a twentieth of a
+random_impacting one.  Typed msflab failures count as results, as in the
+benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -38,50 +47,75 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import msflab  # noqa: E402
-from msflab import msf, network  # noqa: E402
+from msflab import msf  # noqa: E402
 import workloads  # noqa: E402
 
 LAYERS = ("settle_transient", "_next_impact", "_estimate", "run_probe")
-# The parts of run_probe: msflab.network functions and _ModeSegments or
-# _SyncObserver methods, "Class.method" for a method.
-PROBE_PARTS = {
-    "scan": ("_ModeSegments.scan_rows", "_ModeSegments.scan", "_first_crossing"),
-    "refine": ("bisect_crossing", "_ModeSegments.wall_distance"),
-    "recompute": ("_ModeSegments.to_modes", "_ModeSegments.terms", "_ModeSegments.eval",
-                  "_ModeSegments.point"),
-    "bookkeeping": ("_sync_measures", "_kept_samples", "_SyncObserver.observe",
-                    "_SyncObserver.skip"),
+# Each split layer's parts: "module.function" or "module.Class.method" in
+# msflab, patched in that module only.  A name ending in "()" returns a
+# callable, and the span times the calls of what it returns.
+PARTS = {
+    "_next_impact": {
+        "scan": ("oscillator._crossing_offset",),
+        "bisection": ("oscillator.bisect_crossing",),
+    },
+    "_estimate": {
+        "runs": ("jacobian.simulate", "jacobian._runner()"),
+        "quotient": ("jacobian.estimate_jacobian",),
+        "log": ("msf.mat_log", "msf._entries", "msf.scalar_log"),
+    },
+    "run_probe": {
+        "scan": ("network._ModeSegments.scan_rows", "network._ModeSegments.scan",
+                 "network._first_crossing"),
+        "refine": ("network.bisect_crossing", "network._ModeSegments.wall_distance"),
+        "recompute": ("network._ModeSegments.to_modes", "network._ModeSegments.terms",
+                      "network._ModeSegments.eval", "network._ModeSegments.point"),
+        "bookkeeping": ("network._sync_measures", "network._kept_samples",
+                        "network._SyncObserver.observe", "network._SyncObserver.skip"),
+    },
 }
 
 
 class Spans:
-    """Self time and calls per layer; a span's self time excludes the spans it encloses."""
+    """Self time and calls per layer and per (layer, part); a span's self time
+    excludes the spans it encloses."""
 
     def __init__(self):
-        self.self_s = dict.fromkeys(LAYERS + tuple(PROBE_PARTS), 0.0)
-        self.calls = dict.fromkeys(self.self_s, 0)
-        self.stack: list[list] = []
+        keys = list(LAYERS) + [(layer, part) for layer in PARTS for part in PARTS[layer]]
+        self.self_s = dict.fromkeys(keys, 0.0)
+        self.calls = dict.fromkeys(keys, 0)
+        self.stack: list[list] = []  # [key, enclosed time]
+        self.layer: list[str] = []  # the open layer spans, innermost last
 
-    def wrap(self, name: str, fn):
+    def wrap(self, key, fn):
         def wrapper(*args, **kwargs):
-            frame = [0.0]
+            if isinstance(key, tuple) and key[0] != (self.layer[-1] if self.layer else None):
+                return fn(*args, **kwargs)  # a part outside its layer
+            frame = [key, 0.0]
             self.stack.append(frame)
+            if not isinstance(key, tuple):
+                self.layer.append(key)
             t0 = perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 dt = perf_counter() - t0
                 self.stack.pop()
-                self.self_s[name] += dt - frame[0]
-                self.calls[name] += 1
+                if not isinstance(key, tuple):
+                    self.layer.pop()
+                self.self_s[key] += dt - frame[1]
+                self.calls[key] += 1
                 if self.stack:
-                    self.stack[-1][0] += dt
+                    self.stack[-1][1] += dt
 
         return wrapper
 
+    def wrap_factory(self, key, fn):
+        return lambda *args, **kwargs: self.wrap(key, fn(*args, **kwargs))
+
 
 def install(spans: Spans) -> None:
-    """Replace the four entry points for the rest of the process."""
+    """Replace the four entry points and the parts' functions for the rest of the process."""
     for name in ("settle_transient", "run_probe"):
         original = getattr(msflab, name)
         wrapper = spans.wrap(name, original)
@@ -91,12 +125,17 @@ def install(spans: Spans) -> None:
                 setattr(module, name, wrapper)
     for name in ("_next_impact", "_estimate"):
         setattr(msf._EventRecord, name, spans.wrap(name, getattr(msf._EventRecord, name)))
-    for part, names in PROBE_PARTS.items():
-        for name in names:
-            owner, _, attr = name.rpartition(".")
-            target = getattr(network, owner) if owner else network
-            if attr in vars(target):
-                setattr(target, attr, spans.wrap(part, getattr(target, attr)))
+    for layer, parts in PARTS.items():
+        for part, names in parts.items():
+            for name in names:
+                factory = name.endswith("()")
+                module, *owner, attr = name.removesuffix("()").split(".")
+                target = importlib.import_module(f"msflab.{module}")
+                for cls in owner:
+                    target = getattr(target, cls, None)
+                if target is not None and attr in vars(target):
+                    wrap = spans.wrap_factory if factory else spans.wrap
+                    setattr(target, attr, wrap((layer, part), getattr(target, attr)))
 
 
 def main(argv=None) -> int:
@@ -124,17 +163,18 @@ def main(argv=None) -> int:
                 if not workloads.is_typed_failure(exc):
                     raise
         total = perf_counter() - t0
-        parts = {k: (spans.self_s[k] - before[0][k], spans.calls[k] - before[1][k])
-                 for k in spans.self_s}
-        layers = {k: parts[k] for k in LAYERS}
-        layers["run_probe"] = (sum(parts[k][0] for k in ("run_probe", *PROBE_PARTS)),
-                               parts["run_probe"][1])
+        took = {k: (spans.self_s[k] - before[0][k], spans.calls[k] - before[1][k])
+                for k in spans.self_s}
+        layers = {k: (took[k][0] + sum(took[k, part][0] for part in PARTS.get(k, ())), took[k][1])
+                  for k in LAYERS}
         rest = total - sum(s for s, _ in layers.values())
         cells = "  ".join(f"{k} {s:.3f} s/{c}" for k, (s, c) in layers.items())
         print(f"pass {n}: {total:.3f} s  {cells}  rest {rest:.3f} s")
-        if layers["run_probe"][1]:
-            split = "  ".join(f"{k} {parts[k][0]:.3f} s/{parts[k][1]}" for k in PROBE_PARTS)
-            print(f"  run_probe split: {split}  rest {parts['run_probe'][0]:.3f} s")
+        for layer, parts in PARTS.items():
+            if layers[layer][1]:
+                split = "  ".join(f"{part} {took[layer, part][0]:.3f} s/{took[layer, part][1]}"
+                                  for part in parts)
+                print(f"  {layer} split: {split}  rest {took[layer][0]:.3f} s")
     return 0
 
 

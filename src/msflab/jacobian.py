@@ -24,6 +24,8 @@ from .oscillator import (
     EventRecord,
     ImpactOscillatorParams,
     OscState,
+    _impact_record,
+    _runner,
     segment_states,
     simulate,
 )
@@ -83,19 +85,19 @@ def estimate_jacobian(
     nominal delta, is used as the divisor), and the result is cast to
     float64 at the end.  t = 0 returns the identity for any flow.  central,
     when given, is flow(x0, t) already computed by the caller, and saves
-    that evaluation.
+    that evaluation.  Differences are taken in scalars, component by
+    component, which round as the arrays' elementwise operations would.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if t < 0.0:
+    _check_delta(delta)
+    if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t!r}")
     x0 = np.atleast_1d(np.asarray(x0))
     n = x0.shape[0]
     if n == 0:
         raise ValueError("x0 must have at least one component")
     y0, count0 = flow(x0, t) if central is None else central
-    y0 = np.atleast_1d(np.asarray(y0))
-    if not _finite(y0):
+    y0 = np.ravel(y0).tolist()
+    if not all(map(math.isfinite, y0)):
         raise PropagationError("flow returned a non-finite central state")
     counts = [int(count0)]
     columns = []
@@ -104,22 +106,23 @@ def estimate_jacobian(
         xp[i] = xp[i] + delta
         realized = xp[i] - x0[i]
         yi, ci = flow(xp, t)
-        yi = np.atleast_1d(np.asarray(yi))
-        if not _finite(yi):
+        yi = np.ravel(yi).tolist()
+        if not all(map(math.isfinite, yi)):
             raise PropagationError(f"flow returned a non-finite state for direction {i}")
-        columns.append((yi - y0) / realized)
+        columns.append([(a - b) / realized for a, b in zip(yi, y0)])
         counts.append(int(ci))
     return JacobiEstimate(
-        phi=np.array(columns, dtype=float).T.copy(),
+        phi=np.array(list(zip(*columns)), dtype=float),
         delta_used=float(delta),
         event_counts=tuple(counts),
         consistent=counts.count(counts[0]) == len(counts),
     )
 
 
-def _finite(y: np.ndarray) -> bool:
-    """Every entry finite once cast to float64."""
-    return all(map(math.isfinite, np.asarray(y, dtype=float).ravel().tolist()))
+def _check_delta(delta: float) -> None:
+    """ValueError unless delta is finite and positive."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
 
 
 def oscillator_flow(
@@ -170,20 +173,22 @@ def event_window_jacobian(
     """
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
+    _check_delta(delta)
     # The window spans at most a couple of scan steps; a finer internal
-    # scan keeps sub-window impact ordering exact.
-    inner_step = window / 16.0
-    final, events = simulate(p, s_pre, window, scan_step=inner_step)
-    if len(events) != 1:
+    # scan keeps sub-window impact ordering exact.  The three runs share one _runner.
+    run = _runner(p, s_pre.tau, window, window / 16.0)
+    x, v, tau, impacts = run(s_pre.x, s_pre.v)
+    if len(impacts) != 1:
         raise InvalidWindowError(
             f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "
-            f"{len(events)} impacts of the central trajectory; exactly one required"
+            f"{len(impacts)} impacts of the central trajectory; exactly one required"
         )
-    flow = oscillator_flow(p, s_pre.tau, scan_step=inner_step)
-    est = estimate_jacobian(
-        flow, np.array([s_pre.x, s_pre.v]), window, delta,
-        central=(np.array([final.x, final.v]), len(events)),
-    )
+
+    def flow(z, t):  # t is the window
+        x, v, _, impacts = run(float(z[0]), float(z[1]))
+        return (x, v), len(impacts)
+
+    est = estimate_jacobian(flow, np.array([s_pre.x, s_pre.v]), window, delta, central=((x, v), 1))
     # sv_min/sv_max = |det|/sv_max**2 >= |det|/|phi|_F**2, so a determinant
     # clear of that bound, rounding included, needs no decomposition.
     (a, b), (c, d) = est.phi.tolist()
@@ -196,5 +201,6 @@ def event_window_jacobian(
                 f"to grazing for a logarithm to exist"
             )
     return WindowEstimate(
-        est.phi, est.delta_used, est.event_counts, est.consistent, final, tuple(events)
+        est.phi, est.delta_used, est.event_counts, est.consistent, OscState(x, v, tau),
+        (_impact_record(p, *impacts[0]),),
     )

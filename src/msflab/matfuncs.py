@@ -46,10 +46,11 @@ def _entries(m) -> tuple[list, bool]:
     a = np.asarray(m)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
     is_complex = np.iscomplexobj(a)
-    return a.astype(complex if is_complex else float).ravel().tolist(), is_complex
+    entries = a.astype(complex if is_complex else float).ravel().tolist()
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("matrix contains non-finite entries")
+    return entries, is_complex
 
 
 def scalar_exp_flow(entries, is_complex: bool) -> Callable[[float], tuple]:
@@ -122,7 +123,13 @@ def mat_log(m) -> np.ndarray:
     is positive or comes in conjugate pairs reconstruct to a real matrix
     up to rounding; the imaginary part is kept so callers can audit it.
     Raises NonInvertibleMatrixError when the smallest singular value drops
-    below SINGULARITY_RTOL relative to the largest.
+    below SINGULARITY_RTOL relative to the largest.  See scalar_log.
+    """
+    return np.array(scalar_log(*_entries(m)), dtype=complex).reshape(2, 2)
+
+
+def scalar_log(entries, is_complex: bool) -> tuple[complex, ...]:
+    """mat_log's row-major entries, as Python complex, for m's finite row-major entries.
 
     When both eigenvalues have negative real part and |Im l| <= AXIS_RTOL*|l|
     (1e-6), the result is i*pi*I + log(-m), which puts both eigenvalues on
@@ -135,7 +142,7 @@ def mat_log(m) -> np.ndarray:
     avoids cancellation and l2 = det/l1.  Real eigenvalues of a real
     matrix get a +0.0 imaginary part, so a negative one takes +i*pi.
     """
-    (a, b, c, d), is_complex = _entries(m)
+    a, b, c, d = entries
     det = a * d - b * c
     # Singular values: sv_max^2 + sv_min^2 = |m|_F^2 and sv_max*sv_min = |det|.
     fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
@@ -171,6 +178,5 @@ def mat_log(m) -> np.ndarray:
         g0, g1 = g0 + 1j * math.pi, -g1
     else:
         g0, g1 = _log_coefficients(mu, s, l1, l2)
-    return np.array(
-        [[g0 + g1 * n0, g1 * b], [g1 * c, g0 - g1 * n0]], dtype=complex
-    )
+    # complex() casts a real entry (b and c where g1 = 1/mu) as numpy does.
+    return tuple(map(complex, (g0 + g1 * n0, g1 * b, g1 * c, g0 - g1 * n0)))

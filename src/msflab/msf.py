@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jacobian import PropagationError, event_window_jacobian
-from .matfuncs import exp_flow, mat_log, scalar_exp_flow
+from .matfuncs import _entries, exp_flow, mat_log, scalar_exp_flow, scalar_log
 from .oscillator import (
     _EPS,
     DEFAULT_SCAN_STEP,
@@ -166,7 +166,7 @@ def coupled_step_propagator(
     reported magnitude of 0.  coupling must be 2x2 and h finite and positive.
     """
     shift = _coupling_shift(coupling, query, h).ravel().tolist()
-    return _window_step(mat_log(phi_single).ravel().tolist(), shift, query.beta == 0.0)
+    return _window_step(scalar_log(*_entries(phi_single)), shift, query.beta == 0.0)
 
 
 def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscState:
@@ -278,7 +278,7 @@ class _EventRecord:
                     f"delta; estimate accepted (counts {est.event_counts})"
                 )
         try:
-            log_phi = mat_log(est.phi).ravel().tolist()
+            log_phi = scalar_log(*_entries(est.phi))
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         for event in est.events:
@@ -301,7 +301,7 @@ _last_record: _EventRecord | None = None
 def _event_record(p, base_state, settings) -> _EventRecord:
     global _last_record
     kernels = (
-        segment_propagator, mat_log, detect_next_impact, propagate_free,
+        segment_propagator, mat_log, scalar_log, detect_next_impact, propagate_free,
         event_window_jacobian,
     )
     if _last_record is None or _last_record.key != (p, base_state, settings, kernels):

@@ -557,18 +557,22 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
         near[-1] |= k0 + n == n_total
         i0 = int(near.argmax())
         if near[i0]:
-            part = gs[i0:]
-            for j in np.flatnonzero(np.abs(part) < guard):
-                part[j] = distance((k0 + i0 + j + 1) * scan_step)
-            if k0 + n == n_total:
-                # Keep the final sample exactly on the horizon endpoint.
-                part[-1] = distance(t_end)
-            beyond = np.empty(n - i0 + 1, dtype=bool)
-            beyond[0] = (gs[i0 - 1] if i0 else g_prev) > 0.0
-            np.greater(part, 0.0, out=beyond[1:])
-            rises = np.flatnonzero(beyond[1:] > beyond[:-1])
-            if rises.size:
-                j = k0 + i0 + int(rises[0]) + 1
+            j = k0 + i0 + 1
+            # A first near sample at or above guard, not the horizon's, needs no
+            # recomputation: after one inside the wall, it is the crossing.
+            if not (gs[i0] >= guard and j < n_total and (i0 or not g_prev > 0.0)):
+                part = gs[i0:]
+                for m in np.flatnonzero(np.abs(part) < guard):
+                    part[m] = distance((j + m) * scan_step)
+                if k0 + n == n_total:
+                    # Keep the final sample exactly on the horizon endpoint.
+                    part[-1] = distance(t_end)
+                beyond = np.empty(n - i0 + 1, dtype=bool)
+                beyond[0] = (gs[i0 - 1] if i0 else g_prev) > 0.0
+                np.greater(part, 0.0, out=beyond[1:])
+                rises = np.flatnonzero(beyond[1:] > beyond[:-1])
+                j = j + int(rises[0]) if rises.size else None
+            if j is not None:
                 lo, hi = (j - 1) * scan_step, t_end if j == n_total else j * scan_step
                 return bisect_crossing(distance, lo, hi, model(lo, hi))
         g_prev = gs[-1]
@@ -663,49 +667,62 @@ def simulate(
     reported at the extrapolated accumulation time, or more than
     chatter_cap impacts, a positive int, fall within one forcing period.
 
-    This is the event layer's one segment loop: detect_next_impact and
-    propagate_free wrap the same per-segment core.  Each free-flight
-    segment's phase and homogeneous constants are computed once and shared
-    by its scan, its bisection and its propagation, and the state is
-    carried in floats, so every result equals the composition of those
-    public functions bit for bit.
+    This is the event layer's one segment loop (see _runner):
+    detect_next_impact and propagate_free wrap the same per-segment core.
+    Each free-flight segment's phase and homogeneous constants are computed
+    once and shared by its scan, its bisection and its propagation, and the
+    state is carried in floats, so every result equals the composition of
+    those public functions bit for bit.
     """
-    for name in ("x", "v", "tau"):
-        if not math.isfinite(getattr(s0, name)):
-            raise InvalidParameterError(f"start state {name} must be finite, got {getattr(s0, name)!r}")
+    x, v, tau, impacts = _runner(p, s0.tau, duration, scan_step, chatter_cap)(s0.x, s0.v)
+    return OscState(x, v, tau), [_impact_record(p, *impact) for impact in impacts]
+
+
+def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int = CHATTER_CAP):
+    """simulate's checks, made once, and its loop as run(x, v) -> the final (x, v, tau)
+    and each impact's (tau_c, v_pre), from (x, v) at tau0: an event window's three
+    runs share the checks and the constants.  The scan check is the first
+    segment's: later segments span no more."""
+    if not math.isfinite(tau0):
+        raise InvalidParameterError(f"start state tau must be finite, got {tau0!r}")
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
     if type(chatter_cap) is bool or not isinstance(chatter_cap, int) or not 0 < chatter_cap < sys.maxsize:
         raise InvalidParameterError(f"chatter_cap must be a positive int, got {chatter_cap!r}")
-    x, v, tau = s0.x, s0.v, s0.tau
-    t_end = tau + duration
-    events: list[EventRecord] = []
-    c = guard = None
-    while True:
-        remaining = t_end - tau
-        if remaining <= 0.0:
-            break
-        _check_scan(remaining, scan_step)
-        c = c or _constants(p)
-        y, w, k = _homogeneous(c, x, v, tau)
-        dt = _crossing_offset(p, c, x, v, tau, y, w, k, remaining, scan_step) if p.wall_enabled else None
-        if dt is None:
-            x, v = _free_state(c, tau, y, w, k, remaining)
-            tau += remaining
-            break
-        # The bisection bracket is BISECTION_TOL wide; land exactly on the wall.
-        tau_c = tau + dt
-        if tau_c != tau:  # as propagate_free, which keeps the state over dt = 0
-            v = _free_state(c, tau, y, w, k, tau_c - tau)[1]
-        record = _impact_record(p, tau_c, v)
-        events.append(record)
-        x, v, tau = p.x_w, record.v_post, tau_c
-        if len(events) > 1:  # one impact never trips the guard
-            if guard is None:
-                guard = _ChatterGuard(p, chatter_cap)
-                guard.push(events[0].tau_c)
-            guard.push(tau_c)
-    return OscState(x, v, tau), events
+    t_end = tau0 + duration
+    if t_end - tau0 > 0.0:
+        _check_scan(t_end - tau0, scan_step)
+    c = _constants(p) if t_end - tau0 > 0.0 else None  # read only by runs with a segment
+
+    def run(x: float, v: float):
+        for name, value in (("x", x), ("v", v)):
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"start state {name} must be finite, got {value!r}")
+        tau, impacts, guard = tau0, [], None
+        while True:
+            remaining = t_end - tau
+            if remaining <= 0.0:
+                break
+            y, w, k = _homogeneous(c, x, v, tau)
+            dt = _crossing_offset(p, c, x, v, tau, y, w, k, remaining, scan_step) if p.wall_enabled else None
+            if dt is None:
+                x, v = _free_state(c, tau, y, w, k, remaining)
+                tau += remaining
+                break
+            # The bisection bracket is BISECTION_TOL wide; land exactly on the wall.
+            tau_c = tau + dt
+            if tau_c != tau:  # as propagate_free, which keeps the state over dt = 0
+                v = _free_state(c, tau, y, w, k, tau_c - tau)[1]
+            impacts.append((tau_c, v))
+            x, v, tau = p.x_w, -p.R * v, tau_c
+            if len(impacts) > 1:  # one impact never trips the guard
+                if guard is None:
+                    guard = _ChatterGuard(p, chatter_cap)
+                    guard.push(impacts[0][0])
+                guard.push(tau_c)
+        return x, v, tau, impacts
+
+    return run
 
 
 def sample_trajectory(

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestEstimateJacobian:
         with pytest.raises(ValueError, match="at least one component"):
             estimate_jacobian(lambda z, t: (z, 0), np.array([]), 1.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1e-7])
+    def test_bad_delta_rejected(self, delta):
+        flow = oscillator_flow(_smooth_params(), tau0=0.0)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            estimate_jacobian(flow, np.array([0.6, -0.1]), 0.8, delta)
+
+    def test_nan_t_rejected(self):
+        flow = oscillator_flow(_smooth_params(), tau0=0.0)
+        with pytest.raises(ValueError, match="t must be non-negative, got nan"):
+            estimate_jacobian(flow, np.array([0.6, -0.1]), math.nan)
+
     @settings(max_examples=60, deadline=None)
     @given(
         x0=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
@@ -156,6 +168,12 @@ class TestEventWindowJacobian:
         final, events = simulate(elastic, s_pre, window, scan_step=window / 16.0)
         assert est.final == final
         assert list(est.events) == events
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_bad_delta_rejected(self, elastic, elastic_base, delta):
+        s_pre, window, _ = self._window_around_first_impact(elastic, elastic_base)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            event_window_jacobian(elastic, s_pre, window, delta)
 
     def test_windows_without_event_rejected(self, elastic, elastic_base):
         with pytest.raises(InvalidWindowError):

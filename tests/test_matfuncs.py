@@ -11,6 +11,7 @@ from msflab.matfuncs import (
     NonInvertibleMatrixError,
     mat_exp,
     mat_log,
+    scalar_log,
 )
 
 entry = st.floats(-4.0, 4.0, allow_nan=False)
@@ -144,6 +145,54 @@ class TestMatLog:
         else:
             assert np.max(np.abs(lg - scipy.linalg.logm(m))) < 1e-12
         assert np.max(np.abs(mat_exp(lg) - m)) < 1e-12
+
+
+@st.composite
+def _log_cases(draw):
+    """A 2x2 matrix for each of scalar_log's branches, or a singular one."""
+    kind = draw(st.sampled_from(["real", "complex", "defective", "atanh", "negative", "singular"]))
+    if kind == "real":  # s^2 of either sign
+        return draw(matrices)
+    if kind == "complex":
+        parts = draw(st.lists(entry, min_size=8, max_size=8))
+        return (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    mu = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "defective":  # a = d and b = 0: s = 0, with g1 = 1/mu real
+        return np.array([[mu, 0.0], [draw(entry), mu]])
+    if kind == "atanh":  # |s| < |mu|/2
+        n0, b, c = (draw(st.floats(-0.1, 0.1)) * mu for _ in range(3))
+        return np.array([[mu + n0, b], [c, mu - n0]])
+    if kind == "negative":  # eigenvalues near the negative real axis
+        gap = draw(st.floats(-1e-3, 1e-3))
+        return np.array([[-abs(mu), draw(entry)], [gap, -draw(st.floats(0.1, 4.0))]])
+    b, c = draw(entry), draw(entry)  # rank one
+    return np.array([[mu, b], [c, b * c / mu]])
+
+
+class TestScalarLog:
+    """scalar_log, the core compute_tle's event record calls, against mat_log."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=_log_cases())
+    def test_equals_mat_log(self, m):
+        entries, is_complex = m.ravel().tolist(), np.iscomplexobj(m)
+        try:
+            want = mat_log(m).ravel().tolist()
+        except NonInvertibleMatrixError as exc:
+            with pytest.raises(NonInvertibleMatrixError) as info:
+                scalar_log(entries, is_complex)
+            assert str(info.value) == str(exc)
+            return
+        got = scalar_log(entries, is_complex)
+        assert all(type(z) is complex for z in got)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want
+        ]
+
+    def test_singular_message(self):
+        with pytest.raises(NonInvertibleMatrixError) as info:
+            scalar_log([1.0, 2.0, 0.5, 1.0], False)
+        assert str(info.value).startswith("matrix is numerically singular (smallest/largest")
 
 
 @settings(max_examples=150, deadline=None)

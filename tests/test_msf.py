@@ -152,14 +152,14 @@ class TestWindowStep:
     def test_non_finite_generator_names_the_window(self, elastic, elastic_base, monkeypatch):
         # A window logarithm patched to overflow: the window step raises the
         # message mat_exp gives, with the window's impact time.
-        real = msf.mat_log
+        real = msf.scalar_log
         calls = []
 
-        def overflowing_windows(m):
-            calls.append(m)
-            return real(m) if len(calls) == 1 else np.full((2, 2), complex(math.inf, 0.0))
+        def overflowing_windows(entries, is_complex):
+            calls.append(entries)
+            return real(entries, is_complex) if len(calls) == 1 else (complex(math.inf, 0.0),) * 4
 
-        monkeypatch.setattr(msf, "mat_log", overflowing_windows)
+        monkeypatch.setattr(msf, "scalar_log", overflowing_windows)
         s = TLESettings(max_periods=30, sample_window=20)
         with pytest.raises(ValueError) as info:
             compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
@@ -412,12 +412,22 @@ class TestEventWindows:
     ):
         runs, windows, starts = [], [], []
         real_simulate = jacobian.simulate
+        real_runner = jacobian._runner
         real_window = msf.event_window_jacobian
         real_detect = msf.detect_next_impact
 
         def counting_simulate(*args, **kwargs):
             runs.append(args[1])
             return real_simulate(*args, **kwargs)
+
+        def counting_runner(p, tau0, *args, **kwargs):
+            run = real_runner(p, tau0, *args, **kwargs)
+
+            def counted(x, v):
+                runs.append(OscState(x, v, tau0))
+                return run(x, v)
+
+            return counted
 
         def recording_window(p, s_pre, window, *args, **kwargs):
             before = len(runs)
@@ -430,6 +440,7 @@ class TestEventWindows:
             return real_detect(p, s, *args, **kwargs)
 
         monkeypatch.setattr(jacobian, "simulate", counting_simulate)
+        monkeypatch.setattr(jacobian, "_runner", counting_runner)
         monkeypatch.setattr(msf, "simulate", counting_simulate)
         monkeypatch.setattr(msf, "event_window_jacobian", recording_window)
         monkeypatch.setattr(msf, "detect_next_impact", recording_detect)

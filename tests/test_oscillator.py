@@ -662,6 +662,46 @@ class TestCertifiedSkip:
         assert evaluated == []
 
 
+class TestChunkCrossing:
+    """A table chunk whose first sample above -guard is at or above guard, after one
+    inside the wall and before the horizon, holds the crossing; the scan returns it
+    at once and still equals the direct scan on every edge of that test."""
+
+    @staticmethod
+    def _towards(p, cells, step):
+        """The state cells*step before an upward wall crossing at tau = 1000, speed 0.8."""
+        x, v = segment_states(p, p.x_w, 0.8, 1000.0, -cells * step)
+        return OscState(float(x), float(v), 1000.0 - cells * step)
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @pytest.mark.parametrize("cells, horizon, cell", [
+        # The first sample beyond the wall opens the second chunk.
+        (oscillator._FIRST_CHUNK + 0.4, 3000, oscillator._FIRST_CHUNK + 1),
+        # The clamped horizon sample is the first beyond the wall, or the
+        # horizon ends before the crossing while the table's sample past it is beyond.
+        (2100.3, 2100.8, 2101), (2100.3, 2100.2, None),
+        # The first near sample lies within 1e-12 of the wall, beyond it or inside.
+        (2101 - 1e-9, 3000, 2101), (2100 + 1e-9, 3000, 2101),
+    ])
+    def test_crossings_at_the_edges(self, elastic, cells, horizon, cell):
+        step = 1e-3
+        s = self._towards(elastic, cells, step)
+        tau_c = detect_next_impact(elastic, s, horizon * step, step)
+        assert tau_c == grid_scan_impact(elastic, s, horizon * step, step)
+        assert (None if tau_c is None else math.ceil((tau_c - s.tau) / step)) == cell
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    def test_start_beyond_the_wall(self):
+        # Beyond the wall from the start into the second chunk: both chunks
+        # open with a sample beyond it that follows one beyond it, no crossing.
+        p = ImpactOscillatorParams(zeta=0.05, eta=0.712, x_w=-0.9)
+        s = OscState(0.0, 0.0, 0.0)
+        assert segment_states(p, s.x, s.v, s.tau, (oscillator._FIRST_CHUNK + 1) * 1e-3)[0] > p.x_w
+        tau_c = detect_next_impact(p, s, 20.0)
+        assert tau_c == grid_scan_impact(p, s, 20.0)
+        assert tau_c > 2 * oscillator._FIRST_CHUNK * 1e-3
+
+
 class TestSimulate:
     def test_wall_never_penetrated_on_samples(self, elastic):
         taus, xs, vs, events = sample_trajectory(
