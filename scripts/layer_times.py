@@ -4,6 +4,9 @@ Wraps four msflab entry points with perf_counter spans: settle_transient
 (the transient from rest), _EventRecord._next_impact (the long scan to the
 next impact), _EventRecord._estimate (the event-window Jacobian with its
 free flight to the window start) and run_probe (the coupled probe).  The
+event record estimates each window when it finds its impact, so the
+_next_impact span encloses the _estimate span, whose time the script
+subtracts from _next_impact's self time as that of an enclosed span.  The
 functions are replaced in every msflab module that binds them and the
 methods on the class, so calls msflab makes internally are timed too.
 Builds the workload's set-up once, untimed, then runs its query set

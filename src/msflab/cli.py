@@ -126,8 +126,9 @@ def _cmd_tle(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
-    if not cfg.alphas:
-        raise ConfigError("msf-sweep needs a non-empty [sweep] alphas grid")
+    for grid in ("alphas", "betas"):
+        if not getattr(cfg, grid):
+            raise ConfigError(f"msf-sweep needs a non-empty [sweep] {grid} grid")
     points = msf_sweep(
         cfg.oscillator,
         SPRING_COUPLING,

@@ -100,6 +100,11 @@ def mat_exp(m) -> np.ndarray:
     return exp_flow(m)(1.0)
 
 
+def _pow2(x, k: int):
+    """x * 2^k in two exact power-of-two factors, neither of which overflows."""
+    return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
 def _log_coefficients(mu, s, l1, l2) -> tuple[complex, complex]:
     """(g0, g1) with log(mu*I + N) = g0*I + g1*N, for eigenvalues l1,2 = mu +- s."""
     log1, log2 = cmath.log(l1), cmath.log(l2)
@@ -141,8 +146,12 @@ def scalar_log(entries, is_complex: bool) -> tuple[complex, ...]:
     The eigenvalues are taken stably, l1 = mu + s with the sign of s that
     avoids cancellation and l2 = det/l1.  Real eigenvalues of a real
     matrix get a +0.0 imaginary part, so a negative one takes +i*pi.
+    Entries beyond [2^-500, 2^500] in magnitude, whose squares would over- or
+    underflow, are scaled exactly by 2^-k and k*log(2) added to the identity part.
     """
-    a, b, c, d = entries
+    big = max(map(abs, entries))
+    k = 0 if 2.0 ** -500 <= big <= 2.0 ** 500 else math.frexp(big)[1]
+    a, b, c, d = (_pow2(z, -k) for z in entries) if k else entries
     det = a * d - b * c
     # Singular values: sv_max^2 + sv_min^2 = |m|_F^2 and sv_max*sv_min = |det|.
     fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
@@ -152,8 +161,8 @@ def scalar_log(entries, is_complex: bool) -> tuple[complex, ...]:
     if sv_max == 0.0 or sv_min < SINGULARITY_RTOL * sv_max:
         raise NonInvertibleMatrixError(
             f"matrix is numerically singular (smallest/largest singular value "
-            f"= {sv_min:.3e}/{sv_max:.3e}); the flow map lost rank, so no "
-            f"logarithm exists"
+            f"= {_pow2(sv_min, k):.3e}/{_pow2(sv_max, k):.3e}); the flow map lost "
+            f"rank, so no logarithm exists"
         )
     mu = 0.5 * (a + d)
     n0 = 0.5 * (a - d)
@@ -178,5 +187,7 @@ def scalar_log(entries, is_complex: bool) -> tuple[complex, ...]:
         g0, g1 = g0 + 1j * math.pi, -g1
     else:
         g0, g1 = _log_coefficients(mu, s, l1, l2)
+    if k:
+        g0 += k * math.log(2.0)
     # complex() casts a real entry (b and c where g1 = 1/mu) as numpy does.
     return tuple(map(complex, (g0 + g1 * n0, g1 * b, g1 * c, g0 - g1 * n0)))

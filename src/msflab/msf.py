@@ -200,14 +200,15 @@ class _EventRecord:
     The impact times, the window placement, every event-window Jacobian
     with its warnings, and the logarithms of the window and free-step
     propagators depend on (p, base_state, settings), not on alpha + i*beta.
-    The record computes them lazily, in march order, only as far as the
-    furthest query has needed, and keeps per window only what the march
-    reads: impacts[i] is (tau_c, w_start, w_end), or None when no impact
-    comes before the horizon, and windows[i] is (log Phi, warnings).  A
-    kernel failure is kept at its position; the query that meets it first
-    raises the original, every later one that reaches it a fresh copy.
-    The kernels are looked up in this module when the record extends, so
-    a patched kernel sees every call.
+    The record computes them lazily, in march order, as far as the furthest
+    query has needed, keeping per impact only what the march reads:
+    entries[i] is (tau_c, w_start, w_end, window), or None when no impact
+    comes before the horizon, built by one step that finds impact i, places
+    its window and estimates it.  window is (log Phi, warnings), or the
+    _Failure its estimate raised, which each query that reaches the window
+    raises as a fresh copy; a failure to find an impact is not kept, so the
+    next query repeats the search.  The kernels are looked up in this
+    module when the record extends, so a patched kernel sees every call.
     """
 
     def __init__(self, p, base_state: OscState, settings: TLESettings, kernels: tuple):
@@ -218,44 +219,29 @@ class _EventRecord:
         self.final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
         self.state = self.base_state  # central run at grid index j, where the next scan starts
         self.j = 0
-        self.impacts: list = []
-        self.windows: list = []
+        self.entries: list = []
 
-    def impact(self, i: int):
-        """(tau_c, w_start, w_end) of window i, or None; windows 0..i-1 must exist."""
-        return self._entry(self.impacts, i, self._next_impact)
-
-    def window(self, i: int) -> tuple[list, tuple[str, ...]]:
-        """(log Phi's row-major entries, warnings) of window i, whose impact must exist."""
-        return self._entry(self.windows, i, lambda: self._estimate(*self.impacts[i]))
-
-    @staticmethod
-    def _entry(entries: list, i: int, build):
-        if i == len(entries):
-            try:
-                entries.append(build())
-            except Exception as exc:
-                entries.append(_Failure(exc))
-                raise
-        if isinstance(entries[i], _Failure):
-            raise entries[i].fresh()
-        return entries[i]
+    def entry(self, i: int):
+        """Entry i; entries 0..i-1 must exist, with windows that did not fail."""
+        if i == len(self.entries):
+            self.entries.append(self._next_impact())
+        return self.entries[i]
 
     def _next_impact(self):
         h = self.settings.scan_step
-        tau_c = detect_next_impact(
-            self.p, self.state, (self.final_j - self.j) * h, scan_step=h
-        )
+        tau_c = detect_next_impact(self.p, self.state, (self.final_j - self.j) * h, scan_step=h)
         if tau_c is None:
             return None
         rel = tau_c - self.base_state.tau
         eps = 1e-9 * h
         cell = int(math.floor((rel + eps) / h))
-        if abs(rel - cell * h) <= eps:
-            w_start, w_end = cell - 1, cell + 1
-        else:
-            w_start, w_end = cell, cell + 1
-        return tau_c, max(w_start, self.j), w_end
+        on_grid = abs(rel - cell * h) <= eps  # then the window spans both cells around tau_c
+        w_start, w_end = max(cell - 1 if on_grid else cell, self.j), cell + 1
+        try:
+            window = self._estimate(tau_c, w_start, w_end)
+        except Exception as exc:
+            window = _Failure(exc)
+        return tau_c, w_start, w_end, window
 
     def _estimate(self, tau_c: float, w_start: int, w_end: int):
         p, h, delta = self.p, self.settings.scan_step, self.settings.jacobi_delta
@@ -392,8 +378,9 @@ def compute_tle(
     Queries on one (p, base_state, settings) share one trajectory record:
     the process keeps the record of the base state it last ran on, so
     consecutive queries on the same base state simulate the trajectory and
-    its window Jacobians once, as far as the longest of them needs.  The
-    record is not locked; run concurrent queries in processes.
+    its window Jacobians once, as far as the longest of them needs, plus
+    the window of the last impact found.  The record is not locked; run
+    concurrent queries in processes.
     """
     h = settings.scan_step
     # Row-major coupling shifts of one and two cells (free steps, event windows).
@@ -483,22 +470,22 @@ def compute_tle(
 
     i = 0
     while not converged and len(samples) < settings.max_periods:
-        impact = record.impact(i)
-        if impact is None:
+        entry = record.entry(i)
+        if entry is None:
             march_free(record.final_j - j)
             break
-        tau_c, w_start, w_end = impact
+        tau_c, w_start, w_end, window = entry
         march_free(w_start - j)
         if converged or len(samples) >= settings.max_periods:
             break
 
-        log_phi, notes = record.window(i)
+        if isinstance(window, _Failure):
+            raise window.fresh()
+        log_phi, notes = window
         try:
             p_event, discarded = _window_step(log_phi, shifts[w_end - w_start], real_query)
         except Exception as exc:
-            raise type(exc)(
-                f"{exc} (event window at tau_c={tau_c:.6f})"
-            ) from exc
+            raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         if real_query:
             imag_events.append(discarded)
         apply(p_event)

@@ -308,6 +308,13 @@ class TestCli:
         cfg = _write(tmp_path, SMOOTH_INI)
         assert main(["msf-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_empty_betas_grid_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SMOOTH_INI + "\n[sweep]\nalphas = 0.0\nbetas =\n")
+        out = tmp_path / "o"
+        assert main(["msf-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "non-empty [sweep] betas grid" in capsys.readouterr().err
+        assert not (out / "msf_sweep.csv").exists()
+
     @pytest.mark.parametrize("key", ["periods", "samples_per_period"])
     def test_zero_simulate_value_is_config_error(self, tmp_path, key):
         cfg = _write(tmp_path, f"[simulate]\n{key} = 0\n")

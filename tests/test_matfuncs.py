@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,10 @@ entry = st.floats(-4.0, 4.0, allow_nan=False)
 matrices = st.tuples(entry, entry, entry, entry).map(
     lambda t: np.array([[t[0], t[1]], [t[2], t[3]]])
 )
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
 class TestMatExp:
@@ -131,6 +136,31 @@ class TestMatLog:
         # At singular values 4e7 and 2.5e-8 the same matrix has no logarithm.
         with pytest.raises(NonInvertibleMatrixError):
             mat_log(stretched(4e7))
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (np.diag([2e154, 3e153]), np.diag([np.log(2e154), np.log(3e153)])),
+            (1e300 * _rotation(0.3), np.log(1e300) * np.eye(2) + 0.3 * _rotation(np.pi / 2)),
+            (1e-200 * np.eye(2), np.log(1e-200) * np.eye(2)),
+            (1e300j * np.eye(2), (np.log(1e300) + 0.5j * np.pi) * np.eye(2)),
+        ],
+        ids=["diag_2e154", "rotation_1e300", "identity_1e-200", "imaginary_1e300"],
+    )
+    def test_extreme_magnitudes(self, m, want):
+        # Squares of these entries overflow or underflow a float.
+        assert np.max(np.abs(mat_log(m) - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "m, singular_values",
+        [(np.diag([2e154, 1.0]), "1.000e+00/2.000e+154"),
+         (np.array([[1e300, 1e300], [1.0, 1.0]]), "0.000e+00/1.414e+300")],
+        ids=["diag_2e154_1", "rank_one_1e300"],
+    )
+    def test_extreme_magnitude_singular(self, m, singular_values):
+        # The message reports the input's singular values, not the scaled ones.
+        with pytest.raises(NonInvertibleMatrixError, match=re.escape(singular_values)):
+            mat_log(m)
 
     @pytest.mark.parametrize("gap, flipped", [(1e-7, True), (1e-3, False)])
     def test_axis_threshold_picks_the_branch(self, gap, flipped):

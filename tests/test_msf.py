@@ -651,7 +651,7 @@ class TestEventRecord:
 
         monkeypatch.setattr(msf, "event_window_jacobian", counting)
         alphas = [-3.0, -0.5, -1.0]
-        single, used = [], []
+        single, found, reached = [], [], []
         for alpha in alphas:
             _evict()
             before = len(calls)
@@ -660,7 +660,8 @@ class TestEventRecord:
                 base_state=elastic_base,
             )
             single.append(len(calls) - before)
-            used.append(len(r.imag_discard_events))  # one per window the march crossed
+            found.append(_windows_found())
+            reached.append(_windows_reached(r, elastic, REPLAY_SETTINGS))
         _evict()
         before = len(calls)
         pts = msf_sweep(
@@ -668,8 +669,8 @@ class TestEventRecord:
             base_state=elastic_base,
         )
         assert all(pt.error is None for pt in pts)
-        assert single == used
-        assert len(calls) - before == max(used) < sum(used)
+        assert single == found == reached
+        assert len(calls) - before == _windows_found() == max(found) < sum(found)
 
     def test_patched_kernel_sees_every_window(self, elastic, elastic_base, monkeypatch):
         # A record built before the patch is not replayed to the patched kernel.
@@ -684,8 +685,63 @@ class TestEventRecord:
 
         monkeypatch.setattr(msf, "event_window_jacobian", recording)
         again = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
-        assert len(seen) == len(first.imag_discard_events) >= 2
+        assert len(seen) == _windows_found() == _windows_reached(again, elastic, s) >= 2
         assert _outcome(again) == _outcome(first)
+
+    def test_failure_between_impact_and_window(self, elastic, elastic_base, monkeypatch):
+        # alpha = -3 stops after 64 periods, having crossed 46 windows and
+        # found impact 46; alpha = -0.5 runs on to cross 60.  A kernel that
+        # fails on window 46 leaves the first result as it was, and every
+        # query that reaches the window raises a copy of its own.
+        def run(alpha):
+            return compute_tle(
+                elastic, SPRING_COUPLING, MSFQuery(alpha), REPLAY_SETTINGS,
+                base_state=elastic_base,
+            )
+
+        _evict()
+        stop = run(-3.0)
+        n = len(stop.imag_discard_events)
+        assert n == 46 and _windows_reached(stop, elastic, REPLAY_SETTINGS) == n + 1
+        real = msf.event_window_jacobian
+        calls, raised = [], []
+
+        def failing(p, s_pre, *args, **kwargs):
+            calls.append(s_pre)
+            if len(calls) == n + 1:
+                raised.append(ChatterError(s_pre.tau, 10_001, p.forcing_period))
+                raise raised[0]
+            return real(p, s_pre, *args, **kwargs)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", failing)
+        assert _outcome(run(-3.0)) == _outcome(stop)
+        assert len(calls) == n + 1 and len(raised) == 1
+        copies = []
+        for _ in range(2):
+            with pytest.raises(ChatterError) as info:
+                run(-0.5)
+            copies.append(info.value)
+        assert len(calls) == n + 1
+        for exc in copies:
+            assert exc is not raised[0]
+            assert str(exc) == str(raised[0])
+            assert (exc.tau, exc.count, exc.period) == (
+                raised[0].tau, raised[0].count, raised[0].period
+            )
+        assert copies[0] is not copies[1]
+
+
+def _windows_found():
+    """The impacts the process's event record has found, each with its window estimated."""
+    return sum(entry is not None for entry in msf._last_record.entries)
+
+
+def _windows_reached(r, p, settings):
+    """The windows r crossed, plus one when r stopped after finding an impact
+    but before that impact's window, which the record estimated on finding it."""
+    entries = [entry for entry in msf._last_record.entries if entry is not None]
+    j_stop = int(math.ceil(r.periods_used * p.forcing_period / settings.scan_step))
+    return len(r.imag_discard_events) + (bool(entries) and entries[-1][1] >= j_stop)
 
 
 # A shortened horizon keeps four record marches under ten seconds; the

@@ -13,6 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import grid_scan_impact, oscillator_rhs, rk4_integrate, taylor_expm
 from msflab import oscillator
 from msflab.config import load_preset
+from msflab.jacobian import GrazingSingularityError
+from msflab.msf import SPRING_COUPLING, MSFQuery, TLESettings, compute_tle
 from msflab.oscillator import (
     BISECTION_TOL,
     GRAZING_TOL,
@@ -319,7 +321,23 @@ _CHATTER_POINT = 42  # the catalogue's one complete-chatter point
 _TRAP_POINT = 69     # R = 0.979 with about one impact per period
 
 
-def test_catalogue_accumulation_fires_only_on_chatter_point(elastic, inelastic):
+def _settle_from_rest(p):
+    """simulate over the random_impacting transient of 100 periods from rest:
+    (final state, events), or the ChatterError it raised."""
+    try:
+        return simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period)
+    except ChatterError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def catalogue_settled():
+    """Each catalogue point with its _settle_from_rest outcome."""
+    points = [ImpactOscillatorParams(**pt) for pt in _CATALOGUE]
+    return [(p, _settle_from_rest(p)) for p in points]
+
+
+def test_catalogue_accumulation_fires_only_on_chatter_point(elastic, inelastic, catalogue_settled):
     """Settling every catalogue point, the ROADMAP grazing point and both
     presets from rest over the 100-period transient, only the chatter point
     raises.  Point 69 is the trap for a tolerance relative to R: with
@@ -328,22 +346,47 @@ def test_catalogue_accumulation_fires_only_on_chatter_point(elastic, inelastic):
     roadmap = ImpactOscillatorParams(
         zeta=0.015380737517637964, eta=0.6355648465488226, x_w=2.011873244080891, R=0.823594755787125,
     )
-    points = [ImpactOscillatorParams(**pt) for pt in _CATALOGUE] + [roadmap, elastic, inelastic]
+    settled = catalogue_settled + [(p, _settle_from_rest(p)) for p in (roadmap, elastic, inelastic)]
     raised = []
-    for i, p in enumerate(points):
-        try:
-            _, events = simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period)
-        except ChatterError as exc:
-            assert exc.accumulating
+    for i, (p, outcome) in enumerate(settled):
+        if isinstance(outcome, ChatterError):
+            assert outcome.accumulating
             raised.append(i)
             continue
         if i == _TRAP_POINT:
-            dts = np.diff([e.tau_c for e in events])
+            dts = np.diff([e.tau_c for e in outcome[1]])
             ratios = dts[1:] / dts[:-1]
             m = oscillator.ACCUMULATION_RATIOS
             relative = np.abs(ratios - p.R) <= 0.02 * p.R
             assert any(relative[k:k + m].all() for k in range(len(ratios) - m + 1))
     assert raised == [_CHATTER_POINT]
+
+
+def test_catalogue_exponent_outcomes(catalogue_settled):
+    """alpha = -1 from each settled catalogue point on the random_impacting
+    protocol (a 150-period cap, sample window 50): every point gives a
+    finite exponent but the chatter point, whose settling raised, and point
+    48, whose window at tau = 630.488 is too close to grazing."""
+    s = TLESettings(transient_periods=100, max_periods=150, sample_window=50)
+    failures, values = {}, 0
+    for i, (p, outcome) in enumerate(catalogue_settled):
+        if isinstance(outcome, Exception):
+            failures[i] = outcome
+            continue
+        try:
+            r = compute_tle(p, SPRING_COUPLING, MSFQuery(-1.0), s, base_state=outcome[0])
+        except Exception as exc:
+            failures[i] = exc
+            continue
+        assert math.isfinite(r.tle), i
+        values += 1
+    assert values == 78 and sorted(failures) == [_CHATTER_POINT, 48]
+    assert type(failures[_CHATTER_POINT]) is ChatterError
+    assert type(failures[48]) is GrazingSingularityError
+    assert "tau=19.188249 " in str(failures[_CHATTER_POINT])
+    assert "tau=630.488 " in str(failures[48])
+    for exc in failures.values():
+        assert type(exc).__module__.split(".")[0] == "msflab"
 
 
 def _trajectory_states(p, base, periods):
