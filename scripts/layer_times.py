@@ -21,8 +21,10 @@ own layer, so a function that two layers call (bisect_crossing inside an
 event window's runs) is timed as part of the layer's own part there:
   - _next_impact: the scan (scalar points, table chunks and their
     recomputation) and the bisection;
-  - _estimate: the window's three runs, the difference quotient and the
-    logarithm, the free flight to the window start being the rest;
+  - _estimate: the window's three runs, the window body (the rest of
+    event_window_jacobian: the difference quotient, the checks and the
+    result) and the logarithm, the free flight to the window start and
+    the reading of phi's entries being the rest;
   - run_probe: the table scan, the crossing refinement, the closed-form
     recomputation and the sync bookkeeping.
 A line per pass and split layer prints each part, then the layer's own
@@ -64,8 +66,8 @@ PARTS = {
     },
     "_estimate": {
         "runs": ("jacobian.simulate", "jacobian._runner()"),
-        "quotient": ("jacobian.estimate_jacobian",),
-        "log": ("msf.mat_log", "msf._entries", "msf.scalar_log"),
+        "body": ("msf.event_window_jacobian",),
+        "log": ("msf.scalar_log",),
     },
     "run_probe": {
         "scan": ("network._ModeSegments.scan_rows", "network._ModeSegments.scan",

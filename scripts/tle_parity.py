@@ -14,17 +14,19 @@ base states they start from (x, v and tau by repr): the set-up's, and for
 message of the settle's failure.  That pins simulate's path directly, not
 only through the exponents.  Two commits give the same settled states and
 exponent results bit for bit exactly when their outputs are identical, so
-a check is one diff:
+a check is one command:
 
-    PYTHONPATH=src python3 scripts/tle_parity.py > new.json
-    PYTHONPATH=../old/src python3 scripts/tle_parity.py > old.json
-    diff old.json new.json
+    PYTHONPATH=src python3 scripts/tle_parity.py --against ../old/src
 
-msflab is imported from PYTHONPATH, so the script can run against another
-checkout's source; the workload definitions come from this checkout's
-perfbench/.  Per seed that is 2 + 1 + 11 = 14 settled states; the
-random_impacting points settle twice, once for the record and once in
-their query.  Takes about fifteen seconds per seed on one core.
+runs the same seeds on another checkout's msflab (given by its src
+directory) in a subprocess, alongside this process, prints the first line
+where the two outputs differ, or that they are identical, and exits 1 on
+any difference.  msflab is imported from PYTHONPATH, so without --against
+the script writes one checkout's output for a later diff; the workload
+definitions come from this checkout's perfbench/.  Per seed that is
+2 + 1 + 11 = 14 settled states; the random_impacting points settle twice,
+once for the record and once in their query.  Takes about fifteen seconds
+per seed on one core.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,7 +101,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
     ap.add_argument("--out", type=Path, help="write here instead of stdout")
+    ap.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                    help="compare with the msflab package under this src directory")
     args = ap.parse_args(argv)
+    other = None
+    if args.against:
+        if not (args.against / "msflab" / "__init__.py").is_file():
+            ap.error(f"no msflab package under {args.against}")
+        path = [str(args.against.resolve())] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        other = subprocess.Popen(
+            [sys.executable, __file__, "--seeds", *map(str, args.seeds)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
 
     reference = workloads.load_reference()
     records = []
@@ -115,8 +131,28 @@ def main(argv=None) -> int:
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
-    else:
+    elif other is None:
         sys.stdout.write(text)
+    if other is None:
+        return 0
+    theirs = other.communicate()[0]
+    if other.returncode:
+        print(f"the run on {args.against} failed with exit status {other.returncode}")
+        return 1
+    return _compare(text.splitlines(), theirs.splitlines(), args.against)
+
+
+def _compare(ours: list, theirs: list, against: Path) -> int:
+    """0 if the outputs are equal; else print their first differing line and return 1."""
+    for n, (a, b) in enumerate(zip(ours, theirs), 1):
+        if a != b:
+            print(f"line {n} differs:\n  this:  {a}\n  other: {b}")
+            return 1
+    if len(ours) != len(theirs):
+        print(f"line {min(len(ours), len(theirs)) + 1} differs: this has "
+              f"{len(ours)} lines, {against} {len(theirs)}")
+        return 1
+    print(f"identical: {len(ours)} lines against {against}")
     return 0
 
 

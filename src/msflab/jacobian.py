@@ -9,6 +9,8 @@ estimated by one-sided differences,
 provided every perturbed trajectory experiences the same impact sequence
 as the central one inside the window.  The event counts of all runs are
 recorded so callers can see when that assumption broke.
+estimate_jacobian is the generic estimator, for any flow map and dtype;
+event_window_jacobian takes its quotient in place, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,17 +78,14 @@ class WindowEstimate(JacobiEstimate):
     events: tuple[EventRecord, ...]
 
 
-def estimate_jacobian(
-    flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA, central=None
-) -> JacobiEstimate:
+def estimate_jacobian(flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA) -> JacobiEstimate:
     """One-sided difference estimate of d(phi_t)/dx at x0.
 
     Arithmetic follows the dtype of x0 (the realized perturbation, not the
     nominal delta, is used as the divisor), and the result is cast to
-    float64 at the end.  t = 0 returns the identity for any flow.  central,
-    when given, is flow(x0, t) already computed by the caller, and saves
-    that evaluation.  Differences are taken in scalars, component by
-    component, which round as the arrays' elementwise operations would.
+    float64 at the end.  t = 0 returns the identity for any flow.
+    Differences are taken in scalars, component by component, which round
+    as the arrays' elementwise operations would.
     """
     _check_delta(delta)
     if not t >= 0.0:
@@ -95,7 +94,7 @@ def estimate_jacobian(
     n = x0.shape[0]
     if n == 0:
         raise ValueError("x0 must have at least one component")
-    y0, count0 = flow(x0, t) if central is None else central
+    y0, count0 = flow(x0, t)
     y0 = np.ravel(y0).tolist()
     if not all(map(math.isfinite, y0)):
         raise PropagationError("flow returned a non-finite central state")
@@ -169,7 +168,11 @@ def event_window_jacobian(
     correction downstream needs the window propagator's logarithm.
 
     The central run is simulated once, differenced against, and returned
-    with the estimate, so the caller can advance along it.
+    with the estimate, so the caller can advance along it.  The quotient is
+    taken in place, in Python floats, operation for operation as
+    estimate_jacobian takes it (each difference over the realized
+    perturbation (x0 + delta) - x0): phi and the PropagationError checks
+    are estimate_jacobian's on the same runs, bit for bit.
     """
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
@@ -180,27 +183,33 @@ def event_window_jacobian(
     x, v, tau, impacts = run(s_pre.x, s_pre.v)
     if len(impacts) != 1:
         raise InvalidWindowError(
-            f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "
+            f"window starting at tau={s_pre.tau:.6f} (width {window:.3g}) contains "
             f"{len(impacts)} impacts of the central trajectory; exactly one required"
         )
-
-    def flow(z, t):  # t is the window
-        x, v, _, impacts = run(float(z[0]), float(z[1]))
-        return (x, v), len(impacts)
-
-    est = estimate_jacobian(flow, np.array([s_pre.x, s_pre.v]), window, delta, central=((x, v), 1))
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise PropagationError("flow returned a non-finite central state")
+    x0, v0 = float(s_pre.x), float(s_pre.v)
+    counts, columns = [1], []
+    for i, start in enumerate(((x0 + delta, v0), (x0, v0 + delta))):
+        xi, vi, _, hits = run(*start)
+        if not (math.isfinite(xi) and math.isfinite(vi)):
+            raise PropagationError(f"flow returned a non-finite state for direction {i}")
+        realized = start[i] - (x0, v0)[i]
+        columns.append(((xi - x) / realized, (vi - v) / realized))
+        counts.append(len(hits))
+    (a, c), (b, d) = columns
+    phi = np.array([[a, b], [c, d]])
     # sv_min/sv_max = |det|/sv_max**2 >= |det|/|phi|_F**2, so a determinant
     # clear of that bound, rounding included, needs no decomposition.
-    (a, b), (c, d) = est.phi.tolist()
     if not abs(a * d - b * c) > 2e-12 * (a * a + b * b + c * c + d * d):
-        sv = np.linalg.svd(est.phi, compute_uv=False)
+        sv = np.linalg.svd(phi, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
             raise GrazingSingularityError(
-                f"window propagator at tau={s_pre.tau:.6g} is numerically singular "
+                f"window propagator at tau={s_pre.tau:.6f} is numerically singular "
                 f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
                 f"to grazing for a logarithm to exist"
             )
     return WindowEstimate(
-        est.phi, est.delta_used, est.event_counts, est.consistent, OscState(x, v, tau),
+        phi, float(delta), tuple(counts), counts.count(1) == 3, OscState(x, v, tau),
         (_impact_record(p, *impacts[0]),),
     )

@@ -264,7 +264,10 @@ class _EventRecord:
                     f"delta; estimate accepted (counts {est.event_counts})"
                 )
         try:
-            log_phi = scalar_log(*_entries(est.phi))
+            entries = est.phi.ravel().tolist()  # real, as event_window_jacobian builds it
+            if not all(map(math.isfinite, entries)):
+                raise ValueError("matrix contains non-finite entries")
+            log_phi = scalar_log(entries, False)
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         for event in est.events:

@@ -52,8 +52,7 @@ CHATTER_CAP = 10_000            # impacts per forcing period before aborting
 ACCUMULATION_RATIOS = 3         # successive interval ratios that must sit near R ...
 ACCUMULATION_TOL = 5e-3         # ... within this many units of 1 - R, for complete chatter
 _SCALAR_SCAN = 32               # grid points of a scan evaluated one by one, in scalars
-_FIRST_CHUNK = 2048             # grid points in a table scan's first batch; later ones double
-_DETECT_CHUNK = 8192            # largest batch, and the length of the scan tables
+_DETECT_CHUNK = 8192            # grid points per table-scan batch, and the scan tables' length
 _SCAN_GUARD = 1e-8              # |x - x_w| per unit amplitude below which a table
                                 # sample is recomputed with the closed form
 _EPS = 2.0 ** -52               # unit of the closed forms' rounding-error bounds
@@ -502,11 +501,15 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
     rounding, is negative (g0 = x - x_w; err and accel the model's up to
     the last scalar point t_last): the closed form starts within err of g0
     and v and stays within err of the exact solution, so that point's
-    distance is not positive.  After a reset (g0 = 0, v < 0) this skips a
-    whole event window unless |v| is tiny; before a crossing, its lead.
+    distance is not positive.  The bound is convex in t, so where it skips
+    the first and the last scalar point it skips every one between, and one
+    test of both ends skips them all.  After a reset (g0 = 0, v < 0) that
+    skips a whole event window unless |v| is tiny; before a crossing, the
+    points are tested one by one and the lead is skipped.
 
     Longer scans then read cached tables from the start (see _scan_chunk)
-    in chunks growing up to _DETECT_CHUNK points.  Tables and closed form
+    in chunks of _DETECT_CHUNK points, whose fixed cost, a dozen numpy
+    calls, outweighs their per-sample cost.  Tables and closed form
     differ by rounding only, which grows with tau (about 1e-11 at tau = 2e4
     without damping), so a table sample within _SCAN_GUARD times the
     amplitude of the wall is recomputed with the closed form: every sign,
@@ -527,7 +530,10 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
     half = 0.5 * accel
     distance = None  # built at the first point evaluated
     prev = g0
-    for j in range(1, n_scalar + 1):
+    t1 = t_end if n_total == 1 else scan_step
+    skip_all = (g0 + t1 * (v + t1 * half) + slack < 0.0
+                and g0 + t_last * (v + t_last * half) + slack < 0.0)
+    for j in range(n_scalar + 1 if skip_all else 1, n_scalar + 1):
         t = t_end if j == n_total else j * scan_step
         if g0 + t * (v + t * half) + slack < 0.0:
             prev = 0.0
@@ -546,9 +552,9 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
         distance, model = _wall_distance(p, tau, y, w, a_p, b_p)
     table = _scan_table(zeta, eta, scan_step)
     guard = _SCAN_GUARD * (abs(x_w) + abs(a_p) + abs(b_p) + abs(y) + abs(w))
-    g_prev, k0, n = g0, 0, _FIRST_CHUNK
+    g_prev, k0 = g0, 0
     while k0 < n_total:
-        n = min(n, n_total - k0)
+        n = min(_DETECT_CHUNK, n_total - k0)
         gs, y, w = _scan_chunk(p, table[:n], tau + k0 * scan_step, y, w, a_p, b_p)
         # Samples before the first one above -guard are certainly inside the
         # wall: none is recomputed and none rises, so only the rest is read,
@@ -576,7 +582,7 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
                 lo, hi = (j - 1) * scan_step, t_end if j == n_total else j * scan_step
                 return bisect_crossing(distance, lo, hi, model(lo, hi))
         g_prev = gs[-1]
-        k0, n = k0 + n, min(2 * n, _DETECT_CHUNK)
+        k0 += n
     return None
 
 
@@ -695,9 +701,10 @@ def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int 
     c = _constants(p) if t_end - tau0 > 0.0 else None  # read only by runs with a segment
 
     def run(x: float, v: float):
-        for name, value in (("x", x), ("v", v)):
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"start state {name} must be finite, got {value!r}")
+        if not math.isfinite(x + v):  # one test; a sum of finite ones that overflows passes
+            for name, value in (("x", x), ("v", v)):
+                if not math.isfinite(value):
+                    raise InvalidParameterError(f"start state {name} must be finite, got {value!r}")
         tau, impacts, guard = tau0, [], None
         while True:
             remaining = t_end - tau

@@ -115,7 +115,7 @@ def loop_simulate(
 
 
 def loop_event_window(p: ImpactOscillatorParams, s_pre: OscState, window: float, delta: float):
-    """event_window_jacobian's (phi, final, events, event_counts) over loop_simulate.
+    """event_window_jacobian's (phi, final, events, event_counts, consistent) over loop_simulate.
 
     estimate_jacobian on loop_simulate's flow from s_pre, with the central
     run's impact count and the singular-value test checked as
@@ -126,7 +126,7 @@ def loop_event_window(p: ImpactOscillatorParams, s_pre: OscState, window: float,
     final, events = loop_simulate(p, s_pre, window, inner)
     if len(events) != 1:
         raise InvalidWindowError(
-            f"window starting at tau={s_pre.tau:.6g} (width {window:.3g}) contains "
+            f"window starting at tau={s_pre.tau:.6f} (width {window:.3g}) contains "
             f"{len(events)} impacts of the central trajectory; exactly one required"
         )
 
@@ -138,11 +138,11 @@ def loop_event_window(p: ImpactOscillatorParams, s_pre: OscState, window: float,
     sv = np.linalg.svd(est.phi, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise GrazingSingularityError(
-            f"window propagator at tau={s_pre.tau:.6g} is numerically singular "
+            f"window propagator at tau={s_pre.tau:.6f} is numerically singular "
             f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
             f"to grazing for a logarithm to exist"
         )
-    return est.phi, final, events, est.event_counts
+    return est.phi, final, events, est.event_counts, est.consistent
 
 
 class LoopObserver:

@@ -222,26 +222,50 @@ def _windows(draw):
 
 
 def _window_outcome(run):
-    """run()'s (phi bytes, final, events, event_counts), or its typed failure."""
+    """run()'s (phi bytes, final, events, event_counts, consistent), or its typed failure."""
     try:
-        phi, final, events, counts = run()
+        phi, final, events, counts, consistent = run()
     except (InvalidWindowError, GrazingSingularityError) as exc:
         return type(exc), str(exc)
-    return phi.tobytes(), final, list(events), counts
+    return phi.tobytes(), final, list(events), counts, consistent
+
+
+# Windows of scripts/domain_census.py's draws (seed 2026) whose perturbed runs
+# disagree with the central run's one impact at the record's delta, missing
+# the wall or meeting it twice, and agree at its retry delta/10:
+# (p, s_pre, window, the counts at delta, the counts at delta/10).
+_DISAGREEING_WINDOWS = [
+    (
+        ImpactOscillatorParams(
+            zeta=0.11375144368112207, eta=2.77661090903567, x_w=0.09637394667757265,
+            R=0.6166316031000694,
+        ),
+        OscState(x=0.09637385092825965, v=0.01189838699257123, tau=457.67972920666676),
+        0.001, (1, 0, 1), (1, 1, 1),
+    ),
+    (
+        ImpactOscillatorParams(
+            zeta=0.14606574961995963, eta=2.762598814470055, x_w=0.09579605151396392,
+            R=0.9632881914323254,
+        ),
+        OscState(x=0.09579594154101695, v=0.00019800509306669434, tau=550.1744865532141),
+        0.001, (1, 2, 1), (1, 1, 1),
+    ),
+]
 
 
 class TestWindowEqualsLoop:
     """event_window_jacobian against estimate_jacobian on simulate's reference loop."""
 
     @staticmethod
-    def _both(p, s_pre, window):
+    def _both(p, s_pre, window, delta=DEFAULT_DELTA):
         def lean():
-            est = event_window_jacobian(p, s_pre, window, DEFAULT_DELTA)
-            return est.phi, est.final, est.events, est.event_counts
+            est = event_window_jacobian(p, s_pre, window, delta)
+            return est.phi, est.final, est.events, est.event_counts, est.consistent
 
         return (
             _window_outcome(lean),
-            _window_outcome(lambda: loop_event_window(p, s_pre, window, DEFAULT_DELTA)),
+            _window_outcome(lambda: loop_event_window(p, s_pre, window, delta)),
         )
 
     @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
@@ -250,6 +274,25 @@ class TestWindowEqualsLoop:
     def test_random_windows(self, case):
         lean, loop = self._both(*case)
         assert lean == loop
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @settings(max_examples=80, deadline=None)
+    @given(case=_windows())
+    def test_random_windows_at_retry_delta(self, case):
+        # The event record's retry when the runs disagree on event counts.
+        lean, loop = self._both(*case, DEFAULT_DELTA / 10.0)
+        assert lean == loop
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @pytest.mark.parametrize("case", _DISAGREEING_WINDOWS)
+    def test_runs_disagreeing_on_event_counts(self, case):
+        p, s_pre, window, counts, retry_counts = case
+        lean, loop = self._both(p, s_pre, window)
+        assert lean == loop
+        assert lean[3:] == (counts, False)
+        lean, loop = self._both(p, s_pre, window, DEFAULT_DELTA / 10.0)
+        assert lean == loop
+        assert lean[3:] == (retry_counts, True)
 
     @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     def test_grazing_window(self, monkeypatch):

@@ -507,7 +507,7 @@ GRAZING_SETTINGS = TLESettings(
     transient_periods=100, max_periods=150, sample_window=10, std_tolerance=1e-3
 )
 GRAZING_MESSAGE = (
-    "window propagator at tau=1174.72 is numerically singular (singular values "
+    "window propagator at tau=1174.718621 is numerically singular (singular values "
     "2.382e-08/4.421e+07); the impact is too close to grazing for a logarithm to exist"
 )
 # Queries that stop at different periods (64 to 95 on the elastic preset),
@@ -687,6 +687,40 @@ class TestEventRecord:
         again = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
         assert len(seen) == _windows_found() == _windows_reached(again, elastic, s) >= 2
         assert _outcome(again) == _outcome(first)
+
+    @pytest.mark.parametrize("bad, entry", [(math.nan, 0), (math.inf, 1), (-math.inf, 2), (math.nan, 3)])
+    def test_non_finite_phi_entry(self, elastic, elastic_base, monkeypatch, bad, entry):
+        # A window estimate whose phi has one non-finite entry fails the
+        # window with the logarithm's message, naming the impact, and every
+        # query that reaches the window raises it.
+        s = TLESettings(max_periods=6, sample_window=2)
+        real = msf.event_window_jacobian
+        calls = []
+
+        def corrupt_second(p, s_pre, *args, **kwargs):
+            est = real(p, s_pre, *args, **kwargs)
+            calls.append(s_pre)
+            if len(calls) == 2:
+                phi = est.phi.copy()
+                phi.flat[entry] = bad
+                est = dataclasses.replace(est, phi=phi)
+            return est
+
+        monkeypatch.setattr(msf, "event_window_jacobian", corrupt_second)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
+            raised.append(info.value)
+        assert len(calls) == 2
+        tau_c, _, _, window = msf._last_record.entries[1]
+        assert isinstance(window, msf._Failure)
+        for exc in raised:
+            assert type(exc) is ValueError
+            assert str(exc) == (
+                f"matrix contains non-finite entries (event window at tau_c={tau_c:.6f})"
+            )
+        assert raised[0] is not raised[1]
 
     def test_failure_between_impact_and_window(self, elastic, elastic_base, monkeypatch):
         # alpha = -3 stops after 64 periods, having crossed 46 windows and

@@ -384,7 +384,7 @@ def test_catalogue_exponent_outcomes(catalogue_settled):
     assert type(failures[_CHATTER_POINT]) is ChatterError
     assert type(failures[48]) is GrazingSingularityError
     assert "tau=19.188249 " in str(failures[_CHATTER_POINT])
-    assert "tau=630.488 " in str(failures[48])
+    assert "tau=630.488363 " in str(failures[48])
     for exc in failures.values():
         assert type(exc).__module__.split(".")[0] == "msflab"
 
@@ -705,6 +705,35 @@ class TestCertifiedSkip:
         assert evaluated == []
 
 
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    @pytest.mark.parametrize("tau", [0.0, 0.11663460848882778])
+    @pytest.mark.parametrize("v_post", [-1e-4, -2e-4, -3e-4])
+    def test_bound_certifies_one_end_only(self, monkeypatch, tau, v_post):
+        # A slow reset where the force returns the mass to the wall within the
+        # window: the bound certifies the first point, not the last, so the
+        # points are tested one by one and the re-impact is found.
+        p = ImpactOscillatorParams(
+            zeta=0.14606574961995963, eta=2.762598814470055, x_w=0.09579605151396392,
+            R=0.9632881914323254,
+        )
+        s, horizon, step = OscState(p.x_w, v_post, tau), 1e-3, 1e-3 / 16.0
+        evaluated = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, a):
+                evaluated.append(a)
+                return np.exp(a)
+
+        expected = grid_scan_impact(p, s, horizon, step)
+        monkeypatch.setattr(oscillator, "np", CountingNumpy())
+        found = detect_next_impact(p, s, horizon, step)
+        assert found is not None and found == expected
+        assert evaluated and -p.zeta * step not in evaluated  # first point skipped
+
+
 class TestChunkCrossing:
     """A table chunk whose first sample above -guard is at or above guard, after one
     inside the wall and before the horizon, holds the crossing; the scan returns it
@@ -718,8 +747,6 @@ class TestChunkCrossing:
 
     @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     @pytest.mark.parametrize("cells, horizon, cell", [
-        # The first sample beyond the wall opens the second chunk.
-        (oscillator._FIRST_CHUNK + 0.4, 3000, oscillator._FIRST_CHUNK + 1),
         # The clamped horizon sample is the first beyond the wall, or the
         # horizon ends before the crossing while the table's sample past it is beyond.
         (2100.3, 2100.8, 2101), (2100.3, 2100.2, None),
@@ -734,15 +761,26 @@ class TestChunkCrossing:
         assert (None if tau_c is None else math.ceil((tau_c - s.tau) / step)) == cell
 
     @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+    def test_crossing_opens_the_second_chunk(self, elastic):
+        # The first sample beyond the wall opens the second chunk; the finer
+        # step keeps the lead, 2.05 time units, free of other crossings.
+        step = 2.5e-4
+        s = self._towards(elastic, oscillator._DETECT_CHUNK + 0.4, step)
+        tau_c = detect_next_impact(elastic, s, 12000 * step, step)
+        assert tau_c == grid_scan_impact(elastic, s, 12000 * step, step)
+        assert math.ceil((tau_c - s.tau) / step) == oscillator._DETECT_CHUNK + 1
+
+    @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     def test_start_beyond_the_wall(self):
         # Beyond the wall from the start into the second chunk: both chunks
         # open with a sample beyond it that follows one beyond it, no crossing.
-        p = ImpactOscillatorParams(zeta=0.05, eta=0.712, x_w=-0.9)
+        p = ImpactOscillatorParams(zeta=0.05, eta=0.712, x_w=-2.6)
         s = OscState(0.0, 0.0, 0.0)
-        assert segment_states(p, s.x, s.v, s.tau, (oscillator._FIRST_CHUNK + 1) * 1e-3)[0] > p.x_w
+        first = segment_states(p, s.x, s.v, s.tau, np.arange(oscillator._DETECT_CHUNK + 2) * 1e-3)[0]
+        assert np.all(first > p.x_w)
         tau_c = detect_next_impact(p, s, 20.0)
         assert tau_c == grid_scan_impact(p, s, 20.0)
-        assert tau_c > 2 * oscillator._FIRST_CHUNK * 1e-3
+        assert tau_c > oscillator._DETECT_CHUNK * 1e-3
 
 
 class TestSimulate:
