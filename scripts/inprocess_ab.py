@@ -4,11 +4,12 @@ Imports this checkout's msflab and another checkout's (given by its src
 directory) under the name msflab_other, builds the workload's queries from
 this checkout's perfbench/workloads.py once per side, and then runs the
 whole query set on both sides once per round, alternating which side goes
-first.  Every result must equal the other side's field for field (floats
-bit for bit, typed failures by type name and message); the first
-difference stops the run with exit status 1.  Prints JSON: the per-round
-times in seconds, their ratios (this checkout over the other), the median
-ratio, its quartiles and the rounds this checkout won.
+first.  Each round compares the two sides' results as parity.py records
+them (floats by repr, failures as "Type: message"); a difference prints
+every differing result and stops the run with exit status 1.  Prints
+JSON: the per-round times in seconds, their ratios (this checkout over
+the other), the median ratio, its quartiles and the rounds this checkout
+won.
 
 Interleaving in one process shares the machine's momentary speed between
 the two sides, so it resolves differences of a few percent that separate
@@ -23,7 +24,6 @@ them up by the name msflab).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import statistics
@@ -31,12 +31,11 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import msflab  # noqa: E402
+import parity  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -57,24 +56,6 @@ def other_workloads(src: Path):
         return _load("workloads_other", ROOT / "perfbench" / "workloads.py")
     finally:
         sys.modules["msflab"] = msflab
-
-
-def same(a, b) -> bool:
-    """Equal field for field: floats bit for bit, exceptions by type name and message."""
-    if dataclasses.is_dataclass(a):
-        return type(a).__name__ == type(b).__name__ and all(
-            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
-    if isinstance(a, BaseException):
-        return type(a).__name__ == type(b).__name__ and str(a) == str(b)
-    if isinstance(a, (list, tuple)):
-        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
-    if isinstance(a, np.ndarray):
-        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
-                and a.tobytes() == b.tobytes())
-    if isinstance(a, float):
-        return isinstance(b, float) and float(a).hex() == float(b).hex()
-    return type(a) is type(b) and a == b
 
 
 def run_set(queries) -> tuple[float, list]:
@@ -112,14 +93,11 @@ def main(argv=None) -> int:
         for side in order:
             elapsed, results[side] = run_set(sides[side])
             times[side].append(elapsed)
-        for label, a, b in zip(labels, *results):
-            if not same(a, b):
-                fields = [f.name for f in dataclasses.fields(a)
-                          if not same(getattr(a, f.name), getattr(b, f.name, None))
-                          ] if dataclasses.is_dataclass(a) else []
-                print(f"round {r}, {label}: results differ {fields}\n  this:  {a!r}\n"
-                      f"  other: {b!r}", file=sys.stderr)
-                return 1
+        records = [[{"label": label, **parity.fields(x)} for label, x in zip(labels, side)]
+                   for side in results]
+        if parity.compare(*records, args.other_src):
+            print(f"round {r}: results differ", file=sys.stderr)
+            return 1
 
     ratios = [a / b for a, b in zip(*times)]
     q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3

@@ -14,11 +14,12 @@ Builds the workload's set-up once, untimed, then runs its query set
 time of enclosed spans) and the call count, plus the remainder of the
 pass outside every span.
 
-Three layers are split further by spans on the msflab functions of PARTS
-that the timed checkout defines (names it lacks are skipped, so one script
-times old and new checkouts alike).  A part's span counts only inside its
-own layer, so a function that two layers call (bisect_crossing inside an
-event window's runs) is timed as part of the layer's own part there:
+Three layers are split further by spans on the msflab functions of PARTS.
+A name the timed checkout lacks is an error, so a rename cannot silently
+empty a part; time an older checkout with that checkout's copy of this
+script.  A part's span counts only inside its own layer, so a function
+that two layers call (bisect_crossing inside an event window's runs) is
+timed as part of the layer's own part there:
   - _next_impact: the scan (scalar points, table chunks and their
     recomputation) and the bisection;
   - _estimate: the window's three runs, the window body (the rest of
@@ -65,18 +66,16 @@ PARTS = {
         "bisection": ("oscillator.bisect_crossing",),
     },
     "_estimate": {
-        "runs": ("jacobian.simulate", "jacobian._runner()"),
+        "runs": ("jacobian._runner()",),
         "body": ("msf.event_window_jacobian",),
         "log": ("msf.scalar_log",),
     },
     "run_probe": {
-        "scan": ("network._ModeSegments.scan_rows", "network._ModeSegments.scan",
-                 "network._first_crossing"),
+        "scan": ("network._ModeSegments.scan", "network._first_crossing"),
         "refine": ("network.bisect_crossing", "network._ModeSegments.wall_distance"),
         "recompute": ("network._ModeSegments.to_modes", "network._ModeSegments.terms",
                       "network._ModeSegments.eval", "network._ModeSegments.point"),
-        "bookkeeping": ("network._sync_measures", "network._kept_samples",
-                        "network._SyncObserver.observe", "network._SyncObserver.skip"),
+        "bookkeeping": ("network._sync_measures", "network._SyncObserver.observe"),
     },
 }
 
@@ -138,9 +137,10 @@ def install(spans: Spans) -> None:
                 target = importlib.import_module(f"msflab.{module}")
                 for cls in owner:
                     target = getattr(target, cls, None)
-                if target is not None and attr in vars(target):
-                    wrap = spans.wrap_factory if factory else spans.wrap
-                    setattr(target, attr, wrap((layer, part), getattr(target, attr)))
+                if target is None or attr not in vars(target):
+                    raise SystemExit(f"msflab has no {name} to time as part {part} of {layer}")
+                wrap = spans.wrap_factory if factory else spans.wrap
+                setattr(target, attr, wrap((layer, part), getattr(target, attr)))
 
 
 def main(argv=None) -> int:

@@ -44,7 +44,9 @@ class PropagationError(RuntimeError):
 
 
 class InvalidWindowError(ValueError):
-    """The window does not contain exactly one impact of the central run."""
+    """The window cannot be differenced: it does not contain exactly one
+    impact of the central run, or a perturbation vanishes in rounding
+    against the start state ((x0 + delta) - x0 is 0)."""
 
 
 class GrazingSingularityError(RuntimeError):
@@ -85,7 +87,8 @@ def estimate_jacobian(flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA)
     nominal delta, is used as the divisor), and the result is cast to
     float64 at the end.  t = 0 returns the identity for any flow.
     Differences are taken in scalars, component by component, which round
-    as the arrays' elementwise operations would.
+    as the arrays' elementwise operations would.  A direction whose
+    realized perturbation is 0 raises InvalidWindowError.
     """
     _check_delta(delta)
     if not t >= 0.0:
@@ -104,6 +107,11 @@ def estimate_jacobian(flow: FlowMap, x0, t: float, delta: float = DEFAULT_DELTA)
         xp = x0.copy()
         xp[i] = xp[i] + delta
         realized = xp[i] - x0[i]
+        if realized == 0:
+            raise InvalidWindowError(
+                f"perturbation delta={delta!r} in direction {i} vanishes against "
+                f"x0[{i}]={x0[i]}: (x0 + delta) - x0 is 0"
+            )
         yi, ci = flow(xp, t)
         yi = np.ravel(yi).tolist()
         if not all(map(math.isfinite, yi)):
@@ -172,7 +180,8 @@ def event_window_jacobian(
     taken in place, in Python floats, operation for operation as
     estimate_jacobian takes it (each difference over the realized
     perturbation (x0 + delta) - x0): phi and the PropagationError checks
-    are estimate_jacobian's on the same runs, bit for bit.
+    are estimate_jacobian's on the same runs, bit for bit, and a
+    perturbation that vanishes raises InvalidWindowError in both.
     """
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
@@ -191,10 +200,15 @@ def event_window_jacobian(
     x0, v0 = float(s_pre.x), float(s_pre.v)
     counts, columns = [1], []
     for i, start in enumerate(((x0 + delta, v0), (x0, v0 + delta))):
+        realized = start[i] - (x0, v0)[i]
+        if realized == 0.0:
+            raise InvalidWindowError(
+                f"perturbation delta={delta!r} in direction {i} vanishes against the "
+                f"window start state at tau={s_pre.tau:.6f}: (x0 + delta) - x0 is 0"
+            )
         xi, vi, _, hits = run(*start)
         if not (math.isfinite(xi) and math.isfinite(vi)):
             raise PropagationError(f"flow returned a non-finite state for direction {i}")
-        realized = start[i] - (x0, v0)[i]
         columns.append(((xi - x) / realized, (vi - v) / realized))
         counts.append(len(hits))
     (a, c), (b, d) = columns

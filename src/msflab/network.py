@@ -708,7 +708,7 @@ def _simulate_coupled(
     k = 1  # grid index of the window's first sample
     while k <= total:
         if not all(map(math.isfinite, state)):
-            raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6g}")
+            raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6f}")
         modes = segs.to_modes(state, anchor_tau)
         terms = segs.terms(modes)
         size = min(_CHUNK, total + 1 - k)

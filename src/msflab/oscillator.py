@@ -81,10 +81,10 @@ class ChatterError(RuntimeError):
         self.period = period
         self.accumulating = accumulating
         super().__init__(
-            f"chatter: impacts accumulate at tau={tau:.8g} after {count} impacts"
+            f"chatter: impacts accumulate at tau={tau:.6f} after {count} impacts"
             if accumulating else
             f"chatter: {count} impacts within one forcing period "
-            f"({period:.6g}) ending at tau={tau:.6g}"
+            f"({period:.6g}) ending at tau={tau:.6f}"
         )
 
 

@@ -95,6 +95,13 @@ class TestEstimateJacobian:
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             estimate_jacobian(flow, np.array([0.6, -0.1]), 0.8, delta)
 
+    def test_vanishing_perturbation_rejected(self, elastic):
+        # (2.0 + 1e-300) - 2.0 is 0: a quotient over it would be nan.
+        flow = oscillator_flow(elastic, tau0=0.0)
+        with pytest.raises(InvalidWindowError,
+                           match=r"delta=1e-300 in direction 0 vanishes against x0\[0\]=2\.0:"):
+            estimate_jacobian(flow, [2.0, 0.5], 0.1, delta=1e-300)
+
     def test_nan_t_rejected(self):
         flow = oscillator_flow(_smooth_params(), tau0=0.0)
         with pytest.raises(ValueError, match="t must be non-negative, got nan"):
@@ -174,6 +181,14 @@ class TestEventWindowJacobian:
         s_pre, window, _ = self._window_around_first_impact(elastic, elastic_base)
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             event_window_jacobian(elastic, s_pre, window, delta)
+
+    def test_vanishing_perturbation_rejected(self, elastic, elastic_base):
+        # Every window starts near x_w = 2, where x + 1e-300 rounds back to x.
+        settings = TLESettings(max_periods=6, sample_window=2, jacobi_delta=1e-300)
+        with pytest.raises(InvalidWindowError, match=r"delta=1e-300 in direction 0 vanishes "
+                           r"against the window start state at tau=\d+\.\d{6}:"):
+            msf.compute_tle(elastic, msf.SPRING_COUPLING, msf.MSFQuery(alpha=-1.0), settings,
+                            base_state=elastic_base)
 
     def test_windows_without_event_rejected(self, elastic, elastic_base):
         with pytest.raises(InvalidWindowError):

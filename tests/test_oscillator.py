@@ -242,6 +242,11 @@ class TestImpacts:
             simulate(p, OscState(0.0, 0.0, 0.0), 100 * p.forcing_period, chatter_cap=1)
         assert not info.value.accumulating and info.value.count == 2
 
+    def test_chatter_messages_name_tau_to_six_decimals(self):
+        accumulating = ChatterError(19.18511, 14, 2 * math.pi, accumulating=True)
+        assert str(accumulating) == "chatter: impacts accumulate at tau=19.185110 after 14 impacts"
+        assert str(ChatterError(7.5, 2, 2 * math.pi)).endswith("(6.28319) ending at tau=7.500000")
+
     @pytest.mark.parametrize("cap", [0, -1, -2, True, 1.5, "3", sys.maxsize])
     def test_bad_chatter_cap_rejected(self, elastic, cap):
         with pytest.raises(InvalidParameterError, match="chatter_cap"):
