@@ -1,25 +1,22 @@
 """Per-layer wall time of one benchmark workload's query passes.
 
-Wraps four msflab entry points with perf_counter spans: settle_transient
-(the transient from rest), _EventRecord._next_impact (the long scan to the
-next impact), _EventRecord._estimate (the event-window Jacobian with its
-free flight to the window start) and run_probe (the coupled probe).  The
-event record estimates each window when it finds its impact, so the
-_next_impact span encloses the _estimate span, whose time the script
-subtracts from _next_impact's self time as that of an enclosed span.  The
-functions are replaced in every msflab module that binds them and the
-methods on the class, so calls msflab makes internally are timed too.
-Builds the workload's set-up once, untimed, then runs its query set
---passes times and prints per pass, per layer, the self time (minus the
-time of enclosed spans) and the call count, plus the remainder of the
-pass outside every span.
+Wraps four msflab functions, the LAYERS, with perf_counter spans:
+settle_transient (the transient from rest), detect_next_impact (named
+_next_impact: the long scan to the next impact, which the event record's
+builder makes), msf._estimate (the event-window Jacobian with its free
+flight to the window start) and run_probe (the coupled probe).  Each is
+replaced in every msflab module that binds it, so calls msflab makes
+internally are timed too.  Builds the workload's set-up once, untimed,
+then runs its query set --passes times and prints per pass, per layer,
+the self time (minus the time of enclosed spans) and the call count, plus
+the remainder of the pass outside every span.
 
 Three layers are split further by spans on the msflab functions of PARTS.
-A name the timed checkout lacks is an error, so a rename cannot silently
-empty a part; time an older checkout with that checkout's copy of this
-script.  A part's span counts only inside its own layer, so a function
-that two layers call (bisect_crossing inside an event window's runs) is
-timed as part of the layer's own part there:
+A LAYERS or PARTS name the timed checkout lacks is an error, so a rename
+cannot silently empty a span; time an older checkout with that checkout's
+copy of this script.  A part's span counts only inside its own layer, so
+a function that two layers call (bisect_crossing inside an event window's
+runs) is timed as part of the layer's own part there:
   - _next_impact: the scan (scalar points, table chunks and their
     recomputation) and the bisection;
   - _estimate: the window's three runs, the window body (the rest of
@@ -53,10 +50,15 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import msflab  # noqa: E402
-from msflab import msf  # noqa: E402
 import workloads  # noqa: E402
 
-LAYERS = ("settle_transient", "_next_impact", "_estimate", "run_probe")
+# Each layer's function, "module.function" in msflab.
+LAYERS = {
+    "settle_transient": "msf.settle_transient",
+    "_next_impact": "msf.detect_next_impact",
+    "_estimate": "msf._estimate",
+    "run_probe": "network.run_probe",
+}
 # Each split layer's parts: "module.function" or "module.Class.method" in
 # msflab, patched in that module only.  A name ending in "()" returns a
 # callable, and the span times the calls of what it returns.
@@ -118,28 +120,32 @@ class Spans:
         return lambda *args, **kwargs: self.wrap(key, fn(*args, **kwargs))
 
 
+def resolve(name: str, what: str = "") -> tuple:
+    """(namespace, attribute) of a LAYERS or PARTS name in msflab; SystemExit if it has none."""
+    module, *owner, attr = name.removesuffix("()").split(".")
+    target = importlib.import_module(f"msflab.{module}")
+    for cls in owner:
+        target = getattr(target, cls, None)
+    if target is None or attr not in vars(target):
+        raise SystemExit(f"msflab has no {name} to time{what}")
+    return target, attr
+
+
 def install(spans: Spans) -> None:
-    """Replace the four entry points and the parts' functions for the rest of the process."""
-    for name in ("settle_transient", "run_probe"):
-        original = getattr(msflab, name)
-        wrapper = spans.wrap(name, original)
+    """Replace the layers' and the parts' functions for the rest of the process."""
+    for layer, name in LAYERS.items():
+        target, attr = resolve(name, f" as layer {layer}")
+        original = getattr(target, attr)
+        wrapper = spans.wrap(layer, original)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").split(".")[0] == "msflab"
-                    and getattr(module, name, None) is original):
-                setattr(module, name, wrapper)
-    for name in ("_next_impact", "_estimate"):
-        setattr(msf._EventRecord, name, spans.wrap(name, getattr(msf._EventRecord, name)))
+                    and getattr(module, attr, None) is original):
+                setattr(module, attr, wrapper)
     for layer, parts in PARTS.items():
         for part, names in parts.items():
             for name in names:
-                factory = name.endswith("()")
-                module, *owner, attr = name.removesuffix("()").split(".")
-                target = importlib.import_module(f"msflab.{module}")
-                for cls in owner:
-                    target = getattr(target, cls, None)
-                if target is None or attr not in vars(target):
-                    raise SystemExit(f"msflab has no {name} to time as part {part} of {layer}")
-                wrap = spans.wrap_factory if factory else spans.wrap
+                target, attr = resolve(name, f" as part {part} of {layer}")
+                wrap = spans.wrap_factory if name.endswith("()") else spans.wrap
                 setattr(target, attr, wrap((layer, part), getattr(target, attr)))
 
 

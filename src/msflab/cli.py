@@ -395,6 +395,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         cfg = _apply_overrides(_resolve_config(args), args)
         out = Path(args.out or cfg.out_dir or os.environ.get("MSFLAB_OUT") or ".")
         out.mkdir(parents=True, exist_ok=True)

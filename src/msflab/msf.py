@@ -26,6 +26,7 @@ standard deviation settles.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -194,108 +195,82 @@ class _Failure:
         return exc
 
 
-class _EventRecord:
+def _estimate(p, settings: TLESettings, base_state: OscState, state: OscState,
+              tau_c: float, w_start: int, w_end: int):
+    """The window of the impact at tau_c, from the central run's state where its
+    scan started: ((log Phi, warnings), the central run's state at w_end)."""
+    h, delta = settings.scan_step, settings.jacobi_delta
+    state = propagate_free(p, state, (base_state.tau + w_start * h) - state.tau)
+    window = (w_end - w_start) * h
+    warnings = []
+    est = event_window_jacobian(p, state, window, delta)
+    if not est.consistent:
+        est = event_window_jacobian(p, state, window, delta / 10.0)
+        if est.consistent:
+            warnings.append(
+                f"event counts disagreed at tau_c={tau_c:.6f}; "
+                f"retry with delta/10 succeeded"
+            )
+        else:
+            warnings.append(
+                f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
+                f"delta; estimate accepted (counts {est.event_counts})"
+            )
+    try:
+        entries = est.phi.ravel().tolist()  # real, as event_window_jacobian builds it
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("matrix contains non-finite entries")
+        log_phi = scalar_log(entries, False)
+    except Exception as exc:
+        raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
+    for event in est.events:
+        if event.grazing:
+            warnings.append(
+                f"grazing impact at tau_c={event.tau_c:.6f} "
+                f"(|v_pre|={abs(event.v_pre):.2e})"
+            )
+    # The march resumes along the window's central run, which the estimate carries.
+    return (log_phi, tuple(warnings)), est.final
+
+
+@functools.lru_cache(maxsize=1)
+def _event_record(p, base_state: OscState, settings: TLESettings) -> tuple:
     """The part of compute_tle's march fixed by the base state alone.
 
     The impact times, the window placement, every event-window Jacobian
     with its warnings, and the logarithms of the window and free-step
     propagators depend on (p, base_state, settings), not on alpha + i*beta.
-    The record computes them lazily, in march order, as far as the furthest
-    query has needed, keeping per impact only what the march reads:
-    entries[i] is (tau_c, w_start, w_end, window), or None when no impact
-    comes before the horizon, built by one step that finds impact i, places
-    its window and estimates it.  window is (log Phi, warnings), or the
-    _Failure its estimate raised, which each query that reaches the window
-    raises as a fresh copy; a failure to find an impact is not kept, so the
-    next query repeats the search.  The kernels are looked up in this
-    module when the record extends, so a patched kernel sees every call.
+    Returns (log_free, final_j, entries), built in march order to the
+    horizon final_j or to the first failure: entries[i] is (tau_c, w_start,
+    w_end, (log Phi, warnings)) for impact i.  A kernel failure, in finding
+    an impact or in estimating its window, is the last entry, a _Failure at
+    the grid index w_start where the march meets it, and each query that
+    gets there raises a fresh copy.  The process keeps the record of the
+    base state it last ran on; code that patches a kernel clears it with
+    _event_record.cache_clear().
     """
-
-    def __init__(self, p, base_state: OscState, settings: TLESettings, kernels: tuple):
-        self.key = (p, base_state, settings, kernels)
-        self.p, self.base_state, self.settings = p, base_state, settings
-        h = settings.scan_step
-        self.log_free = mat_log(segment_propagator(p, h))
-        self.final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
-        self.state = self.base_state  # central run at grid index j, where the next scan starts
-        self.j = 0
-        self.entries: list = []
-
-    def entry(self, i: int):
-        """Entry i; entries 0..i-1 must exist, with windows that did not fail."""
-        if i == len(self.entries):
-            self.entries.append(self._next_impact())
-        return self.entries[i]
-
-    def _next_impact(self):
-        h = self.settings.scan_step
-        tau_c = detect_next_impact(self.p, self.state, (self.final_j - self.j) * h, scan_step=h)
-        if tau_c is None:
-            return None
-        rel = tau_c - self.base_state.tau
-        eps = 1e-9 * h
-        cell = int(math.floor((rel + eps) / h))
-        on_grid = abs(rel - cell * h) <= eps  # then the window spans both cells around tau_c
-        w_start, w_end = max(cell - 1 if on_grid else cell, self.j), cell + 1
+    h = settings.scan_step
+    log_free = mat_log(segment_propagator(p, h))
+    log_free.flags.writeable = False  # every query of the base state shares it
+    final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
+    state, j, entries = base_state, 0, []  # the central run at grid index j
+    while True:
+        tau_c, w_start, w_end = None, j, j  # where a failed impact search stops the march
         try:
-            window = self._estimate(tau_c, w_start, w_end)
+            tau_c = detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
+            if tau_c is None:
+                break
+            rel, eps = tau_c - base_state.tau, 1e-9 * h
+            cell = int(math.floor((rel + eps) / h))
+            on_grid = abs(rel - cell * h) <= eps  # then the window spans both cells around tau_c
+            w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
+            window, state = _estimate(p, settings, base_state, state, tau_c, w_start, w_end)
         except Exception as exc:
-            window = _Failure(exc)
-        return tau_c, w_start, w_end, window
-
-    def _estimate(self, tau_c: float, w_start: int, w_end: int):
-        p, h, delta = self.p, self.settings.scan_step, self.settings.jacobi_delta
-        state = propagate_free(
-            p, self.state, (self.base_state.tau + w_start * h) - self.state.tau
-        )
-        window = (w_end - w_start) * h
-        warnings = []
-        est = event_window_jacobian(p, state, window, delta)
-        if not est.consistent:
-            est = event_window_jacobian(p, state, window, delta / 10.0)
-            if est.consistent:
-                warnings.append(
-                    f"event counts disagreed at tau_c={tau_c:.6f}; "
-                    f"retry with delta/10 succeeded"
-                )
-            else:
-                warnings.append(
-                    f"event counts disagreed at tau_c={tau_c:.6f} even at reduced "
-                    f"delta; estimate accepted (counts {est.event_counts})"
-                )
-        try:
-            entries = est.phi.ravel().tolist()  # real, as event_window_jacobian builds it
-            if not all(map(math.isfinite, entries)):
-                raise ValueError("matrix contains non-finite entries")
-            log_phi = scalar_log(entries, False)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
-        for event in est.events:
-            if event.grazing:
-                warnings.append(
-                    f"grazing impact at tau_c={event.tau_c:.6f} "
-                    f"(|v_pre|={abs(event.v_pre):.2e})"
-                )
-        # Advance along the window's central run, which the estimate carries.
-        self.state, self.j = est.final, w_end
-        return log_phi, tuple(warnings)
-
-
-# The record of the base state this process last ran on.  Kernels are part
-# of the key, so a record built through other kernels (a test's or a
-# tracer's wrappers) is never replayed to callers of the current ones.
-_last_record: _EventRecord | None = None
-
-
-def _event_record(p, base_state, settings) -> _EventRecord:
-    global _last_record
-    kernels = (
-        segment_propagator, mat_log, scalar_log, detect_next_impact, propagate_free,
-        event_window_jacobian,
-    )
-    if _last_record is None or _last_record.key != (p, base_state, settings, kernels):
-        _last_record = _EventRecord(p, base_state, settings, kernels)
-    return _last_record
+            entries.append((tau_c, w_start, w_end, _Failure(exc)))
+            break
+        entries.append((tau_c, w_start, w_end, window))
+        j = w_end
+    return log_free, final_j, tuple(entries)
 
 
 # Free-step powers a query keeps; wall-free runs alternate between two.
@@ -381,16 +356,15 @@ def compute_tle(
     Queries on one (p, base_state, settings) share one trajectory record:
     the process keeps the record of the base state it last ran on, so
     consecutive queries on the same base state simulate the trajectory and
-    its window Jacobians once, as far as the longest of them needs, plus
-    the window of the last impact found.  The record is not locked; run
-    concurrent queries in processes.
+    estimate each window Jacobian once, to the horizon of max_periods or to
+    the first failure, whatever the queries.
     """
     h = settings.scan_step
     # Row-major coupling shifts of one and two cells (free steps, event windows).
     shifts = {w: _coupling_shift(coupling, query, w * h).ravel().tolist() for w in (1, 2)}
     if base_state is None:
         base_state = settle_transient(p, settings)
-    record = _event_record(p, base_state, settings)
+    log_free, final_j, entries = _event_record(p, base_state, settings)
 
     period = p.forcing_period
     real_query = query.beta == 0.0
@@ -398,7 +372,7 @@ def compute_tle(
     # k impact-free steps with per-step renormalization leave the same unit
     # direction and log growth as exp(k*G) applied once, G the free step's
     # coupled generator, while k*rate stays below _FREE_GROWTH.
-    generator = record.log_free + np.reshape(shifts[1], (2, 2))
+    generator = log_free + np.reshape(shifts[1], (2, 2))
     (a, b), (c, d) = generator  # rate: the largest |Re| of G's eigenvalues mu +- s
     rate = abs(0.5 * (a + d).real) + abs(np.sqrt(0.25 * (a - d) ** 2 + b * c).real)
     if rate > _FREE_GROWTH:
@@ -471,17 +445,10 @@ def compute_tle(
             n_steps -= take
             emit_samples()
 
-    i = 0
-    while not converged and len(samples) < settings.max_periods:
-        entry = record.entry(i)
-        if entry is None:
-            march_free(record.final_j - j)
-            break
-        tau_c, w_start, w_end, window = entry
+    for tau_c, w_start, w_end, window in entries:
         march_free(w_start - j)
         if converged or len(samples) >= settings.max_periods:
             break
-
         if isinstance(window, _Failure):
             raise window.fresh()
         log_phi, notes = window
@@ -494,8 +461,9 @@ def compute_tle(
         apply(p_event)
         warnings.extend(notes)
         j = w_end
-        i += 1
         emit_samples()
+    else:
+        march_free(final_j - j)
 
     return TLEResult(
         alpha=query.alpha,
@@ -533,12 +501,14 @@ def _capture(task) -> tuple:
 def _run_grid(tasks: list, jobs: int | None) -> list:
     """_capture(task) for every task (fn, args), in task order, serially or in a process pool.
 
-    jobs=None uses one process per task, up to the CPU count; the order of
-    the results never depends on the worker count.
+    No more workers start than there are tasks, and jobs=None uses one per
+    task, up to the CPU count; the order of the results never depends on the
+    worker count.  ValueError for jobs < 1.
     """
-    if jobs is None:
-        jobs = min(len(tasks), os.cpu_count() or 1)
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+    jobs = min(len(tasks), jobs or os.cpu_count() or 1)
+    if jobs <= 1:
         return [_capture(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_capture, tasks))
@@ -557,10 +527,11 @@ def msf_sweep(
 
     The transient is settled once and shared by every point, and so is the
     trajectory record compute_tle keeps per base state: the impacts and
-    window Jacobians are computed once per worker process, as far as the
-    longest query that worker runs needs.  Failures are captured per point
-    so one bad query cannot abort the grid, and the output order is the
-    grid order regardless of worker count.
+    window Jacobians are computed once per worker process.  jobs is the
+    number of worker processes, at least 1; None uses one per point, up to
+    the CPU count.  Failures are captured per point so one bad query cannot
+    abort the grid, and the output order is the grid order regardless of
+    worker count.
     """
     alphas = [float(a) for a in np.atleast_1d(alphas)]
     betas = [float(b) for b in np.atleast_1d(betas)]

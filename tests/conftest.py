@@ -3,11 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from msflab.msf import TLESettings, settle_transient
+from msflab.msf import TLESettings, _event_record, settle_transient
 from msflab.oscillator import ImpactOscillatorParams
 
 ELASTIC = ImpactOscillatorParams(zeta=0.05, eta=0.712, f=1.0, x_w=2.0, R=1.0)
 INELASTIC = ImpactOscillatorParams(zeta=0.05, eta=0.5975, f=1.0, x_w=1.5, R=0.9)
+
+
+@pytest.fixture(autouse=True)
+def _event_record_through_patches(request):
+    """A test that monkeypatches msflab builds event records through its patches
+    and leaves none behind: msf keeps the record of the last base state it ran
+    on, whatever kernels built it.  A record built before a patch is the test's
+    own to clear."""
+    if "monkeypatch" in request.fixturenames:
+        _event_record.cache_clear()
+    yield
+    if "monkeypatch" in request.fixturenames:
+        _event_record.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -342,8 +342,13 @@ class TestCli:
             ["probe", "--sigma", "nan"],
             ["network", "--sigma", "nan"],
             ["simulate", "--periods", "-1"],
+            ["msf-sweep", "--jobs", "-3"],
+            ["bifurcation", "--jobs", "0"],
         ],
-        ids=["tle_alpha", "tle_beta", "probe_sigma", "network_sigma", "simulate_periods"],
+        ids=[
+            "tle_alpha", "tle_beta", "probe_sigma", "network_sigma", "simulate_periods",
+            "sweep_jobs", "bifurcation_jobs",
+        ],
     )
     def test_bad_override_is_config_error(self, tmp_path, argv, capsys):
         out = tmp_path / "out"

@@ -325,14 +325,9 @@ class TestWindowEqualsLoop:
             return real(p_, s_pre, window, *args)
 
         monkeypatch.setattr(msf, "event_window_jacobian", recording)
-        record = msf._EventRecord(p, settle_transient(p, settings_), settings_, ())
-        with pytest.raises(GrazingSingularityError):
-            for i in range(10_000):
-                entry = record.entry(i)
-                if entry is None:
-                    break
-                if isinstance(entry[3], msf._Failure):
-                    raise entry[3].fresh()
+        _, _, entries = msf._event_record(p, settle_transient(p, settings_), settings_)
+        assert entries[-1][3].type is GrazingSingularityError
+        assert len(starts) == len(entries)
         lean, loop = self._both(p, *starts[-1])
         assert lean[0] is GrazingSingularityError
         assert lean == loop

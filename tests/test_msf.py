@@ -27,6 +27,7 @@ from msflab.msf import (
     msf_sweep,
     settle_transient,
 )
+from msflab.network import ProbeSettings, bifurcation_scan
 from msflab.oscillator import (
     ChatterError, ImpactOscillatorParams, OscState, segment_propagator, simulate,
 )
@@ -639,9 +640,10 @@ class TestEventRecord:
         assert str(warm) == str(cold)
         assert (warm.tau, warm.count, warm.period) == (cold.tau, cold.count, cold.period)
 
-    def test_sweep_estimates_windows_for_the_longest_query_only(
-        self, elastic, elastic_base, monkeypatch
-    ):
+    def test_each_window_estimated_once(self, elastic, elastic_base, monkeypatch):
+        # Queries that stop at different periods, one at a time or in a sweep:
+        # the record estimates every window of the base state to the horizon,
+        # each once.
         calls = []
         real = msf.event_window_jacobian
 
@@ -651,7 +653,7 @@ class TestEventRecord:
 
         monkeypatch.setattr(msf, "event_window_jacobian", counting)
         alphas = [-3.0, -0.5, -1.0]
-        single, found, reached = [], [], []
+        estimated, stops = [], []
         for alpha in alphas:
             _evict()
             before = len(calls)
@@ -659,21 +661,28 @@ class TestEventRecord:
                 elastic, SPRING_COUPLING, MSFQuery(alpha), REPLAY_SETTINGS,
                 base_state=elastic_base,
             )
-            single.append(len(calls) - before)
-            found.append(_windows_found())
-            reached.append(_windows_reached(r, elastic, REPLAY_SETTINGS))
+            estimated.append(calls[before:])
+            stops.append((r.periods_used, len(r.imag_discard_events)))
+        _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
+        assert not any(isinstance(entry[3], msf._Failure) for entry in entries)
+        assert len(set(stops)) == 3 and min(n for _, n in stops) < len(entries)
+        assert estimated[0] == estimated[1] == estimated[2]
+        assert len(set(estimated[0])) == len(estimated[0]) == len(entries)
         _evict()
         before = len(calls)
         pts = msf_sweep(
-            elastic, SPRING_COUPLING, alphas, [0.0], REPLAY_SETTINGS, jobs=1,
+            elastic, SPRING_COUPLING, alphas, [0.0, 0.5], REPLAY_SETTINGS, jobs=1,
             base_state=elastic_base,
         )
         assert all(pt.error is None for pt in pts)
-        assert single == found == reached
-        assert len(calls) - before == _windows_found() == max(found) < sum(found)
+        assert calls[before:] == estimated[0]
+        compute_tle(elastic, SPRING_COUPLING, MSFQuery(0.0), REPLAY_SETTINGS, base_state=elastic_base)
+        assert calls[before:] == estimated[0]
 
     def test_patched_kernel_sees_every_window(self, elastic, elastic_base, monkeypatch):
-        # A record built before the patch is not replayed to the patched kernel.
+        # The process keeps its record whatever kernels built it: a kernel
+        # patched after the record was built sees every window once the
+        # record is cleared.
         s = TLESettings(max_periods=6, sample_window=2)
         first = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
         seen = []
@@ -684,9 +693,13 @@ class TestEventRecord:
             return real(p, s_pre, *args, **kwargs)
 
         monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        kept = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
+        assert seen == []
+        msf._event_record.cache_clear()
         again = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
-        assert len(seen) == _windows_found() == _windows_reached(again, elastic, s) >= 2
-        assert _outcome(again) == _outcome(first)
+        _, _, entries = msf._event_record(elastic, elastic_base, s)
+        assert len(seen) == len(entries) == len(again.imag_discard_events) >= 2
+        assert _outcome(again) == _outcome(kept) == _outcome(first)
 
     @pytest.mark.parametrize("bad, entry", [(math.nan, 0), (math.inf, 1), (-math.inf, 2), (math.nan, 3)])
     def test_non_finite_phi_entry(self, elastic, elastic_base, monkeypatch, bad, entry):
@@ -713,7 +726,9 @@ class TestEventRecord:
                 compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
             raised.append(info.value)
         assert len(calls) == 2
-        tau_c, _, _, window = msf._last_record.entries[1]
+        _, _, entries = msf._event_record(elastic, elastic_base, s)
+        assert len(entries) == 2
+        tau_c, _, _, window = entries[1]
         assert isinstance(window, msf._Failure)
         for exc in raised:
             assert type(exc) is ValueError
@@ -723,20 +738,21 @@ class TestEventRecord:
         assert raised[0] is not raised[1]
 
     def test_failure_between_impact_and_window(self, elastic, elastic_base, monkeypatch):
-        # alpha = -3 stops after 64 periods, having crossed 46 windows and
-        # found impact 46; alpha = -0.5 runs on to cross 60.  A kernel that
-        # fails on window 46 leaves the first result as it was, and every
-        # query that reaches the window raises a copy of its own.
+        # alpha = -3 stops after 64 periods, having crossed 46 windows, before
+        # window 46 starts; alpha = -0.5 runs on to cross 60.  A kernel that
+        # fails on window 46 ends the record there: the first result stays as
+        # it was, and every query that reaches the window raises a copy of
+        # its own.
         def run(alpha):
             return compute_tle(
                 elastic, SPRING_COUPLING, MSFQuery(alpha), REPLAY_SETTINGS,
                 base_state=elastic_base,
             )
 
-        _evict()
         stop = run(-3.0)
         n = len(stop.imag_discard_events)
-        assert n == 46 and _windows_reached(stop, elastic, REPLAY_SETTINGS) == n + 1
+        _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
+        assert n == 46 and entries[n][1] >= _stop_index(stop, elastic, REPLAY_SETTINGS)
         real = msf.event_window_jacobian
         calls, raised = [], []
 
@@ -748,34 +764,73 @@ class TestEventRecord:
             return real(p, s_pre, *args, **kwargs)
 
         monkeypatch.setattr(msf, "event_window_jacobian", failing)
+        msf._event_record.cache_clear()
         assert _outcome(run(-3.0)) == _outcome(stop)
         assert len(calls) == n + 1 and len(raised) == 1
+        _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
+        assert len(entries) == n + 1 and isinstance(entries[n][3], msf._Failure)
         copies = []
         for _ in range(2):
             with pytest.raises(ChatterError) as info:
                 run(-0.5)
             copies.append(info.value)
         assert len(calls) == n + 1
-        for exc in copies:
-            assert exc is not raised[0]
-            assert str(exc) == str(raised[0])
-            assert (exc.tau, exc.count, exc.period) == (
-                raised[0].tau, raised[0].count, raised[0].period
+        _assert_fresh_copies(copies, raised[0])
+
+    def test_failed_impact_search_kept(self, elastic, elastic_base, monkeypatch):
+        # A failure to find the next impact ends the record like a window's,
+        # at the end of the window before it, and is not searched again:
+        # alpha = -3 stops before search k starts, at the end of window
+        # k - 2, and alpha = -0.5 runs past it.
+        def run(alpha):
+            return compute_tle(
+                elastic, SPRING_COUPLING, MSFQuery(alpha), REPLAY_SETTINGS,
+                base_state=elastic_base,
             )
-        assert copies[0] is not copies[1]
+
+        stop = run(-3.0)
+        _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
+        j_stop = _stop_index(stop, elastic, REPLAY_SETTINGS)
+        k = 2 + next(i for i, entry in enumerate(entries) if entry[2] >= j_stop)
+        assert k == len(stop.imag_discard_events) + 2
+        real = msf.detect_next_impact
+        calls, raised = [], []
+
+        def failing(p, s, *args, **kwargs):
+            calls.append(s)
+            if len(calls) == k:
+                raised.append(ChatterError(s.tau, 10_001, p.forcing_period))
+                raise raised[0]
+            return real(p, s, *args, **kwargs)
+
+        monkeypatch.setattr(msf, "detect_next_impact", failing)
+        msf._event_record.cache_clear()
+        copies = []
+        for _ in range(2):
+            assert _outcome(run(-3.0)) == _outcome(stop)
+            with pytest.raises(ChatterError) as info:
+                run(-0.5)
+            copies.append(info.value)
+        assert len(calls) == k and len(raised) == 1
+        _assert_fresh_copies(copies, raised[0])
+        _, _, failed = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
+        w_end = entries[k - 2][2]
+        assert failed[:-1] == entries[:k - 1]
+        assert failed[-1][:3] == (None, w_end, w_end)
+        assert isinstance(failed[-1][3], msf._Failure)
 
 
-def _windows_found():
-    """The impacts the process's event record has found, each with its window estimated."""
-    return sum(entry is not None for entry in msf._last_record.entries)
+def _stop_index(r, p, settings):
+    """The grid index at which r's march took its last sample."""
+    return int(math.ceil(r.periods_used * p.forcing_period / settings.scan_step))
 
 
-def _windows_reached(r, p, settings):
-    """The windows r crossed, plus one when r stopped after finding an impact
-    but before that impact's window, which the record estimated on finding it."""
-    entries = [entry for entry in msf._last_record.entries if entry is not None]
-    j_stop = int(math.ceil(r.periods_used * p.forcing_period / settings.scan_step))
-    return len(r.imag_discard_events) + (bool(entries) and entries[-1][1] >= j_stop)
+def _assert_fresh_copies(copies, original):
+    """Each of copies is an exception of its own, equal to the ChatterError original."""
+    assert len({id(exc) for exc in [original, *copies]}) == len(copies) + 1
+    for exc in copies:
+        assert str(exc) == str(original)
+        assert (exc.tau, exc.count, exc.period) == (original.tau, original.count, original.period)
 
 
 # A shortened horizon keeps four record marches under ten seconds; the
@@ -835,6 +890,41 @@ class TestSweep:
         assert serial[0].error.startswith("PropagationError: one free step grows by e^")
         assert serial[1].error is None and serial[1].result.tle == pytest.approx(-0.05, abs=0.1)
         assert [(q.error, q.result) for q in pooled] == [(q.error, q.result) for q in serial]
+
+
+    @pytest.mark.parametrize(
+        "jobs, n_tasks, pools", [(5000, 25, [25]), (2, 25, [2]), (1, 25, []), (4, 1, []), (None, 0, [])]
+    )
+    def test_no_more_workers_than_tasks(self, monkeypatch, jobs, n_tasks, pools):
+        # A process pool may fork every worker at its first submit, so a pool
+        # that records its size and maps in this process stands in for it.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(msf, "ProcessPoolExecutor", RecordingPool)
+        tasks = [(abs, (-i,)) for i in range(n_tasks)]
+        assert msf._run_grid(tasks, jobs) == [(i, None) for i in range(n_tasks)]
+        assert started == pools
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, elastic, elastic_base, jobs):
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            msf_sweep(elastic, SPRING_COUPLING, [0.0], [0.0], jobs=jobs, base_state=elastic_base)
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            bifurcation_scan(elastic, SPRING_COUPLING, [0.5], ProbeSettings(sigma=0.0), jobs=jobs,
+                             base_state=elastic_base)
 
 
 class TestTransient:
