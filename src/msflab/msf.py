@@ -131,12 +131,18 @@ class TLEResult:
     imag_discard_events: list[float] = field(default_factory=list, repr=False)
 
 
+def _check_coupling(coupling) -> np.ndarray:
+    """coupling as a float array; ValueError unless it is a finite 2x2 matrix."""
+    coupling = np.asarray(coupling, dtype=float)
+    if coupling.shape != (2, 2) or not all(map(math.isfinite, coupling.ravel().tolist())):
+        raise ValueError(f"coupling matrix must be 2x2 and finite, got {coupling!r}")
+    return coupling
+
+
 def _coupling_shift(coupling, query: MSFQuery, h: float) -> np.ndarray:
     """(alpha + i*beta)*coupling*h, what a step's coupled generator adds to log Phi;
-    ValueError unless coupling is 2x2 and h finite and positive."""
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.shape != (2, 2):
-        raise ValueError(f"coupling matrix must be 2x2, got shape {coupling.shape}")
+    ValueError unless coupling is a finite 2x2 matrix and h finite and positive."""
+    coupling = _check_coupling(coupling)
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and positive, got {h!r}")
     return (query.alpha + 1j * query.beta) * coupling * h
@@ -535,9 +541,9 @@ def msf_sweep(
     """
     alphas = [float(a) for a in np.atleast_1d(alphas)]
     betas = [float(b) for b in np.atleast_1d(betas)]
+    coupling = _check_coupling(coupling)
     if base_state is None:
         base_state = settle_transient(p, settings)
-    coupling = np.asarray(coupling, dtype=float)
     queries = [MSFQuery(a, b) for a in alphas for b in betas]
     tasks = [(compute_tle, (p, coupling, q, settings, base_state)) for q in queries]
     outcomes = zip(queries, _run_grid(tasks, jobs))

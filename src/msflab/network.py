@@ -26,7 +26,8 @@ import numpy as np
 
 from .jacobian import PropagationError
 from .msf import (
-    MSFQuery, TLEResult, TLESettings, _check_settings, _run_grid, compute_tle, settle_transient,
+    MSFQuery, TLEResult, TLESettings, _check_coupling, _check_settings, _run_grid, compute_tle,
+    settle_transient,
 )
 from .oscillator import (
     _EPS,
@@ -150,6 +151,7 @@ def analyze_network(
     each mode k is evaluated at alpha + i*beta = sigma * gamma_k with the
     transient shared across modes.
     """
+    coupling = _check_coupling(coupling)
     values = graph_spectrum(graph)
     near_zero = np.nonzero(np.abs(values) < ZERO_MODE_TOL)[0]
     if near_zero.size != 1:
@@ -242,13 +244,12 @@ class _ModeSegments:
     the complex form's values bit for bit wherever these functions round
     as the complex ones' parts do (numpy's SIMD array cosh and sinh may not).
 
-    eval evaluates arrays of offsets, point one offset in Python floats:
-    math's cos and sin, numpy's exp, cosh and sinh on floats (math's exp,
-    cosh and sinh round differently from numpy's arrays on x86-64), the
-    modes summed in eval's order.  So point gives eval's bits wherever those
-    functions round as numpy's array functions do.  Both read A_k u and
-    to_modes' Q^T product from numpy's matmul, whose BLAS kernels may fuse
-    multiply-adds that Python floats cannot reproduce.
+    Every evaluation reads a window's u and A_k u from terms, the one
+    product with A_k.  eval takes arrays of offsets, point one offset in
+    Python floats: math's cos and sin, numpy's exp, cosh and sinh on floats
+    (math's exp, cosh and sinh round differently from numpy's arrays on
+    x86-64), the modes summed in eval's order.  So point gives eval's bits
+    wherever those functions round as numpy's array functions do.
     """
 
     def __init__(self, p, graph: CouplingGraph, coupling, sigma: float):
@@ -260,7 +261,7 @@ class _ModeSegments:
         self.n = graph.n_nodes
         gammas, self.q = np.linalg.eigh(graph.matrix)
         base = np.array([[0.0, 1.0], [-1.0, -2.0 * p.zeta]])
-        coupling = np.asarray(coupling, dtype=float)
+        coupling = _check_coupling(coupling)
         self.half_traces, self.traceless, self.s_squares = [], [], []
         for g in gammas:
             b = base + sigma * g * coupling
@@ -279,12 +280,11 @@ class _ModeSegments:
         self._generators = [(s2, float(m), math.sqrt(abs(s2)) or 1.0) for s2, m in distinct]
         self._ap, self._bp = steady_state_coefficients(p)
         # Per-run constants of the window loop's scalar work: q by rows, by
-        # columns and as q_i - q_0 by columns, A_k's entries and r per mode.
+        # columns and as q_i - q_0 by columns, and A_k's entries per mode.
         self._q_rows, self._q_cols = self.q.tolist(), self.q.T.tolist()
         self._dq_cols = [[q_ik - q_k[0] for q_ik in q_k[1:]] for q_k in self._q_cols]
         self._entries = [a.ravel().tolist() for a in self.traceless]
         self._traceless = np.array(self.traceless)
-        self._mode_r = [self._generators[g][2] for g in self._generator_of]
         self._scan_flows = [(flow_functions(s2, math), m, r) for s2, m, r in self._generators]
         self._point_flows = [
             (*flow_functions(s2, _POINT_LIB), m, r, 1.0 / r) for s2, m, r in self._generators
@@ -318,17 +318,14 @@ class _ModeSegments:
         return self.q.T @ np.array([[x - xp, v - vp] for x, v in zip(state[0::2], state[1::2])])
 
     def terms(self, modes: np.ndarray) -> list:
-        """(u_0, u_1, (A u)_0, (A u)_1) per mode of mode coordinates u: eval's per-mode constants.
-
-        numpy applies the one matrix-vector product of eval's A_k @ u to
-        each stacked A_k, so A u comes out with eval's bits.
-        """
+        """(u_0, u_1, (A u)_0, (A u)_1) per mode of mode coordinates u, read by every evaluation."""
         au = np.matmul(self._traceless, modes[:, :, None])
         return [(*u, *w) for u, w in zip(modes.tolist(), au[:, :, 0].tolist())]
 
-    def eval(self, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
-        """Node positions and velocities at offsets dts from the anchor."""
+    def eval(self, terms: list, tau_a: float, dts: np.ndarray):
+        """Node positions and velocities at offsets dts from the anchor, from the window's terms."""
         dts = np.asarray(dts, dtype=float)
+        terms = np.array(terms)
         flows = []
         for s2, m, r in self._generators:
             cosh, sinh = flow_functions(s2, np)
@@ -336,9 +333,8 @@ class _ModeSegments:
             flows.append((cosh(rdts), sinh(rdts) * (1.0 / r), np.exp(m * dts)))
         mode_states = np.empty((self.n, 2, dts.size))
         for k in range(self.n):
-            u = modes0[k]
             ch, shc, env = flows[self._generator_of[k]]
-            mode_states[k] = env * (ch * u[:, None] + shc * (self.traceless[k] @ u)[:, None])
+            mode_states[k] = env * (ch * terms[k, :2, None] + shc * terms[k, 2:, None])
         node_states = np.einsum("ik,kcm->icm", self.q, mode_states)
         xp, vp = self.steady(tau_a + dts)
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
@@ -364,7 +360,7 @@ class _ModeSegments:
             vs.append(v + vp)
         return xs, vs
 
-    def measures(self, modes: np.ndarray, terms: list, tau_a: float, dts: np.ndarray):
+    def measures(self, terms: list, tau_a: float, dts: np.ndarray):
         """_sync_measures of eval's node states at offsets dts.
 
         A few offsets go through point and the measures through floats,
@@ -372,7 +368,7 @@ class _ModeSegments:
         spreads it), returned as lists; more go through eval.
         """
         if dts.size > _POINTS:
-            xs, vs = self.eval(modes, tau_a, dts)
+            xs, vs = self.eval(terms, tau_a, dts)
             return _sync_measures(xs[1:] - xs[0], vs[1:] - vs[0])
         devs, ds = [], []
         for dt in dts.tolist():
@@ -466,14 +462,14 @@ class _ModeSegments:
         flows = []
         for (c, sn), m, r in self._scan_flows:
             e = math.exp(m * dt)
-            flows.append((e * c(r * dt), e * sn(r * dt) / r))
+            flows.append((e * c(r * dt), e * sn(r * dt) / r, r))
         rows = [[0.0] * width for _ in range(3 * n - 2)]
         diffs = list(zip(rows[n::2], rows[n + 1::2]))
         bound = 0.0
-        for (u0, u1, au0, au1), g, (a00, a01, a10, a11), r, q_k, dq_k in zip(
-            terms, self._generator_of, self._entries, self._mode_r, self._q_cols, self._dq_cols
+        for (u0, u1, au0, au1), g, (a00, a01, a10, a11), q_k, dq_k in zip(
+            terms, self._generator_of, self._entries, self._q_cols, self._dq_cols
         ):
-            ec, es = flows[g]
+            ec, es, r = flows[g]
             w0, w1 = ec * u0 + es * au0, ec * u1 + es * au1
             aw0, aw1 = (a00 * w0 + a01 * w1) / r, (a10 * w0 + a11 * w1) / r
             j = 2 * g
@@ -650,7 +646,6 @@ def _simulate_coupled(
     p: ImpactOscillatorParams,
     graph: CouplingGraph,
     coupling,
-    sigma: float,
     x0: np.ndarray,
     tau0: float,
     settings: ProbeSettings,
@@ -686,7 +681,7 @@ def _simulate_coupled(
     eval.  Each crossing is refined by bisect_crossing with the crossing
     node's certified model, which keeps the plain bisection's midpoints.
     """
-    segs = _ModeSegments(p, graph, coupling, sigma)
+    segs = _ModeSegments(p, graph, coupling, settings.sigma)
     n = graph.n_nodes
     period = p.forcing_period
     h = settings.scan_step
@@ -709,8 +704,7 @@ def _simulate_coupled(
     while k <= total:
         if not all(map(math.isfinite, state)):
             raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6f}")
-        modes = segs.to_modes(state, anchor_tau)
-        terms = segs.terms(modes)
+        terms = segs.terms(segs.to_modes(state, anchor_tau))
         size = min(_CHUNK, total + 1 - k)
         vals, bound, floor = segs.scan(terms, anchor_tau, tau0 + (k - 1) * h, size, table)
 
@@ -718,7 +712,7 @@ def _simulate_coupled(
         if p.wall_enabled:
             ci, nodes = _first_crossing(
                 vals[:n], [x - p.x_w for x in state[0::2]], p.x_w, _SCAN_GUARD * bound,
-                lambda cols: segs.eval(modes, anchor_tau, tau0 + (k + cols) * h - anchor_tau)[0],
+                lambda cols: segs.eval(terms, anchor_tau, tau0 + (k + cols) * h - anchor_tau)[0],
             )
         if ci > 0:
             margin = _DIFF_GUARD * bound
@@ -728,7 +722,7 @@ def _simulate_coupled(
             dev = None if above else _sync_measures(vals[n::2, :ci], vals[n + 1::2, :ci])[0]
 
             def exact(idx):  # eval's measures at samples idx of this window, called at once
-                return segs.measures(modes, terms, anchor_tau, tau0 + (k + np.asarray(idx)) * h - anchor_tau)
+                return segs.measures(terms, anchor_tau, tau0 + (k + np.asarray(idx)) * h - anchor_tau)
 
             if obs.observe(k, dev, vals[n, :ci], margin, exact):
                 break
@@ -759,7 +753,7 @@ def _simulate_coupled(
         int(math.floor((obs.prev_diff_tau - tau0) / period)), settings.max_periods
     )
     return ProbeResult(
-        sigma=float(sigma),
+        sigma=float(settings.sigma),
         synchronized=synchronized,
         sync_time=obs.sync_time,
         local_maxima=[0.0] if synchronized else obs.maxima,
@@ -783,6 +777,7 @@ def run_probe(
     the synchronization flag, the time synchronization was reached, and the
     local maxima of |x^(1) - x^(2)| over the final record window.
     """
+    coupling = _check_coupling(coupling)
     if base_state is None:
         base_state = _settle_for_probe(p, settings)
     rng = np.random.default_rng(settings.rng_seed)
@@ -795,7 +790,7 @@ def run_probe(
     x0 = np.tile([base_state.x, base_state.v], n)
     x0[2] += dx
     x0[3] += dv
-    return _simulate_coupled(p, graph, coupling, settings.sigma, x0, base_state.tau, settings)
+    return _simulate_coupled(p, graph, coupling, x0, base_state.tau, settings)
 
 
 def _settle_for_probe(p: ImpactOscillatorParams, settings: ProbeSettings) -> OscState:
@@ -829,9 +824,9 @@ def bifurcation_scan(
     once and shared.
     """
     sigmas = [float(s) for s in np.atleast_1d(sigmas)]
+    coupling = _check_coupling(coupling)
     if base_state is None:
         base_state = _settle_for_probe(p, settings)
-    coupling = np.asarray(coupling, dtype=float)
     tasks = [
         (run_probe, (p, coupling, replace(settings, sigma=s, rng_seed=(settings.rng_seed, i)),
                      TWO_NODE_GRAPH, base_state))

@@ -351,7 +351,7 @@ def flow_table(generators, eta: float, step: float, rows: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _scan_table(zeta: float, eta: float, step: float) -> np.ndarray:
+def _scan_table(zeta: float, wd: float, eta: float, step: float) -> np.ndarray:
     """flow_table of the free oscillator on _DETECT_CHUNK grid offsets.
 
     Columns exp(-zeta*t)*cos(wd*t), exp(-zeta*t)*sin(wd*t), cos(eta*t) and
@@ -360,26 +360,25 @@ def _scan_table(zeta: float, eta: float, step: float) -> np.ndarray:
     in column-major order, where that product runs about three times faster;
     the products then round differently, far inside _SCAN_GUARD.
     """
-    wd = math.sqrt(1.0 - zeta * zeta)
     table = np.asfortranarray(flow_table([(-wd * wd, -zeta, wd)], eta, step, _DETECT_CHUNK))
     table.flags.writeable = False
     return table
 
 
-def _wall_distance(p, tau0, y0, w0, a_p, b_p):
-    """x - x_w at offset dt from a state with homogeneous part (y0, w0), and its model.
+def _wall_distance(c, tau0, y0, w0, k0):
+    """x - x_w at offset dt from a state at tau0 with _homogeneous (y0, w0, k0), and its model.
 
-    distance(dt) is segment_states' closed form with the per-segment
-    constants hoisted and the remaining operations in its order, so it
-    equals segment_states(p, x0, v0, tau0, dt)[0] - p.x_w bit for bit
-    wherever math.cos and math.sin round as numpy's do.  model(lo, hi) is
-    bisect_crossing's for a crossing in [lo, hi], lo >= 0: err is twice the
-    unit roundoffs its operations can make (4 ulps per libm or numpy call),
-    the forcing phase's eta*ulp(tau) times the amplitude included; the free
-    part turns at rate |zeta + i*wd| = 1 without growing, the forced at eta.
+    distance(dt) is segment_states' closed form with the segment's constants
+    read from c = _constants(p) and (y0, w0, k0), the other operations in
+    its order, so it equals segment_states(p, x0, v0, tau0, dt)[0] - p.x_w
+    bit for bit wherever math.cos and math.sin round as numpy's do.
+    model(lo, hi) is bisect_crossing's for a crossing in [lo, hi], lo >= 0:
+    err is twice the unit roundoffs its operations can make (4 ulps per libm
+    or numpy call), the forcing phase's eta*ulp(tau) times the amplitude
+    included; the free part turns at rate |zeta + i*wd| = 1 without growing,
+    the forced at eta.
     """
-    zeta, wd, eta, x_w = p.zeta, p.omega_d, p.eta, p.x_w
-    k0 = (w0 + zeta * y0) / wd
+    zeta, wd, eta, x_w, a_p, b_p = c
     kv, yv = wd * k0 - zeta * y0, wd * y0 + zeta * k0
     exp, cos, sin = np.exp, math.cos, math.sin
 
@@ -478,7 +477,7 @@ def detect_next_impact(
     if not p.wall_enabled or horizon <= 0.0:
         return None
     c = _constants(p)
-    dt = _crossing_offset(p, c, s.x, s.v, s.tau, *_homogeneous(c, s.x, s.v, s.tau), horizon, scan_step)
+    dt = _crossing_offset(c, s.x, s.v, s.tau, *_homogeneous(c, s.x, s.v, s.tau), horizon, scan_step)
     return None if dt is None else s.tau + dt
 
 
@@ -490,7 +489,7 @@ def _check_scan(horizon: float, scan_step: float) -> None:
         raise InvalidParameterError(f"horizon must be finite in scan steps, got {horizon!r}")
 
 
-def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
+def _crossing_offset(c, x, v, tau, y, w, k, horizon, scan_step):
     """detect_next_impact's crossing as an offset from tau, or None, for horizon > 0.
 
     (x, v, tau) is the segment's start, (y, w, k) its _homogeneous and c
@@ -516,7 +515,7 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
     and with it the crossing found, is the one segment_states gives on the
     same grid.  Scalars use math.cos, math.sin and numpy's exp, so the time
     returned equals the direct evaluation's bit for bit where those round
-    as numpy's array functions do.
+    as numpy's array functions do.  Each chunk hands on its (y, w, k).
     """
     zeta, wd, eta, x_w, a_p, b_p = c
     n_total = int(math.ceil(horizon / scan_step))
@@ -539,7 +538,7 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
             prev = 0.0
             continue
         if distance is None:
-            distance, model = _wall_distance(p, tau, y, w, a_p, b_p)
+            distance, model = _wall_distance(c, tau, y, w, k)
         g = distance(t)
         if g > 0.0 and not prev > 0.0:
             lo = (j - 1) * scan_step
@@ -549,13 +548,13 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
         return None
 
     if distance is None:
-        distance, model = _wall_distance(p, tau, y, w, a_p, b_p)
-    table = _scan_table(zeta, eta, scan_step)
+        distance, model = _wall_distance(c, tau, y, w, k)
+    table = _scan_table(zeta, wd, eta, scan_step)
     guard = _SCAN_GUARD * (abs(x_w) + abs(a_p) + abs(b_p) + abs(y) + abs(w))
     g_prev, k0 = g0, 0
     while k0 < n_total:
         n = min(_DETECT_CHUNK, n_total - k0)
-        gs, y, w = _scan_chunk(p, table[:n], tau + k0 * scan_step, y, w, a_p, b_p)
+        gs, y, w, k = _scan_chunk(c, table[:n], tau + k0 * scan_step, y, w, k)
         # Samples before the first one above -guard are certainly inside the
         # wall: none is recomputed and none rises, so only the rest is read,
         # and on the last chunk at least the horizon sample.
@@ -586,37 +585,20 @@ def _crossing_offset(p, c, x, v, tau, y, w, k, horizon, scan_step):
     return None
 
 
-def _scan_chunk(p, rows, tau_a, y, w, a_p, b_p):
+def _scan_chunk(c, rows, tau_a, y, w, k):
     """x - x_w at the grid offsets of ``rows`` from an anchor, and the next anchor.
 
-    (y, w) is the homogeneous part of the state at time tau_a.  Returns the
-    distances and the homogeneous part at the chunk's last offset, which
-    anchors the next chunk.
+    (y, w, k) is the _homogeneous of the state at time tau_a and c
+    _constants(p).  Returns the distances and the (y, w, k) at the chunk's
+    last offset, which anchors the next chunk.
     """
-    zeta, wd = p.zeta, p.omega_d
-    k = (w + zeta * y) / wd
-    c, s = math.cos(p.eta * tau_a), math.sin(p.eta * tau_a)
-    gs = rows @ np.array([y, k, a_p * c + b_p * s, b_p * c - a_p * s])
-    gs -= p.x_w
+    zeta, wd, eta, x_w, a_p, b_p = c
+    cp, sp = math.cos(eta * tau_a), math.sin(eta * tau_a)
+    gs = rows @ np.array([y, k, a_p * cp + b_p * sp, b_p * cp - a_p * sp])
+    gs -= x_w
     ec, es = rows[-1, 0], rows[-1, 1]
-    return gs, y * ec + k * es, w * ec - ((y + zeta * w) / wd) * es
-
-
-def apply_impact(p: ImpactOscillatorParams, s: OscState) -> tuple[OscState, EventRecord]:
-    """Apply the restitution reset at the wall.
-
-    The state must sit on the wall to within WALL_POSITION_TOL; position is
-    snapped to x_w exactly so the reset never leaves residual penetration.
-    Grazing impacts (|v_pre| < GRAZING_TOL) are flagged but reset normally.
-    """
-    if not p.wall_enabled:
-        raise InvalidParameterError("cannot apply an impact with the wall disabled")
-    if abs(s.x - p.x_w) > WALL_POSITION_TOL:
-        raise InvalidParameterError(
-            f"state is not on the wall: |x - x_w| = {abs(s.x - p.x_w):.3e}"
-        )
-    record = _impact_record(p, s.tau, s.v)
-    return OscState(p.x_w, record.v_post, s.tau), record
+    y, w = y * ec + k * es, w * ec - ((y + zeta * w) / wd) * es
+    return gs, y, w, (w + zeta * y) / wd
 
 
 def _impact_record(p: ImpactOscillatorParams, tau_c: float, v_pre: float) -> EventRecord:
@@ -711,7 +693,7 @@ def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int 
             if remaining <= 0.0:
                 break
             y, w, k = _homogeneous(c, x, v, tau)
-            dt = _crossing_offset(p, c, x, v, tau, y, w, k, remaining, scan_step) if p.wall_enabled else None
+            dt = _crossing_offset(c, x, v, tau, y, w, k, remaining, scan_step) if p.wall_enabled else None
             if dt is None:
                 x, v = _free_state(c, tau, y, w, k, remaining)
                 tau += remaining

@@ -19,11 +19,12 @@ from msflab.network import _ModeSegments
 from msflab.oscillator import (
     BISECTION_TOL,
     DEFAULT_SCAN_STEP,
+    GRAZING_TOL,
     WALL_POSITION_TOL,
+    EventRecord,
     ImpactOscillatorParams,
     OscState,
     _ChatterGuard,
-    apply_impact,
     bisect_crossing,
     segment_states,
     simulate,
@@ -88,8 +89,9 @@ def loop_simulate(
     The loop simulate ran before its segments shared one scalar core, step
     for step: detect the next impact (here grid_scan_impact), propagate to
     it (segment_states, keeping the state over a zero step, as
-    propagate_free did), land on the wall, apply the reset and push the
-    chatter guard; the last segment propagates to the end.
+    propagate_free did), land on the wall, reverse and scale the velocity
+    (v -> -R*v) and push the chatter guard; the last segment propagates to
+    the end.
     """
     def propagate(s, dt):
         if dt == 0.0:
@@ -107,9 +109,9 @@ def loop_simulate(
         if tau_c is None:
             state = propagate(state, remaining)
             break
-        state = propagate(state, tau_c - state.tau)
-        state, record = apply_impact(p, OscState(p.x_w, state.v, tau_c))
-        events.append(record)
+        v_pre = propagate(state, tau_c - state.tau).v
+        events.append(EventRecord(tau_c, v_pre, -p.R * v_pre, abs(v_pre) < GRAZING_TOL))
+        state = OscState(p.x_w, -p.R * v_pre, tau_c)
         guard.push(tau_c)
     return state, events
 

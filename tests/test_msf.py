@@ -15,7 +15,7 @@ from oracles import (
     direct_tle, literal_march_samples, literal_power, literal_steps, record_saltation_tles,
     smooth_tle_oracle,
 )
-from msflab import jacobian, msf
+from msflab import jacobian, msf, network, oscillator
 from msflab.jacobian import GrazingSingularityError, PropagationError
 from msflab.matfuncs import exp_flow, mat_exp, mat_log
 from msflab.msf import (
@@ -85,11 +85,31 @@ class TestCoupledStepPropagator:
         assert np.all(np.isfinite(out2))
         assert discard2 >= 0.0
 
-    @pytest.mark.parametrize("coupling", [[1.0, 0.0], 1.0, np.eye(3)])
-    def test_rejects_coupling_not_2x2(self, coupling):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coupling", [
+        [1.0, 0.0], 1.0, np.eye(3),
+        [[0.0, 0.0], [math.nan, 0.0]], [[0.0, math.inf], [-math.inf, 0.0]],
+    ])
+    def test_rejects_coupling_not_2x2(self, coupling, monkeypatch):
+        # Every entry point rejects the coupling before any simulation runs.
+        def never(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(oscillator, "_runner", never)
+        monkeypatch.setattr(network, "_simulate_coupled", never)
+        p = ImpactOscillatorParams(zeta=0.05, eta=0.712, x_w=2.0)
         phi = np.array([[0.99, 0.001], [-0.002, 0.97]])
-        with pytest.raises(ValueError, match="coupling"):
-            coupled_step_propagator(phi, coupling, MSFQuery(-0.5), 1e-3)
+        entry_points = [
+            lambda: coupled_step_propagator(phi, coupling, MSFQuery(-0.5), 1e-3),
+            lambda: compute_tle(p, coupling, MSFQuery(-0.5)),
+            lambda: msf_sweep(p, coupling, [-0.5], [0.0], jobs=1),
+            lambda: network.analyze_network(p, coupling, network.TWO_NODE_GRAPH, 0.5),
+            lambda: network.run_probe(p, coupling, ProbeSettings(sigma=0.5)),
+            lambda: bifurcation_scan(p, coupling, [0.5], ProbeSettings(sigma=0.5), jobs=1),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="coupling matrix must be 2x2 and finite"):
+                call()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3])

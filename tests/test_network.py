@@ -134,10 +134,11 @@ class TestCoupledSimulation:
         s0b = OscState(-0.55, 0.40, 0.0)
         horizon = 30
         settings = ProbeSettings(
-            sigma=1.0, max_periods=horizon, record_window=10, sync_threshold=1e-300
+            sigma=0.0, max_periods=horizon, record_window=10, sync_threshold=1e-300
         )
         x0 = np.array([s0a.x, s0a.v, s0b.x, s0b.v])
-        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, x0, 0.0, settings)
+        assert res.sigma == settings.sigma
         _, ev_a = simulate(elastic, s0a, horizon * elastic.forcing_period)
         _, ev_b = simulate(elastic, s0b, horizon * elastic.forcing_period)
         scalar = sorted([e.tau_c for e in ev_a] + [e.tau_c for e in ev_b])
@@ -149,7 +150,7 @@ class TestCoupledSimulation:
         s = OscState(0.31, -0.12, 0.0)
         x0 = np.array([s.x, s.v, s.x, s.v])
         res = _simulate_coupled(
-            elastic, TWO_NODE_GRAPH, COUPLING, 0.7, x0, 0.0,
+            elastic, TWO_NODE_GRAPH, COUPLING, x0, 0.0,
             ProbeSettings(sigma=0.7, max_periods=5, record_window=2),
         )
         assert res.synchronized
@@ -159,7 +160,7 @@ class TestCoupledSimulation:
         s = OscState(0.2, 0.1, 0.0)
         x0 = np.tile([s.x, s.v], 3)
         res = _simulate_coupled(
-            elastic, all_to_all_graph(3), COUPLING, 0.4, x0, 0.0,
+            elastic, all_to_all_graph(3), COUPLING, x0, 0.0,
             ProbeSettings(sigma=0.4, max_periods=5, record_window=2),
         )
         assert res.synchronized
@@ -171,7 +172,7 @@ class TestCoupledSimulation:
         x0 = np.zeros(6)
         with pytest.raises(InvalidGraphError):
             _simulate_coupled(
-                elastic, ring, COUPLING, 0.5, x0, 0.0, ProbeSettings(sigma=0.5)
+                elastic, ring, COUPLING, x0, 0.0, ProbeSettings(sigma=0.5)
             )
 
 
@@ -195,7 +196,7 @@ class TestBlockedProbeMatchesFixedChunks:
             sigma=sigma, max_periods=periods, record_window=record_window or periods // 2
         )
         x0 = _perturbed_start(base, graph.n_nodes, seed)
-        res = _simulate_coupled(p, graph, COUPLING, sigma, x0, base.tau, settings)
+        res = _simulate_coupled(p, graph, COUPLING, x0, base.tau, settings)
         ref = fixed_chunk_probe(p, graph, COUPLING, sigma, x0, base.tau, settings)
         assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
         assert res.impact_times
@@ -214,7 +215,7 @@ class TestBlockedProbeMatchesFixedChunks:
         # the window anchored at node 1's impact.
         x0 = np.array([elastic.x_w - 0.01, 1.0, elastic.x_w - 0.407, 1.0])
         settings = ProbeSettings(sigma=0.0, max_periods=2, record_window=1)
-        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, x0, 0.0, settings)
         ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
         assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
 
@@ -258,7 +259,7 @@ class TestBlockedProbeMatchesFixedChunks:
         monkeypatch.setattr(_SyncObserver, "observe", spy)
         x0 = np.array([0.31, -0.12, -0.55, 0.40])
         settings = ProbeSettings(sigma=0.0, max_periods=30, record_window=30)
-        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, x0, 0.0, settings)
         ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
         assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
         assert any(t - settings.scan_step < tau_c < t for t in firsts for tau_c in res.impact_times)
@@ -283,7 +284,7 @@ class TestBlockedProbeMatchesFixedChunks:
         )
         run = np.flatnonzero(taus >= sync_time)
         settings = replace(settings, sync_threshold=float(devs[run].max()))
-        res = _simulate_coupled(*args, settings)
+        res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, x0, elastic_base.tau, settings)
         ref = fixed_chunk_probe(*args, settings)
         assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
         assert res.sync_time > sync_time
@@ -298,9 +299,10 @@ class TestBlockedProbeMatchesFixedChunks:
             tau_hit = k_hit * settings.scan_step
             x1, v1 = segment_states(elastic, elastic.x_w, v_hit, tau_hit, -tau_hit)
             x0 = np.array([x1, v1, x1 - 0.3, v1])
-            x_hit = segs.eval(segs.to_modes(x0, 0.0), 0.0, np.array([tau_hit]))[0][0, 0]
+            terms = segs.terms(segs.to_modes(x0, 0.0))
+            x_hit = segs.eval(terms, 0.0, np.array([tau_hit]))[0][0, 0]
             assert abs(x_hit - elastic.x_w) < 1e-12
-            res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
+            res = _simulate_coupled(elastic, TWO_NODE_GRAPH, COUPLING, x0, 0.0, settings)
             ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
             assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
             assert abs(res.impact_times[0] - tau_hit) < 1e-9
@@ -757,14 +759,14 @@ class TestModeFlows:
         _skip_unless_real_parts_match("oscillatory", np)
         segs, modes0, tau_a, dts, _ = _mode_case(request.getfixturevalue(preset), sigma)
         assert all(s2 < 0.0 for s2 in segs.s_squares)
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        xs, vs = segs.eval(segs.terms(modes0), tau_a, dts)
         ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
         assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
 
     def test_three_node_eval_equals_complex(self, elastic):
         _skip_unless_real_parts_match("oscillatory", np)
         segs, modes0, tau_a, dts, _ = _mode_case(elastic, 0.4, all_to_all_graph(3))
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        xs, vs = segs.eval(segs.terms(modes0), tau_a, dts)
         ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
         assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
 
@@ -778,11 +780,12 @@ class TestModeFlows:
             pytest.skip(reason)
         graph = all_to_all_graph(nodes) if nodes > 2 else TWO_NODE_GRAPH
         segs, modes0, tau_a, dts, _ = _mode_case(request.getfixturevalue(preset), sigma, graph)
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        terms = segs.terms(modes0)
+        xs, vs = segs.eval(terms, tau_a, dts)
         random_cuts = np.random.default_rng(3).integers(1, dts.size, 12).tolist()
         for cuts in ([512], [1, 2, 64, 65, 2048, 4095], sorted(set(random_cuts))):
             bounds = [0, *cuts, dts.size]
-            parts = [segs.eval(modes0, tau_a, dts[a:b]) for a, b in zip(bounds, bounds[1:])]
+            parts = [segs.eval(terms, tau_a, dts[a:b]) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate([x for x, _ in parts], axis=1), xs)
             assert np.array_equal(np.concatenate([v for _, v in parts], axis=1), vs)
 
@@ -800,7 +803,7 @@ class TestModeFlows:
         _skip_unless_real_parts_match("overdamped", np)
         segs, modes0, tau_a, dts, _ = _mode_case(elastic, -1.0)
         assert max(segs.s_squares) > 0.0
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        xs, vs = segs.eval(segs.terms(modes0), tau_a, dts)
         ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
         assert np.array_equal(xs, ox) and np.array_equal(vs, ov)
 
@@ -816,7 +819,7 @@ class TestModeFlows:
     def test_overdamped_eval_close_to_complex(self, elastic):
         # Runs on every host: the SIMD cosh/sinh may differ in the last bits.
         segs, modes0, tau_a, dts, _ = _mode_case(elastic, -1.0)
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        xs, vs = segs.eval(segs.terms(modes0), tau_a, dts)
         ox, ov = complex_mode_eval(segs, modes0, tau_a, dts)
         scale = np.abs(ox).max() + np.abs(ov).max()
         assert np.abs(xs - ox).max() <= 1e-14 * scale
@@ -828,7 +831,7 @@ class TestModeFlows:
         sigma = -0.5
         segs, modes0, tau_a, dts, scalars = _mode_case(p, sigma)
         assert 0.0 in segs.s_squares
-        xs, vs = segs.eval(modes0, tau_a, dts)
+        xs, vs = segs.eval(segs.terms(modes0), tau_a, dts)
         gammas, q = np.linalg.eigh(TWO_NODE_GRAPH.matrix)
         base = np.array([[0.0, 1.0], [-1.0, 0.0]])
         for j in range(0, dts.size, 97):
@@ -893,8 +896,8 @@ class TestScalarRecomputation:
     def test_point_equals_eval(self, case, seed, scale, tau_a, dts):
         segs = _kinds_segments(case)
         modes = np.random.default_rng(seed).normal(size=(segs.n, 2)) * 10.0**scale
-        xs, vs = segs.eval(modes, tau_a, np.array(dts))
         terms = segs.terms(modes)
+        xs, vs = segs.eval(terms, tau_a, np.array(dts))
         for j, dt in enumerate(dts):
             assert segs.point(terms, tau_a, dt) == (xs[:, j].tolist(), vs[:, j].tolist())
 
@@ -905,12 +908,24 @@ class TestScalarRecomputation:
         modes = np.random.default_rng(1).normal(size=(segs.n, 2))
         terms = segs.terms(modes)
         dts = np.random.default_rng(2).uniform(0.0, 4.1, 20).tolist()
-        xs, vs = segs.eval(modes, 317.25, np.array(dts))
+        xs, vs = segs.eval(terms, 317.25, np.array(dts))
         expected = [m.tolist() for m in _sync_measures(xs[1:] - xs[0], vs[1:] - vs[0])]
-        assert [m.tolist() for m in segs.measures(modes, terms, 317.25, np.array(dts))] == expected
-        few = [segs.measures(modes, terms, 317.25, np.array(dts[j:j + 3])) for j in range(0, 20, 3)]
+        assert [m.tolist() for m in segs.measures(terms, 317.25, np.array(dts))] == expected
+        few = [segs.measures(terms, 317.25, np.array(dts[j:j + 3])) for j in range(0, 20, 3)]
         assert [v for dev, _ in few for v in dev] == expected[0]
         assert [v for _, d in few for v in d] == expected[1]
+
+    @pytest.mark.parametrize("case", GENERATOR_KINDS[:1] + GENERATOR_KINDS[3:5] + GENERATOR_KINDS[7:8])
+    def test_eval_reads_the_terms_it_is_given(self, case):
+        # (A u) entries that are not A_k u: eval takes them as given, as point does.
+        segs = _kinds_segments(case)
+        terms = [tuple(t) for t in np.random.default_rng(5).normal(size=(segs.n, 4)).tolist()]
+        actual = segs.terms(np.array(terms)[:, :2])
+        assert all(t[2:] != a[2:] for t, a in zip(terms, actual))
+        dts = [0.0, 0.3, 1.7, 4.1]
+        xs, vs = segs.eval(terms, 211.5, np.array(dts))
+        for j, dt in enumerate(dts):
+            assert segs.point(terms, 211.5, dt) == (xs[:, j].tolist(), vs[:, j].tolist())
 
 
 class TestCertifiedProbeBisection:

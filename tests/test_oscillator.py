@@ -24,7 +24,6 @@ from msflab.oscillator import (
     InvalidParameterError,
     OscState,
     ResonanceError,
-    apply_impact,
     bisect_crossing,
     detect_next_impact,
     nondimensionalize,
@@ -194,21 +193,13 @@ class TestImpacts:
         assert np.all(xs <= elastic.x_w + 1e-9)
 
     def test_velocity_reversal_exact(self, inelastic):
-        s = OscState(inelastic.x_w, 1.37, 5.0)
-        after, record = apply_impact(inelastic, s)
-        assert after.v == -inelastic.R * 1.37
-        assert after.x == inelastic.x_w
-        assert record.v_pre == 1.37
+        record = oscillator._impact_record(inelastic, 5.0, 1.37)
+        assert record.v_post == -inelastic.R * 1.37
+        assert (record.tau_c, record.v_pre) == (5.0, 1.37)
         assert not record.grazing
 
     def test_grazing_flagged(self, elastic):
-        s = OscState(elastic.x_w, 1e-9, 0.0)
-        _, record = apply_impact(elastic, s)
-        assert record.grazing
-
-    def test_impact_requires_wall_contact(self, elastic):
-        with pytest.raises(InvalidParameterError):
-            apply_impact(elastic, OscState(0.5, 1.0, 0.0))
+        assert oscillator._impact_record(elastic, 0.0, 1e-9).grazing
 
     def test_inelastic_impacts_dissipate(self, inelastic):
         _, events = simulate(
@@ -435,11 +426,8 @@ def _monotonicity_bound(p, s, step):
     The first bisection step leaves a bracket of step/2, over which the
     model's accel must stay below half the velocity: v > accel*step.
     """
-    a_p, b_p = steady_state_coefficients(p)
-    ph0 = p.eta * s.tau
-    y = s.x - (a_p * math.cos(ph0) + b_p * math.sin(ph0))
-    w = s.v - p.eta * (b_p * math.cos(ph0) - a_p * math.sin(ph0))
-    _, model = oscillator._wall_distance(p, s.tau, y, w, a_p, b_p)
+    c = oscillator._constants(p)
+    _, model = oscillator._wall_distance(c, s.tau, *oscillator._homogeneous(c, s.x, s.v, s.tau))
     return model(0.0, step)[2] * step
 
 
