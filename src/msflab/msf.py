@@ -26,6 +26,7 @@ standard deviation settles.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 import os
@@ -187,20 +188,6 @@ def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscSta
     return state
 
 
-class _Failure:
-    """A kernel exception kept in an event record; every replay raises a fresh copy."""
-
-    def __init__(self, exc: Exception):
-        self.type, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
-
-    def fresh(self) -> Exception:
-        # Built without calling __init__, whose signature may differ from args
-        # (ChatterError takes tau, count and period).
-        exc = self.type.__new__(self.type, *self.args)
-        vars(exc).update(self.attrs)
-        return exc
-
-
 def _estimate(p, settings: TLESettings, base_state: OscState, state: OscState,
               tau_c: float, w_start: int, w_end: int):
     """The window of the impact at tau_c, from the central run's state where its
@@ -249,11 +236,11 @@ def _event_record(p, base_state: OscState, settings: TLESettings) -> tuple:
     Returns (log_free, final_j, entries), built in march order to the
     horizon final_j or to the first failure: entries[i] is (tau_c, w_start,
     w_end, (log Phi, warnings)) for impact i.  A kernel failure, in finding
-    an impact or in estimating its window, is the last entry, a _Failure at
-    the grid index w_start where the march meets it, and each query that
-    gets there raises a fresh copy.  The process keeps the record of the
-    base state it last ran on; code that patches a kernel clears it with
-    _event_record.cache_clear().
+    an impact or in estimating its window, is the last entry, a copy of the
+    exception at the grid index w_start where the march meets it, and each
+    query that gets there raises a fresh copy.  The process keeps the
+    record of the base state it last ran on; code that patches a kernel
+    clears it with _event_record.cache_clear().
     """
     h = settings.scan_step
     log_free = mat_log(segment_propagator(p, h))
@@ -272,7 +259,7 @@ def _event_record(p, base_state: OscState, settings: TLESettings) -> tuple:
             w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
             window, state = _estimate(p, settings, base_state, state, tau_c, w_start, w_end)
         except Exception as exc:
-            entries.append((tau_c, w_start, w_end, _Failure(exc)))
+            entries.append((tau_c, w_start, w_end, copy.copy(exc)))  # no traceback or cause
             break
         entries.append((tau_c, w_start, w_end, window))
         j = w_end
@@ -455,8 +442,8 @@ def compute_tle(
         march_free(w_start - j)
         if converged or len(samples) >= settings.max_periods:
             break
-        if isinstance(window, _Failure):
-            raise window.fresh()
+        if isinstance(window, Exception):
+            raise copy.copy(window)
         log_phi, notes = window
         try:
             p_event, discarded = _window_step(log_phi, shifts[w_end - w_start], real_query)
@@ -504,15 +491,19 @@ def _capture(task) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _check_jobs(jobs: int | None) -> None:
+    """ValueError for jobs < 1, which a grid command checks before it settles the transient."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+
+
 def _run_grid(tasks: list, jobs: int | None) -> list:
     """_capture(task) for every task (fn, args), in task order, serially or in a process pool.
 
     No more workers start than there are tasks, and jobs=None uses one per
     task, up to the CPU count; the order of the results never depends on the
-    worker count.  ValueError for jobs < 1.
+    worker count.  jobs is None or at least 1 (see _check_jobs).
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     jobs = min(len(tasks), jobs or os.cpu_count() or 1)
     if jobs <= 1:
         return [_capture(task) for task in tasks]
@@ -539,6 +530,7 @@ def msf_sweep(
     abort the grid, and the output order is the grid order regardless of
     worker count.
     """
+    _check_jobs(jobs)
     alphas = [float(a) for a in np.atleast_1d(alphas)]
     betas = [float(b) for b in np.atleast_1d(betas)]
     coupling = _check_coupling(coupling)

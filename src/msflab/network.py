@@ -26,8 +26,8 @@ import numpy as np
 
 from .jacobian import PropagationError
 from .msf import (
-    MSFQuery, TLEResult, TLESettings, _check_coupling, _check_settings, _run_grid, compute_tle,
-    settle_transient,
+    MSFQuery, TLEResult, TLESettings, _check_coupling, _check_jobs, _check_settings, _run_grid,
+    compute_tle, settle_transient,
 )
 from .oscillator import (
     _EPS,
@@ -668,18 +668,18 @@ def _simulate_coupled(
     _ModeSegments.point, each sample whose decision they cannot certify or
     whose value is kept: |x - x_w| below _SCAN_GUARD times the window's
     bound, and the samples _SyncObserver asks for with a margin of
-    _DIFF_GUARD times the bound.  Where the scan's floor, or else the table,
-    puts the first node pair's deviation above threshold by twice that
-    margin, no deviation is compared at all.  The margins hold with room to
-    spare: the table's values and eval's both differ from the exact solution
-    by about 1e-15 times the bound in node differences (plus
-    |v_i - v_0|*ulp(tau), small wherever a decision on them is close), and in
-    absolute positions by at most about |v|*ulp(tau) + ulp(eta*tau)*|A|, near
-    1e-11 at tau = 2e4.  So every result equals evaluating each sample with
-    eval, bit for bit, wherever numpy's elementwise functions give an
-    element the same bits whatever the array around it and point rounds as
-    eval.  Each crossing is refined by bisect_crossing with the crossing
-    node's certified model, which keeps the plain bisection's midpoints.
+    _DIFF_GUARD times the bound.  Where the scan's floor puts the first node
+    pair's deviation above threshold by twice that margin, no deviation is
+    compared at all.  The margins hold with room to spare: the table's values
+    and eval's both differ from the exact solution by about 1e-15 times the
+    bound in node differences (plus |v_i - v_0|*ulp(tau), small wherever a
+    decision on them is close), and in absolute positions by at most about
+    |v|*ulp(tau) + ulp(eta*tau)*|A|, near 1e-11 at tau = 2e4.  So every result
+    equals evaluating each sample with eval, bit for bit, wherever numpy's
+    elementwise functions give an element the same bits whatever the array
+    around it and point rounds as eval.  Each crossing is refined by
+    bisect_crossing with the crossing node's certified model, which keeps the
+    plain bisection's midpoints.
     """
     segs = _ModeSegments(p, graph, coupling, settings.sigma)
     n = graph.n_nodes
@@ -716,10 +716,8 @@ def _simulate_coupled(
             )
         if ci > 0:
             margin = _DIFF_GUARD * bound
-            pair = vals[n:n + 2, :ci]
             limit = (threshold + 2.0 * margin) * (1.0 + 1e-12)
-            above = floor > limit or np.einsum("ij,ij->j", pair, pair).min() > limit * limit
-            dev = None if above else _sync_measures(vals[n::2, :ci], vals[n + 1::2, :ci])[0]
+            dev = None if floor > limit else _sync_measures(vals[n::2, :ci], vals[n + 1::2, :ci])[0]
 
             def exact(idx):  # eval's measures at samples idx of this window, called at once
                 return segs.measures(terms, anchor_tau, tau0 + (k + np.asarray(idx)) * h - anchor_tau)
@@ -823,6 +821,7 @@ def bifurcation_scan(
     results are identical for any worker count.  The transient is settled
     once and shared.
     """
+    _check_jobs(jobs)
     sigmas = [float(s) for s in np.atleast_1d(sigmas)]
     coupling = _check_coupling(coupling)
     if base_state is None:

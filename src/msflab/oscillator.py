@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -67,7 +66,7 @@ class ResonanceError(InvalidParameterError):
 
 
 class ChatterError(RuntimeError):
-    """Impacts accumulate, or more of them than a cap fall within one forcing period.
+    """Impacts accumulate, or more of them than CHATTER_CAP fall within one forcing period.
 
     With accumulating=True the impact intervals shrink geometrically towards
     an accumulation point (complete chatter, see _ChatterGuard): tau is the
@@ -76,16 +75,16 @@ class ChatterError(RuntimeError):
     """
 
     def __init__(self, tau: float, count: int, period: float, accumulating: bool = False):
-        self.tau = tau
-        self.count = count
-        self.period = period
-        self.accumulating = accumulating
+        self.tau, self.count, self.period, self.accumulating = tau, count, period, accumulating
         super().__init__(
             f"chatter: impacts accumulate at tau={tau:.6f} after {count} impacts"
             if accumulating else
             f"chatter: {count} impacts within one forcing period "
             f"({period:.6g}) ending at tau={tau:.6f}"
         )
+
+    def __reduce__(self):  # pickle and copy rebuild it from its fields, not from args
+        return type(self), (self.tau, self.count, self.period, self.accumulating)
 
 
 @dataclass(frozen=True)
@@ -618,12 +617,12 @@ class _ChatterGuard:
     the geometric tail's sum t_inf = tau + dt*r/(1 - r), dt the latest
     interval and r its ratio to the one before.  The tolerance shrinks
     with 1 - R, so ratios near 1 (about one impact a period) pass for no
-    R < 1, and nothing passes at R = 1.  Else it raises once more than cap
-    impacts fall within one forcing period.
+    R < 1, and nothing passes at R = 1.  Else it raises once more than
+    CHATTER_CAP impacts fall within one forcing period.
     """
 
-    def __init__(self, p: ImpactOscillatorParams, cap: int = CHATTER_CAP):
-        self.p, self.period, self.recent = p, p.forcing_period, deque(maxlen=cap + 1)
+    def __init__(self, p: ImpactOscillatorParams):
+        self.p, self.period, self.recent = p, p.forcing_period, deque(maxlen=CHATTER_CAP + 1)
         self.tau = self.dt = math.nan
         self.run = self.count = 0
 
@@ -644,7 +643,6 @@ def simulate(
     s0: OscState,
     duration: float,
     scan_step: float = DEFAULT_SCAN_STEP,
-    chatter_cap: int = CHATTER_CAP,
 ) -> tuple[OscState, list[EventRecord]]:
     """Event-driven propagation over ``duration``.
 
@@ -653,7 +651,7 @@ def simulate(
     resolved sequentially.  Raises ChatterError for two causes: the
     impacts accumulate geometrically (complete chatter, see _ChatterGuard),
     reported at the extrapolated accumulation time, or more than
-    chatter_cap impacts, a positive int, fall within one forcing period.
+    CHATTER_CAP impacts fall within one forcing period.
 
     This is the event layer's one segment loop (see _runner):
     detect_next_impact and propagate_free wrap the same per-segment core.
@@ -662,11 +660,11 @@ def simulate(
     state is carried in floats, so every result equals the composition of
     those public functions bit for bit.
     """
-    x, v, tau, impacts = _runner(p, s0.tau, duration, scan_step, chatter_cap)(s0.x, s0.v)
+    x, v, tau, impacts = _runner(p, s0.tau, duration, scan_step)(s0.x, s0.v)
     return OscState(x, v, tau), [_impact_record(p, *impact) for impact in impacts]
 
 
-def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int = CHATTER_CAP):
+def _runner(p, tau0: float, duration: float, scan_step: float):
     """simulate's checks, made once, and its loop as run(x, v) -> the final (x, v, tau)
     and each impact's (tau_c, v_pre), from (x, v) at tau0: an event window's three
     runs share the checks and the constants.  The scan check is the first
@@ -675,8 +673,6 @@ def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int 
         raise InvalidParameterError(f"start state tau must be finite, got {tau0!r}")
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and non-negative, got {duration!r}")
-    if type(chatter_cap) is bool or not isinstance(chatter_cap, int) or not 0 < chatter_cap < sys.maxsize:
-        raise InvalidParameterError(f"chatter_cap must be a positive int, got {chatter_cap!r}")
     t_end = tau0 + duration
     if t_end - tau0 > 0.0:
         _check_scan(t_end - tau0, scan_step)
@@ -706,7 +702,7 @@ def _runner(p, tau0: float, duration: float, scan_step: float, chatter_cap: int 
             x, v, tau = p.x_w, -p.R * v, tau_c
             if len(impacts) > 1:  # one impact never trips the guard
                 if guard is None:
-                    guard = _ChatterGuard(p, chatter_cap)
+                    guard = _ChatterGuard(p)
                     guard.push(impacts[0][0])
                 guard.push(tau_c)
         return x, v, tau, impacts

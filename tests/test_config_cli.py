@@ -7,6 +7,7 @@ import pytest
 from msflab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_POINT_FAILURES,
     EXIT_UNCONVERGED,
     main,
 )
@@ -33,6 +34,20 @@ sample_window = 100
 
 [query]
 alpha = 0.0
+"""
+
+# A wall-free oscillator on a five-period horizon: each run takes well under
+# a second and none converges.
+SHORT_INI = """\
+[oscillator]
+zeta = 0.05
+eta = 0.712
+wall_enabled = false
+
+[tle]
+transient_periods = 1
+max_periods = 5
+sample_window = 2
 """
 
 
@@ -434,6 +449,38 @@ sigma = 0.25
         assert gammas == [-2.0, 0.0]
         # Smooth oscillator: every exponent is -zeta, so the verdict is stable.
         assert lines[-1] == "# verdict: stable"
+
+    def test_network_graph_specs(self, tmp_path):
+        # all_to_all:3 and a file holding the 3-node ring, which is the same
+        # graph, give the same three unconverged modes.
+        (tmp_path / "ring.txt").write_text("-2 1 1\n1 -2 1\n1 1 -2\n")
+        tables = []
+        for i, spec in enumerate(("all_to_all:3", "ring.txt")):
+            cfg = _write(tmp_path, SHORT_INI + f"\n[network]\ngraph = {spec}\n")
+            out = tmp_path / f"out{i}"
+            assert main(["network", "--config", str(cfg), "--out", str(out)]) == EXIT_UNCONVERGED
+            lines = (out / "network.csv").read_text().splitlines()
+            assert len(lines) == 5 and lines[-1].startswith("# verdict: ")
+            assert [line.split(",")[5] for line in lines[1:4]] == ["false"] * 3
+            tables.append(lines)
+        assert tables[0] == tables[1]
+
+    def test_network_single_node_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SHORT_INI + "\n[network]\ngraph = all_to_all:1\n")
+        assert main(["network", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: all_to_all needs at least 2 nodes, got 1\n"
+
+    def test_sweep_failed_point(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SHORT_INI + "\n[sweep]\nalphas = 0.0,1e12\nbetas = 0.0\n")
+        out = tmp_path / "out"
+        assert main(["msf-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_POINT_FAILURES
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "point alpha=1e+12 beta=0 failed: PropagationError: one free step grows by e^1000, "
+            "past e^300, "
+        )
+        rows = (out / "msf_sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[2] == "1000000000000.0,0.0,,false,0"
 
     def test_determinism_across_runs_and_jobs(self, tmp_path):
         # Alphas chosen to converge under the 400-period cap of SMOOTH_INI.

@@ -326,7 +326,7 @@ class TestWindowEqualsLoop:
 
         monkeypatch.setattr(msf, "event_window_jacobian", recording)
         _, _, entries = msf._event_record(p, settle_transient(p, settings_), settings_)
-        assert entries[-1][3].type is GrazingSingularityError
+        assert type(entries[-1][3]) is GrazingSingularityError
         assert len(starts) == len(entries)
         lean, loop = self._both(p, *starts[-1])
         assert lean[0] is GrazingSingularityError

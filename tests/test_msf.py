@@ -1,10 +1,13 @@
 import cmath
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ from oracles import (
 )
 from msflab import jacobian, msf, network, oscillator
 from msflab.jacobian import GrazingSingularityError, PropagationError
-from msflab.matfuncs import exp_flow, mat_exp, mat_log
+from msflab.config import ConfigError
+from msflab.matfuncs import NonInvertibleMatrixError, exp_flow, mat_exp, mat_log
 from msflab.msf import (
     MSFQuery,
     SPRING_COUPLING,
@@ -30,6 +34,13 @@ from msflab.msf import (
 from msflab.network import ProbeSettings, bifurcation_scan
 from msflab.oscillator import (
     ChatterError, ImpactOscillatorParams, OscState, segment_propagator, simulate,
+)
+
+
+# random_impacting catalogue point 42, whose impacts accumulate near tau = 19.19.
+CHATTER_POINT = ImpactOscillatorParams(
+    zeta=0.07424109529981779, eta=0.34478727863484854,
+    x_w=0.5666034302401003, R=0.5409710972632726,
 )
 
 
@@ -596,6 +607,31 @@ class TestEventRecord:
         assert backward == cold
         assert direct == cold
 
+    def test_retry_at_reduced_delta(self, elastic, elastic_base, monkeypatch):
+        # The first window's runs disagree on their event counts at delta and
+        # agree at delta/10, whose estimate the march then takes.
+        real = msf.event_window_jacobian
+        first = []
+
+        def disagreeing_once(p, s_pre, window, delta):
+            est = real(p, s_pre, window, delta)
+            if not first:
+                first.append(s_pre.tau)
+            if s_pre.tau == first[0] and delta == REPLAY_SETTINGS.jacobi_delta:
+                est = dataclasses.replace(est, consistent=False)
+            return est
+
+        monkeypatch.setattr(msf, "event_window_jacobian", disagreeing_once)
+        query = MSFQuery(-0.5)
+        r = compute_tle(elastic, SPRING_COUPLING, query, REPLAY_SETTINGS, base_state=elastic_base)
+        tau_c = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)[2][0][0]
+        assert [w for w in r.warnings if "disagreed" in w] == [
+            f"event counts disagreed at tau_c={tau_c:.6f}; retry with delta/10 succeeded"
+        ]
+        assert _outcome(r) == _outcome(
+            direct_tle(elastic, SPRING_COUPLING, query, REPLAY_SETTINGS, elastic_base)
+        )
+
     @pytest.mark.parametrize(
         "query", [MSFQuery(-1.0), MSFQuery(0.5), MSFQuery(-0.4, 0.6), MSFQuery(1.0, 0.5)]
     )
@@ -684,7 +720,7 @@ class TestEventRecord:
             estimated.append(calls[before:])
             stops.append((r.periods_used, len(r.imag_discard_events)))
         _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
-        assert not any(isinstance(entry[3], msf._Failure) for entry in entries)
+        assert not any(isinstance(entry[3], Exception) for entry in entries)
         assert len(set(stops)) == 3 and min(n for _, n in stops) < len(entries)
         assert estimated[0] == estimated[1] == estimated[2]
         assert len(set(estimated[0])) == len(estimated[0]) == len(entries)
@@ -749,7 +785,7 @@ class TestEventRecord:
         _, _, entries = msf._event_record(elastic, elastic_base, s)
         assert len(entries) == 2
         tau_c, _, _, window = entries[1]
-        assert isinstance(window, msf._Failure)
+        assert type(window) is ValueError
         for exc in raised:
             assert type(exc) is ValueError
             assert str(exc) == (
@@ -788,7 +824,7 @@ class TestEventRecord:
         assert _outcome(run(-3.0)) == _outcome(stop)
         assert len(calls) == n + 1 and len(raised) == 1
         _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
-        assert len(entries) == n + 1 and isinstance(entries[n][3], msf._Failure)
+        assert len(entries) == n + 1 and type(entries[n][3]) is ChatterError
         copies = []
         for _ in range(2):
             with pytest.raises(ChatterError) as info:
@@ -837,7 +873,7 @@ class TestEventRecord:
         w_end = entries[k - 2][2]
         assert failed[:-1] == entries[:k - 1]
         assert failed[-1][:3] == (None, w_end, w_end)
-        assert isinstance(failed[-1][3], msf._Failure)
+        assert type(failed[-1][3]) is ChatterError
 
 
 def _stop_index(r, p, settings):
@@ -851,6 +887,40 @@ def _assert_fresh_copies(copies, original):
     for exc in copies:
         assert str(exc) == str(original)
         assert (exc.tau, exc.count, exc.period) == (original.tau, original.count, original.period)
+
+
+# One instance of each typed failure msflab raises, ChatterError in both forms.
+TYPED_FAILURES = [
+    ChatterError(7.5, 10_001, 2 * math.pi),
+    ChatterError(19.18511, 14, 2 * math.pi, accumulating=True),
+    oscillator.InvalidParameterError("zeta must be non-negative, got -1.0"),
+    oscillator.ResonanceError("undamped resonance: zeta = 0 with eta = 1"),
+    PropagationError("one free step grows by e^1000, past e^300"),
+    jacobian.InvalidWindowError("window holds 2 impacts of the central run"),
+    GrazingSingularityError("window propagator is singular"),
+    NonInvertibleMatrixError("matrix is numerically singular"),
+    network.InvalidGraphError("rows of the coupling matrix must sum to zero"),
+    ConfigError("[tle] max_periods: must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("exc", TYPED_FAILURES, ids=lambda exc: (
+    "AccumulatingChatterError" if getattr(exc, "accumulating", False) else type(exc).__name__))
+def test_typed_failures_survive_pickle_and_copy(exc):
+    # A failure raised in a worker process reaches the parent by pickle, and
+    # the event record keeps a copy of one.
+    for twin in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(twin) is type(exc) and twin is not exc
+        assert str(twin) == str(exc) and twin.args == exc.args
+        assert vars(twin) == vars(exc)
+
+
+def test_chatter_in_worker_arrives_as_itself():
+    with ProcessPoolExecutor(1) as pool:
+        future = pool.submit(simulate, CHATTER_POINT, OscState(0.0, 0.0, 0.0), 30.0)
+        with pytest.raises(ChatterError, match="impacts accumulate") as info:
+            future.result()
+    assert info.value.accumulating and 19.0 < info.value.tau < 19.5
 
 
 # A shortened horizon keeps four record marches under ten seconds; the
@@ -939,12 +1009,19 @@ class TestSweep:
         assert started == pools
 
     @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, elastic, elastic_base, jobs):
-        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
-            msf_sweep(elastic, SPRING_COUPLING, [0.0], [0.0], jobs=jobs, base_state=elastic_base)
-        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
-            bifurcation_scan(elastic, SPRING_COUPLING, [0.5], ProbeSettings(sigma=0.0), jobs=jobs,
-                             base_state=elastic_base)
+    def test_jobs_below_one_rejected(self, elastic, elastic_base, jobs, monkeypatch):
+        # Without a base state the check comes before the transient is settled.
+        def settle(*args):
+            raise AssertionError("settled before jobs was checked")
+
+        monkeypatch.setattr(msf, "settle_transient", settle)
+        monkeypatch.setattr(network, "settle_transient", settle)
+        for base_state in (elastic_base, None):
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                msf_sweep(elastic, SPRING_COUPLING, [0.0], [0.0], jobs=jobs, base_state=base_state)
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                bifurcation_scan(elastic, SPRING_COUPLING, [0.5], ProbeSettings(sigma=0.0),
+                                 jobs=jobs, base_state=base_state)
 
 
 class TestTransient:

@@ -354,6 +354,22 @@ class TestProbe:
         assert res.local_maxima == [0.0]
         assert res.sigma == 0.5
 
+    @pytest.mark.parametrize("inside", [1e-4, 1e-2])
+    def test_perturbation_reflected_inside_wall(self, elastic, monkeypatch, inside):
+        # Seed 3 displaces x outward by 8.6e-4: from 1e-4 inside the wall
+        # node 2 would start beyond it, so its x offset is reflected.
+        starts = []
+        monkeypatch.setattr(
+            "msflab.network._simulate_coupled", lambda p, graph, coupling, x0, *rest: starts.append(x0)
+        )
+        base = OscState(elastic.x_w - inside, 0.3, 5.0)
+        run_probe(elastic, COUPLING, ProbeSettings(sigma=0.5, rng_seed=3), base_state=base)
+        angle = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi)
+        dx, dv = 1e-3 * math.cos(angle), 1e-3 * math.sin(angle)
+        assert dx > 1e-4
+        dx = -dx if inside < dx else dx
+        assert starts[0].tolist() == [base.x, base.v, base.x + dx, base.v + dv]
+
     def test_determinism_same_seed(self, elastic, elastic_base):
         settings = ProbeSettings(sigma=0.5, rng_seed=(7, 3))
         a = run_probe(elastic, COUPLING, settings, base_state=elastic_base)
