@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jacobian import PropagationError, event_window_jacobian
-from .matfuncs import _entries, exp_flow, mat_log, scalar_exp_flow, scalar_log
+from .matfuncs import _entries, mat_log, scalar_exp_flow, scalar_log
 from .oscillator import (
     _EPS,
     DEFAULT_SCAN_STEP,
@@ -149,17 +149,22 @@ def _coupling_shift(coupling, query: MSFQuery, h: float) -> np.ndarray:
     return (query.alpha + 1j * query.beta) * coupling * h
 
 
-def _window_step(log_phi: list, shift: list, real_query: bool) -> tuple[np.ndarray, float]:
-    """coupled_step_propagator's result from log Phi's and the shift's row-major
-    entries, in scalars, bit for bit as mat_exp, np.real and np.linalg.norm."""
-    generator = [z + dz for z, dz in zip(log_phi, shift)]
+def _flow(generator: list):
+    """scalar_exp_flow of a coupled generator's row-major entries; ValueError unless finite."""
     if not all(map(cmath.isfinite, generator)):
         raise ValueError("matrix contains non-finite entries")
-    a, b, c, d = scalar_exp_flow(generator, True)(1.0)
-    if real_query:
-        imag = np.array((a.imag, b.imag, c.imag, d.imag))
-        return np.array(((a.real, b.real), (c.real, d.real))), math.sqrt(imag.dot(imag))
-    return np.array(((a, b), (c, d))), 0.0
+    return scalar_exp_flow(generator, True)
+
+
+def _window_step(log_phi: list, shift: list, real_query: bool) -> tuple[tuple, float]:
+    """coupled_step_propagator's result as a row-major tuple, from log Phi's and the
+    shift's row-major entries, in scalars: for a real query the real parts and the
+    Frobenius norm of the imaginary ones, their squares summed in row-major order."""
+    step = _flow([z + dz for z, dz in zip(log_phi, shift)])(1.0)
+    if not real_query:
+        return step, 0.0
+    a, b, c, d = (z.imag for z in step)
+    return tuple(z.real for z in step), math.sqrt(a * a + b * b + c * c + d * d)
 
 
 def coupled_step_propagator(
@@ -174,7 +179,8 @@ def coupled_step_propagator(
     reported magnitude of 0.  coupling must be 2x2 and h finite and positive.
     """
     shift = _coupling_shift(coupling, query, h).ravel().tolist()
-    return _window_step(scalar_log(*_entries(phi_single)), shift, query.beta == 0.0)
+    step, discarded = _window_step(scalar_log(*_entries(phi_single)), shift, query.beta == 0.0)
+    return np.array(step).reshape(2, 2), discarded
 
 
 def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscState:
@@ -266,6 +272,11 @@ def _event_record(p, base_state: OscState, settings: TLESettings) -> tuple:
     return log_free, final_j, tuple(entries)
 
 
+def _norm(x0, x1) -> float:
+    """|(x0, x1)|, its square summed as (re*re) + (im*im), as np.linalg.norm sums it."""
+    return math.sqrt((x0.real * x0.real + x1.real * x1.real) + (x0.imag * x0.imag + x1.imag * x1.imag))
+
+
 # Free-step powers a query keeps; wall-free runs alternate between two.
 _FREE_POWERS = 8
 # Largest log growth of one free-step power: e^300 keeps the squared norm
@@ -303,9 +314,15 @@ class _WindowMoments:
             self._recompute(samples[-n:])
             self.due = len(samples) + n
         else:
-            self._update(samples[-1], 1.0)
-            if len(samples) > n:
-                self._update(samples[-n - 1], -1.0)
+            c = self.c
+            d = samples[-1] - c  # the newest sample enters
+            s1, s2 = self.s1 + d, self.s2 + d * d
+            a1, a2 = self.a1 + (abs(d) + abs(s1)), self.a2 + (d * d + abs(s2))
+            if len(samples) > n:  # and the oldest leaves
+                d = samples[-n - 1] - c
+                s1, s2 = s1 - d, s2 - d * d
+                a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
+            self.s1, self.s2, self.a1, self.a2 = s1, s2, a1, a2
         if len(samples) < n:
             return False
         p = (self.s2 - 8.0 * _EPS * self.a2) / n
@@ -322,13 +339,6 @@ class _WindowMoments:
         except (OverflowError, ValueError):  # an overflow, or inf - inf
             self.s1 = self.s2 = math.nan
         self.a1, self.a2 = sum(map(abs, d)), self.s2
-
-    def _update(self, x: float, sign: float):
-        d = x - self.c
-        self.s1 += sign * d
-        self.s2 += sign * (d * d)
-        self.a1 += abs(d) + abs(self.s1)
-        self.a2 += d * d + abs(self.s2)
 
 
 def compute_tle(
@@ -365,26 +375,27 @@ def compute_tle(
     # k impact-free steps with per-step renormalization leave the same unit
     # direction and log growth as exp(k*G) applied once, G the free step's
     # coupled generator, while k*rate stays below _FREE_GROWTH.
-    generator = log_free + np.reshape(shifts[1], (2, 2))
-    (a, b), (c, d) = generator  # rate: the largest |Re| of G's eigenvalues mu +- s
-    rate = abs(0.5 * (a + d).real) + abs(np.sqrt(0.25 * (a - d) ** 2 + b * c).real)
+    log_free = log_free.ravel().tolist()
+    generator = [z + dz for z, dz in zip(log_free, shifts[1])]
+    a, b, c, d = generator  # rate: the largest |Re| of G's eigenvalues mu +- s
+    rate = abs(0.5 * (a + d).real) + abs(cmath.sqrt(0.25 * (a - d) ** 2 + b * c).real)
     if rate > _FREE_GROWTH:
         raise PropagationError(f"one free step grows by e^{rate:.6g}, past e^{_FREE_GROWTH:g}, "
                                f"at alpha={query.alpha!r}, beta={query.beta!r}")
     max_take = int(_FREE_GROWTH / max(rate, 1e-300))  # finite at rate = 0 too
-    free_steps = exp_flow(generator)
-    discard_free = float(np.linalg.norm(np.imag(free_steps(1.0))))
+    free_steps = _flow(generator)
+    discard_free = _window_step(log_free, shifts[1], True)[1] if real_query else 0.0
 
-    if initial_perturbation is None:
-        xi = np.array([1.0, 0.0], dtype=complex)
-    else:
-        xi = np.asarray(initial_perturbation, dtype=complex).copy()
-        if xi.shape != (2,):
-            raise ValueError("initial_perturbation must be a 2-vector")
-    nrm0 = float(np.linalg.norm(xi))
-    if nrm0 == 0.0 or not np.isfinite(nrm0):
+    xi = np.asarray((1.0, 0.0) if initial_perturbation is None else initial_perturbation,
+                    dtype=complex)
+    if xi.shape != (2,):
+        raise ValueError("initial_perturbation must be a 2-vector")
+    real = real_query and not xi.imag.any()  # then xi is marched as two floats
+    x0, x1 = (xi.real if real else xi).tolist()
+    nrm0 = _norm(x0, x1)
+    if nrm0 == 0.0 or not math.isfinite(nrm0):
         raise ValueError("initial perturbation must be nonzero and finite")
-    xi = xi / nrm0
+    x0, x1 = x0 / nrm0, x1 / nrm0
 
     log_sum = 0.0
     samples: list[float] = []
@@ -395,16 +406,16 @@ def compute_tle(
     next_sample_j = int(math.ceil(k_period * period / h))
     converged = False
     moments = _WindowMoments(settings.sample_window, settings.std_tolerance)
-    powers: dict[int, np.ndarray] = {}  # take -> free_steps(take), as applied
+    powers: dict[int, tuple] = {}  # take -> free_steps(take), as applied
 
-    def apply(step: np.ndarray):
-        """xi <- step xi renormalized, by the dots of step @ xi and np.linalg.norm."""
-        nonlocal xi, log_sum
-        xi = step.dot(xi)
-        re, im = xi.real, xi.imag
-        nrm = math.sqrt(re.dot(re) + im.dot(im))
+    def apply(step: tuple):
+        """xi <- step xi renormalized, in scalars; log growth into log_sum (see _norm)."""
+        nonlocal x0, x1, log_sum
+        a, b, c, d = step
+        x0, x1 = a * x0 + b * x1, c * x0 + d * x1
+        nrm = math.sqrt(x0 * x0 + x1 * x1) if real else _norm(x0, x1)
         log_sum += math.log(nrm)
-        xi = xi / nrm
+        x0, x1 = x0 / nrm, x1 / nrm
 
     def emit_samples():
         """Emit every sample whose grid index the march has reached."""
@@ -431,8 +442,7 @@ def compute_tle(
                 if len(powers) == _FREE_POWERS:
                     powers.clear()
                 step = free_steps(take)
-                # Cast back exactly, once, not in every product with the complex xi.
-                step = powers[take] = step.real.astype(complex) if real_query else step
+                step = powers[take] = tuple(z.real for z in step) if real_query else step
             apply(step)
             j += take
             n_steps -= take

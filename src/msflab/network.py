@@ -161,6 +161,7 @@ def analyze_network(
         )
     order = [int(near_zero[0])] + [i for i in range(len(values)) if i != near_zero[0]]
     values = values[order]
+    values[0] = 0.0  # the zero mode is queried at exactly alpha + i*beta = 0
     if base_state is None:
         base_state = settle_transient(p, settings)
     results = []

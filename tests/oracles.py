@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from msflab.jacobian import GrazingSingularityError, InvalidWindowError, estimate_jacobian
-from msflab.matfuncs import mat_exp
+from msflab.matfuncs import exp_flow, mat_exp
 from msflab.network import _ModeSegments
 from msflab.oscillator import (
     BISECTION_TOL,
@@ -572,17 +572,21 @@ def _march_samples(steps, settings, period: float, to_step):
     """The running-average samples of compute_tle's march over steps.
 
     to_step(n, tau_c, start, est) is the propagator of one _record_steps stretch.
-    Returns the samples and the convergence flag.
+    The products and the norm are plain Python arithmetic on xi's two
+    complex entries, the squared norm summed as (re*re) + (im*im) as
+    compute_tle sums it.  Returns the samples and the convergence flag.
     """
     h = settings.scan_step
-    xi = np.array([1.0, 0.0], dtype=complex)
+    x0, x1 = 1.0 + 0j, 0j
     log_sum, samples, j, converged = 0.0, [], 0, False
     for n, *stretch in steps:
         # Apply the step, renormalize, advance j by n and take every sample due.
-        xi = to_step(n, *stretch) @ xi
-        nrm = float(np.linalg.norm(xi))
+        a, b, c, d = to_step(n, *stretch).ravel().tolist()
+        x0, x1 = a * x0 + b * x1, c * x0 + d * x1
+        (r0, i0), (r1, i1) = (x0.real, x0.imag), (x1.real, x1.imag)
+        nrm = math.sqrt((r0 * r0 + r1 * r1) + (i0 * i0 + i1 * i1))
         log_sum += math.log(nrm)
-        xi = xi / nrm
+        x0, x1 = x0 / nrm, x1 / nrm
         j += n
         while j >= int(math.ceil((len(samples) + 1) * period / h)):
             samples.append(log_sum / (j * h))
@@ -599,16 +603,21 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     The reference for the event record: _record_steps for this query alone,
     with compute_tle's free-step propagators and each event-window step
     built here in numpy, exp(log Phi + (alpha + i*beta)*H*dt) through
-    mat_exp with np.real and np.linalg.norm of np.imag, where compute_tle
-    works in scalars.  Returns the TLEResult or raises what the kernels
-    raise at the point the march reaches them.
+    mat_exp with np.real and the Frobenius norm of np.imag (summed in
+    row-major order), where compute_tle works in scalars.  Returns the
+    TLEResult or raises what the kernels raise at the point the march
+    reaches them.
     """
     from msflab import msf
+
+    def imag_norm(step):
+        a, b, c, d = np.imag(step).ravel().tolist()
+        return math.sqrt(a * a + b * b + c * c + d * d)
 
     coupling = np.asarray(coupling, dtype=float)
     h = settings.scan_step
     real_query = query.beta == 0.0
-    free_steps = msf.exp_flow(
+    free_steps = exp_flow(
         msf.mat_log(msf.segment_propagator(p, h))
         + (query.alpha + 1j * query.beta) * coupling * h
     )
@@ -636,7 +645,7 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
         except Exception as exc:
             raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
         if real_query:
-            imag_events.append(float(np.linalg.norm(np.imag(p_event))))
+            imag_events.append(imag_norm(p_event))
             p_event = np.real(p_event).copy()
         warnings.extend(
             f"grazing impact at tau_c={e.tau_c:.6f} (|v_pre|={abs(e.v_pre):.2e})"
@@ -651,7 +660,7 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
         alpha=query.alpha, beta=query.beta, tle=samples[-1] if samples else 0.0,
         converged=converged, periods_used=len(samples), samples=samples,
         warnings=warnings, transient_periods=settings.transient_periods,
-        imag_discard_free=float(np.linalg.norm(np.imag(free_steps(1.0)))) if real_query else 0.0,
+        imag_discard_free=imag_norm(free_steps(1.0)) if real_query else 0.0,
         imag_discard_events=imag_events,
     )
 

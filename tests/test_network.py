@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import LoopObserver, complex_mode_eval, complex_position_of, fixed_chunk_probe
 from msflab.jacobian import PropagationError
-from msflab.msf import SPRING_COUPLING, TLEResult, TLESettings, settle_transient
+from msflab.msf import (
+    SPRING_COUPLING, MSFQuery, TLEResult, TLESettings, compute_tle, settle_transient,
+)
 from msflab.network import (
     CouplingGraph,
     InvalidGraphError,
@@ -126,6 +128,18 @@ class TestVerdict:
         block[2:, 2:] = TWO_NODE_GRAPH.matrix
         with pytest.raises(InvalidGraphError):
             analyze_network(elastic, COUPLING, CouplingGraph(block), 0.5)
+
+    def test_zero_mode_queried_at_zero(self):
+        # The zero eigenvalue may come out of the eigensolver as a rounding
+        # error (1.1e-16 for this graph); its mode is still queried at 0.
+        p = ImpactOscillatorParams(zeta=0.05, eta=0.712, wall_enabled=False)
+        s = TLESettings(transient_periods=20, max_periods=40, sample_window=20)
+        base = settle_transient(p, s)
+        spectrum = analyze_network(p, COUPLING, all_to_all_graph(3), 0.5, s, base_state=base)
+        assert spectrum.eigenvalues[0] == 0.0
+        zero = spectrum.results[0]
+        assert zero.alpha == 0.0 and zero.beta == 0.0
+        assert zero == compute_tle(p, COUPLING, MSFQuery(0.0, 0.0), s, base_state=base)
 
 
 class TestCoupledSimulation:

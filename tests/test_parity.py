@@ -1,10 +1,16 @@
-"""scripts/parity.py's record and compare, on hand-made results: no workload runs."""
+"""scripts/parity.py's record and compare, on hand-made results, and its
+exponent suite under two BLAS kernels."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from msflab import msf
 from msflab.jacobian import InvalidWindowError
 from msflab.oscillator import OscState
 
@@ -66,3 +72,46 @@ def test_compare_reports_length_mismatch(capsys):
 def test_compare_equal_records(capsys):
     assert parity.compare(_records(1.0, -0.0), _records(1.0, -0.0), "other") == 0
     assert capsys.readouterr().out == ""
+
+
+# Run in a subprocess: a canary, numpy's complex 2x2 dot on seeded cases,
+# and parity's exponent records for workload seed 3.
+_KERNEL_RUN = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("parity", sys.argv[1])
+parity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(parity)
+rng = np.random.default_rng(0)
+canary = [
+    (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    .dot(rng.standard_normal(2) + 1j * rng.standard_normal(2)).tobytes().hex()
+    for _ in range(8)
+]
+records = parity.tle_records(3, parity.workloads.load_reference())
+print(json.dumps({"canary": canary, "records": records}))
+"""
+
+
+def test_exponents_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE=Prescott makes a DYNAMIC_ARCH OpenBLAS take its
+    # kernels without FMA; the canary shows whether that changes numpy's
+    # rounding here at all.
+    src = str(Path(msf.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def run(**kernel):
+        out = subprocess.run(
+            [sys.executable, "-c", _KERNEL_RUN, str(_PATH)], env=dict(env, **kernel),
+            capture_output=True, text=True, timeout=600,
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    default, prescott = run(), run(OPENBLAS_CORETYPE="Prescott")
+    if default["canary"] == prescott["canary"]:
+        pytest.skip("OPENBLAS_CORETYPE=Prescott does not change numpy's complex dot here "
+                    "(no FMA, no DYNAMIC_ARCH OpenBLAS, or another BLAS)")
+    assert len(default["records"]) == 130
+    assert parity.compare(default["records"], prescott["records"], "Prescott") == 0
