@@ -6,13 +6,12 @@ records the probe's residual local maxima as a bifurcation scatter.  Writes
 CSVs and SVGs into the output directory and prints the sign-vs-outcome
 agreement at the end.
 
-Expect about 6 s (elastic) to 8 s (inelastic) for the default 21-point
+Expect about 3 s (elastic) to 5 s (inelastic) for the default 21-point
 grid on one core (measured on a 2-vCPU x86-64 VM shared with other load).
-The exponent sweep takes about 2 s and 3 s of that, because its queries
-share one trajectory record and apply each window's coupled step in
-scalars; the rest is the probe scan, where the positive-exponent points are
-the slow ones because the pair never synchronizes and the probe runs its
-full horizon.
+The exponent sweep takes about 0.6 s and 1 s of that, because its queries
+share one trajectory record and march it in scalars; the rest is the
+probe scan, where the positive-exponent points are the slow ones because
+the pair never synchronizes and the probe runs its full horizon.
 """
 
 from __future__ import annotations

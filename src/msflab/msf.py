@@ -284,61 +284,52 @@ _FREE_POWERS = 8
 _FREE_GROWTH = 300.0
 
 
-class _WindowMoments:
-    """Whether the last n samples' np.std may be below tol, in O(1) per sample.
+def _std_screen(samples: list[float], n: int, tol: float):
+    """Whether np.std(samples[-n:]) may be below tol, in O(1) per sample.
 
-    Keeps the sum and the sum of squares of the window's samples about a
-    shift c taken from the window, updated as samples enter and leave, and
-    recomputed with math.fsum every n samples and whenever a sum is not
-    finite, as a non-finite sample makes it (Welford, Technometrics 4, 1962;
-    Chan, Golub and LeVeque, Amer. Statist. 37, 1983).  a1 and a2 add up
-    the magnitudes each update rounds, so that the exact sums lie within
-    4*eps*a1 and 8*eps*a2 of the kept ones.  push says "may pass" unless a
-    lower bound on the window's exact variance clears tol**2 with room for
-    np.std's own rounding (a relative 1e-9, far above its ulps times
-    log2(n)) and underflow (1e-300); it only decides when np.std need not run.
+    A generator over the caller's list: resume it with next() after each
+    sample appended.  It keeps the sum and the sum of squares of the
+    window's samples about a shift c taken from the window, updated as
+    samples enter and leave, and recomputed with math.fsum every n samples
+    and whenever a sum is not finite, as a non-finite sample makes it
+    (Welford, Technometrics 4, 1962; Chan, Golub and LeVeque, Amer.
+    Statist. 37, 1983).  a1 and a2 add up the magnitudes each update
+    rounds, so that the exact sums lie within 4*eps*a1 and 8*eps*a2 of the
+    kept ones.  It yields "may pass" unless a lower bound on the window's
+    exact variance clears tol**2 with room for np.std's own rounding (a
+    relative 1e-9, far above its ulps times log2(n)) and underflow
+    (1e-300), and False while the window is not full; it only decides when
+    np.std need not run.
     """
-
-    def __init__(self, n: int, tol: float):
-        self.n = n
-        self.limit = tol * tol * (1.0 + 1e-9) + 1e-300
-        self.due = 1  # sample count at which the sums are next recomputed
-
-    def push(self, samples: list[float]) -> bool:
-        """Take the newest sample, samples[-1]; whether np.std(samples[-n:]) may be < tol.
-
-        False means the window is not full yet or its np.std is at least tol.
-        """
-        n = self.n
-        if len(samples) >= self.due or not (math.isfinite(self.s1) and math.isfinite(self.s2)):
-            self._recompute(samples[-n:])
-            self.due = len(samples) + n
+    limit = tol * tol * (1.0 + 1e-9) + 1e-300
+    due = 1  # sample count at which the sums are next recomputed (and first set)
+    while True:
+        count = len(samples)
+        if count >= due or not (math.isfinite(s1) and math.isfinite(s2)):
+            c = samples[-1]
+            dev = [x - c for x in samples[-n:]]
+            try:
+                s1, s2 = math.fsum(dev), math.fsum([e * e for e in dev])
+            except (OverflowError, ValueError):  # an overflow, or inf - inf
+                s1 = s2 = math.nan
+            a1, a2 = sum(map(abs, dev)), s2
+            due = count + n
         else:
-            c = self.c
             d = samples[-1] - c  # the newest sample enters
-            s1, s2 = self.s1 + d, self.s2 + d * d
-            a1, a2 = self.a1 + (abs(d) + abs(s1)), self.a2 + (d * d + abs(s2))
-            if len(samples) > n:  # and the oldest leaves
+            s1, s2 = s1 + d, s2 + d * d
+            a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
+            if count > n:  # and the oldest leaves
                 d = samples[-n - 1] - c
                 s1, s2 = s1 - d, s2 - d * d
                 a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
-            self.s1, self.s2, self.a1, self.a2 = s1, s2, a1, a2
-        if len(samples) < n:
-            return False
-        p = (self.s2 - 8.0 * _EPS * self.a2) / n
-        m = (abs(self.s1) + 4.0 * _EPS * self.a1) / n
+        if count < n:
+            yield False
+            continue
+        p = (s2 - 8.0 * _EPS * a2) / n
+        m = (abs(s1) + 4.0 * _EPS * a1) / n
         q = m * m
         # Not "<=": a nan bound (a non-finite sample) may pass too.
-        return not p - q - 8.0 * _EPS * (abs(p) + q) > self.limit
-
-    def _recompute(self, window: list[float]):
-        self.c = window[-1]
-        d = [x - self.c for x in window]
-        try:
-            self.s1, self.s2 = math.fsum(d), math.fsum([e * e for e in d])
-        except (OverflowError, ValueError):  # an overflow, or inf - inf
-            self.s1 = self.s2 = math.nan
-        self.a1, self.a2 = sum(map(abs, d)), self.s2
+        yield not p - q - 8.0 * _EPS * (abs(p) + q) > limit
 
 
 def compute_tle(
@@ -397,76 +388,54 @@ def compute_tle(
         raise ValueError("initial perturbation must be nonzero and finite")
     x0, x1 = x0 / nrm0, x1 / nrm0
 
-    log_sum = 0.0
-    samples: list[float] = []
-    warnings: list[str] = []
-    imag_events: list[float] = []
-    j = 0
-    k_period = 1
-    next_sample_j = int(math.ceil(k_period * period / h))
-    converged = False
-    moments = _WindowMoments(settings.sample_window, settings.std_tolerance)
+    n, tol, cap = settings.sample_window, settings.std_tolerance, settings.max_periods
+    log_sum, samples, warnings, imag_events = 0.0, [], [], []
+    screen = _std_screen(samples, n, tol)
     powers: dict[int, tuple] = {}  # take -> free_steps(take), as applied
-
-    def apply(step: tuple):
-        """xi <- step xi renormalized, in scalars; log growth into log_sum (see _norm)."""
-        nonlocal x0, x1, log_sum
-        a, b, c, d = step
-        x0, x1 = a * x0 + b * x1, c * x0 + d * x1
-        nrm = math.sqrt(x0 * x0 + x1 * x1) if real else _norm(x0, x1)
-        log_sum += math.log(nrm)
-        x0, x1 = x0 / nrm, x1 / nrm
-
-    def emit_samples():
-        """Emit every sample whose grid index the march has reached."""
-        nonlocal k_period, next_sample_j, converged
-        while (
-            j >= next_sample_j
-            and len(samples) < settings.max_periods
-            and not converged
-        ):
-            samples.append(log_sum / (j * h))
-            if moments.push(samples):
-                window = samples[-settings.sample_window:]
-                if float(np.std(window)) < settings.std_tolerance:
-                    converged = True
-            k_period += 1
-            next_sample_j = int(math.ceil(k_period * period / h))
-
-    def march_free(n_steps: int):
-        nonlocal j
-        while n_steps > 0 and not converged and len(samples) < settings.max_periods:
-            take = min(n_steps, next_sample_j - j, max_take)
+    j, converged = 0, False  # the march's grid index
+    # entries[i] is the next window, starting at w_start; past the last one
+    # the march runs free to the horizon.
+    i, w_start = 0, entries[0][1] if entries else final_j
+    k = 1  # the period of the next sample, at grid index next_sample_j
+    next_sample_j = math.ceil(k * period / h)
+    while not converged and k <= cap:
+        # One step: free steps up to the next window, sample or growth bound,
+        # or the event window at w_start (or its failure, raised here).
+        if j < w_start:
+            take = min(w_start - j, next_sample_j - j, max_take)
             step = powers.get(take)
             if step is None:
                 if len(powers) == _FREE_POWERS:
                     powers.clear()
                 step = free_steps(take)
                 step = powers[take] = tuple(z.real for z in step) if real_query else step
-            apply(step)
             j += take
-            n_steps -= take
-            emit_samples()
-
-    for tau_c, w_start, w_end, window in entries:
-        march_free(w_start - j)
-        if converged or len(samples) >= settings.max_periods:
-            break
-        if isinstance(window, Exception):
-            raise copy.copy(window)
-        log_phi, notes = window
-        try:
-            p_event, discarded = _window_step(log_phi, shifts[w_end - w_start], real_query)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
-        if real_query:
-            imag_events.append(discarded)
-        apply(p_event)
-        warnings.extend(notes)
-        j = w_end
-        emit_samples()
-    else:
-        march_free(final_j - j)
+        else:
+            tau_c, _, w_end, window = entries[i]
+            if isinstance(window, Exception):
+                raise copy.copy(window)
+            log_phi, notes = window
+            try:
+                step, discarded = _window_step(log_phi, shifts[w_end - w_start], real_query)
+            except Exception as exc:
+                raise type(exc)(f"{exc} (event window at tau_c={tau_c:.6f})") from exc
+            if real_query:
+                imag_events.append(discarded)
+            warnings.extend(notes)
+            j, i = w_end, i + 1
+            w_start = entries[i][1] if i < len(entries) else final_j
+        # xi <- step xi renormalized, in scalars; log growth into log_sum (see _norm).
+        a, b, c, d = step
+        x0, x1 = a * x0 + b * x1, c * x0 + d * x1
+        nrm = math.sqrt(x0 * x0 + x1 * x1) if real else _norm(x0, x1)
+        log_sum += math.log(nrm)
+        x0, x1 = x0 / nrm, x1 / nrm
+        # Every sample whose grid index the march has reached.
+        while j >= next_sample_j and k <= cap and not converged:
+            samples.append(log_sum / (j * h))
+            converged = next(screen) and float(np.std(samples[-n:])) < tol
+            k += 1
+            next_sample_j = math.ceil(k * period / h)
 
     return TLEResult(
         alpha=query.alpha,

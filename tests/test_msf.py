@@ -131,11 +131,10 @@ class TestCoupledStepPropagator:
 
 
 _ENTRY = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-_REAL = st.floats(-1e3, 1e3)
 
 
 class TestWindowStep:
-    """compute_tle's scalar window step and BLAS-dot march against their numpy form."""
+    """compute_tle's scalar window step against mat_exp, and its failures."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -165,23 +164,6 @@ class TestWindowStep:
         assert got.dtype == want[0].dtype
         assert got.tobytes() == want[0].tobytes()
         assert discarded.hex() == want[1].hex()
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        m=st.lists(_REAL, min_size=8, max_size=8),
-        x=st.lists(_REAL, min_size=4, max_size=4),
-        complex_step=st.booleans(),
-    )
-    def test_dot_and_dot_norm_equal_matmul_and_norm(self, m, x, complex_step):
-        step = np.array(m[:4]).reshape(2, 2)
-        if complex_step:
-            step = step + 1j * np.array(m[4:]).reshape(2, 2)
-        xi = np.array([complex(x[0], x[1]), complex(x[2], x[3])])
-        assert step.dot(xi).tobytes() == (step @ xi).tobytes()
-        # compute_tle keeps a real query's free steps cast to complex.
-        assert step.astype(complex).dot(xi).tobytes() == (step @ xi).tobytes()
-        x_re, x_im = xi.real, xi.imag
-        assert math.sqrt(x_re.dot(x_re) + x_im.dot(x_im)) == float(np.linalg.norm(xi))
 
     def test_non_finite_generator_names_the_window(self, elastic, elastic_base, monkeypatch):
         # A window logarithm patched to overflow: the window step raises the
@@ -378,11 +360,12 @@ class TestProtocolMetadata:
 
 
 def _pushed(samples, n, tol):
-    """(window, may_pass) after each sample, with one _WindowMoments fed in order."""
-    moments, seen, out = msf._WindowMoments(n, tol), [], []
+    """(window, may_pass) after each sample, from compute_tle's screen fed in order."""
+    seen, out = [], []
+    screen = msf._std_screen(seen, n, tol)
     for x in samples:
         seen.append(x)
-        out.append((seen[-n:], moments.push(seen)))
+        out.append((seen[-n:], next(screen)))
     return out
 
 
@@ -406,7 +389,7 @@ class TestWindowMoments:
     def test_never_rules_out_a_pass(
         self, n, history, mean, spread, drift, constant_tail, bad, ulps, tol, seed
     ):
-        # Whenever np.std of the window is below tol, push must say "may pass".
+        # Whenever np.std of the window is below tol, the screen must say "may pass".
         count = n + history
         k = np.arange(count) / count
         x = mean + spread * (np.random.default_rng(seed).standard_normal(count) + drift * k)
@@ -891,6 +874,127 @@ def _assert_fresh_copies(copies, original):
     for exc in copies:
         assert str(exc) == str(original)
         assert (exc.tau, exc.count, exc.period) == (original.tau, original.count, original.period)
+
+
+def _assert_stop_rule(r, settings):
+    """compute_tle's stop rule on its own samples: every full window before the
+    last has np.std >= tol, and r converged iff the last window's is below tol,
+    else it ran to the cap."""
+    n, tol = settings.sample_window, settings.std_tolerance
+    stds = [float(np.std(r.samples[i - n:i])) for i in range(n, r.periods_used + 1)]
+    assert all(std >= tol for std in stds[:-1])
+    assert r.converged == (bool(stds) and stds[-1] < tol)
+    assert r.converged or r.periods_used == settings.max_periods
+
+
+def _flag_every_event(monkeypatch):
+    """Flag every impact of every window as grazing, so each window warns."""
+    real = msf.event_window_jacobian
+
+    def flagged(*args, **kwargs):
+        est = real(*args, **kwargs)
+        return dataclasses.replace(
+            est, events=tuple(dataclasses.replace(e, grazing=True) for e in est.events)
+        )
+
+    monkeypatch.setattr(msf, "event_window_jacobian", flagged)
+
+
+STOP_RULE_CASES = [
+    # (preset, or None for the wall-free oscillator, query, settings)
+    (None, MSFQuery(-1.0), TLESettings(max_periods=300, sample_window=20, std_tolerance=1e-4)),
+    (None, MSFQuery(0.5, 0.8), TLESettings(max_periods=300, sample_window=20, std_tolerance=1e-4)),
+    (None, MSFQuery(0.3), TLESettings(max_periods=40, sample_window=20, std_tolerance=1e-6)),
+    (None, MSFQuery(-2.0, 1.0), TLESettings(max_periods=40, sample_window=20, std_tolerance=1e-6)),
+    ("elastic", MSFQuery(-0.5), TLESettings(max_periods=60, sample_window=10, std_tolerance=2e-3)),
+    ("elastic", MSFQuery(-0.4, 0.6), TLESettings(max_periods=60, sample_window=10, std_tolerance=2e-3)),
+    ("inelastic", MSFQuery(-1.0), TLESettings(max_periods=40, sample_window=10, std_tolerance=1e-3)),
+    ("inelastic", MSFQuery(0.0, 0.5), TLESettings(max_periods=40, sample_window=10, std_tolerance=1e-6)),
+]
+
+
+class TestStopRule:
+    """Where compute_tle's one march loop stops, against direct_tle's march."""
+
+    @pytest.mark.parametrize("preset, query, s", STOP_RULE_CASES)
+    def test_stops_where_the_window_first_passes(self, preset, query, s, request):
+        if preset is None:
+            p = _smooth()
+            base = settle_transient(p, s)
+        else:
+            p, base = request.getfixturevalue(preset), request.getfixturevalue(preset + "_base")
+        r = compute_tle(p, SPRING_COUPLING, query, s, base_state=base)
+        _assert_stop_rule(r, s)
+        assert r == direct_tle(p, SPRING_COUPLING, query, s, base)
+
+    def test_cases_converge_and_reach_the_cap(self, elastic, elastic_base, inelastic,
+                                              inelastic_base):
+        # STOP_RULE_CASES cover both stops on both kinds of oscillator.
+        bases = {"elastic": (elastic, elastic_base), "inelastic": (inelastic, inelastic_base)}
+        outcomes = set()
+        for preset, query, s in STOP_RULE_CASES:
+            p, base = bases[preset] if preset else (_smooth(), settle_transient(_smooth(), s))
+            r = compute_tle(p, SPRING_COUPLING, query, s, base_state=base)
+            outcomes.add((preset is None, r.converged))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_sample_after_a_window_then_a_failure_at_its_end(self, elastic, elastic_base,
+                                                             monkeypatch):
+        # A base state moved along the trajectory so that the record's third
+        # window ends on the grid index of sample n: the sample is taken
+        # right after the window step.  The next impact search fails there,
+        # a failure entry at j == w_start.  At the tolerance just above the
+        # first full window's std the march converges on that sample and
+        # keeps the window's discard and warning; at a tiny one it raises.
+        n = 4
+        s = TLESettings(max_periods=12, sample_window=n, std_tolerance=1e-12)
+        h = s.scan_step
+        j_n = math.ceil(n * elastic.forcing_period / h)
+        entries = msf._event_record(elastic, elastic_base, s)[2]
+        tau_c = next(e[0] for e in entries if e[0] - elastic_base.tau > j_n * h)
+        base, _ = simulate(elastic, elastic_base, tau_c - (j_n - 0.5) * h - elastic_base.tau)
+        query = MSFQuery(-0.5)
+        plain = compute_tle(elastic, SPRING_COUPLING, query, s, base_state=base)
+        tol = float(np.nextafter(np.std(plain.samples[:n]), math.inf))
+        converging = dataclasses.replace(s, std_tolerance=tol)
+
+        _flag_every_event(monkeypatch)
+        real = msf.detect_next_impact
+
+        def failing_after(p, state, *args, **kwargs):
+            if state.tau > tau_c:
+                raise ChatterError(state.tau, 10_001, p.forcing_period)
+            return real(p, state, *args, **kwargs)
+
+        monkeypatch.setattr(msf, "detect_next_impact", failing_after)
+        msf._event_record.cache_clear()
+        r = compute_tle(elastic, SPRING_COUPLING, query, converging, base_state=base)
+        windows = msf._event_record(elastic, base, converging)[2]
+        assert [e[1:3] for e in windows[2:]] == [(j_n - 1, j_n), (j_n, j_n)]
+        assert type(windows[-1][3]) is ChatterError
+        assert r.converged and r.periods_used == n and r.samples == plain.samples[:n]
+        assert len(r.imag_discard_events) == 3
+        assert r.warnings[-1].startswith(f"grazing impact at tau_c={windows[2][0]:.6f}")
+        assert r == direct_tle(elastic, SPRING_COUPLING, query, converging, base)
+        _assert_stop_rule(r, converging)
+        with pytest.raises(ChatterError) as info:
+            compute_tle(elastic, SPRING_COUPLING, query, s, base_state=base)
+        with pytest.raises(ChatterError) as direct:
+            direct_tle(elastic, SPRING_COUPLING, query, s, base)
+        assert str(info.value) == str(direct.value) == str(windows[-1][3])
+
+    @pytest.mark.parametrize("query", [MSFQuery(-0.5), MSFQuery(-0.4, 0.6)])
+    def test_cap_reached_inside_a_free_stretch(self, elastic, elastic_base, query):
+        # The record's last window ends before the last two samples, so the
+        # march takes both, and reaches the cap, in its final free stretch.
+        s = TLESettings(max_periods=3, sample_window=2, std_tolerance=1e-12)
+        entries = msf._event_record(elastic, elastic_base, s)[2]
+        assert entries[-1][2] < math.ceil(2 * elastic.forcing_period / s.scan_step)
+        r = compute_tle(elastic, SPRING_COUPLING, query, s, base_state=elastic_base)
+        assert not r.converged and r.periods_used == 3
+        assert len(r.imag_discard_events) == (len(entries) if query.beta == 0.0 else 0)
+        assert r == direct_tle(elastic, SPRING_COUPLING, query, s, elastic_base)
+        _assert_stop_rule(r, s)
 
 
 # One instance of each typed failure msflab raises, ChatterError in both forms.
