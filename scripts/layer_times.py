@@ -1,22 +1,25 @@
 """Per-layer wall time of one benchmark workload's query passes.
 
-Wraps four msflab functions, the LAYERS, with perf_counter spans:
-settle_transient (the transient from rest), detect_next_impact (named
-_next_impact: the long scan to the next impact, which the event record's
-builder makes), msf._estimate (the event-window Jacobian with its free
-flight to the window start) and run_probe (the coupled probe).  Each is
+Wraps five msflab functions, the LAYERS, with perf_counter spans:
+settle_transient (the transient from rest), compute_tle (named march: the
+exponent march, the event record's build excepted), detect_next_impact
+(named _next_impact: the long scan to the next impact, which the event
+record's builder makes), msf._estimate (the event-window Jacobian with its
+free flight to the window start) and run_probe (the coupled probe).  Each is
 replaced in every msflab module that binds it, so calls msflab makes
 internally are timed too.  Builds the workload's set-up once, untimed,
 then runs its query set --passes times and prints per pass, per layer,
 the self time (minus the time of enclosed spans) and the call count, plus
 the remainder of the pass outside every span.
 
-Three layers are split further by spans on the msflab functions of PARTS.
+Four layers are split further by spans on the msflab functions of PARTS.
 A LAYERS or PARTS name the timed checkout lacks is an error, so a rename
 cannot silently empty a span; time an older checkout with that checkout's
 copy of this script.  A part's span counts only inside its own layer, so
 a function that two layers call (bisect_crossing inside an event window's
 runs) is timed as part of the layer's own part there:
+  - march: the convergence screen's consultations, the stepping, sampling
+    and np.std being the rest;
   - _next_impact: the scan (scalar points, table chunks and their
     recomputation) and the bisection;
   - _estimate: the window's three runs, the window body (the rest of
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -55,14 +59,19 @@ import workloads  # noqa: E402
 # Each layer's function, "module.function" in msflab.
 LAYERS = {
     "settle_transient": "msf.settle_transient",
+    "march": "msf.compute_tle",
     "_next_impact": "msf.detect_next_impact",
     "_estimate": "msf._estimate",
     "run_probe": "network.run_probe",
 }
 # Each split layer's parts: "module.function" or "module.Class.method" in
 # msflab, patched in that module only.  A name ending in "()" returns a
-# callable, and the span times the calls of what it returns.
+# callable or a generator, and the span times the calls of the callable or
+# each resumption of the generator.
 PARTS = {
+    "march": {
+        "screen": ("msf._std_screen()",),
+    },
     "_next_impact": {
         "scan": ("oscillator._crossing_offset",),
         "bisection": ("oscillator.bisect_crossing",),
@@ -117,7 +126,13 @@ class Spans:
         return wrapper
 
     def wrap_factory(self, key, fn):
-        return lambda *args, **kwargs: self.wrap(key, fn(*args, **kwargs))
+        def factory(*args, **kwargs):
+            made = fn(*args, **kwargs)
+            if inspect.isgenerator(made):  # next() calls the timed __next__ until it stops
+                return iter(self.wrap(key, made.__next__), object())
+            return self.wrap(key, made)
+
+        return factory
 
 
 def resolve(name: str, what: str = "") -> tuple:

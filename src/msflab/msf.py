@@ -285,51 +285,86 @@ _FREE_GROWTH = 300.0
 
 
 def _std_screen(samples: list[float], n: int, tol: float):
-    """Whether np.std(samples[-n:]) may be below tol, in O(1) per sample.
+    """The next sample count at which np.std(samples[-n:]) may be below tol.
 
-    A generator over the caller's list: resume it with next() after each
-    sample appended.  It keeps the sum and the sum of squares of the
-    window's samples about a shift c taken from the window, updated as
-    samples enter and leave, and recomputed with math.fsum every n samples
-    and whenever a sum is not finite, as a non-finite sample makes it
-    (Welford, Technometrics 4, 1962; Chan, Golub and LeVeque, Amer.
-    Statist. 37, 1983).  a1 and a2 add up the magnitudes each update
-    rounds, so that the exact sums lie within 4*eps*a1 and 8*eps*a2 of the
-    kept ones.  It yields "may pass" unless a lower bound on the window's
-    exact variance clears tol**2 with room for np.std's own rounding (a
-    relative 1e-9, far above its ulps times log2(n)) and underflow
-    (1e-300), and False while the window is not full; it only decides when
-    np.std need not run.
+    A generator over the caller's list: consult it with next() once the list
+    holds n samples, and again once it holds as many as the last answer.
+    The answer is the count itself when the window may pass now, so that
+    np.std must decide it, and otherwise a later count: every window before
+    it has np.std >= tol.
+
+    The windows at this count and the next n - L counts all hold the last L
+    samples S, and n*Var(window) >= sum over S of (x - mean_S)**2.  So once
+    a lower bound on that sum clears n*tol**2, with room for np.std's own
+    rounding (a relative 1e-9, far above its ulps times log2(n)) and
+    underflow (1e-300), none of those windows can pass.  The bound is the
+    squared math.dist from S to its computed mean m, shrunk by 8*eps
+    (math.dist rounds each difference and, since Python 3.10, the norm by
+    under an ulp), less L*delta**2, where delta = 2*eps*(L*|m| +
+    sqrt(L)*dist) is twice a bound on |m - mean_S|: sum() rounds by at most
+    L*eps/2 times sum |x| <= L*|m| + sqrt(L)*dist.  A non-finite sample in S
+    leaves m non-finite and rules nothing out.  Each consultation starts
+    from the last L, one shorter when the bound, shrunk in proportion, would
+    still clear, and lengthens it by a quarter until it clears or L = n.
+
+    After two consultations in a row that needed L = n, the window hovers
+    near the tolerance and is consulted at every count.  There the screen
+    keeps the sum and the sum of squares of the window about a shift c,
+    updated as samples enter and leave and recomputed with math.fsum every
+    n samples and whenever a sum is not finite (Welford, Technometrics 4,
+    1962; Chan, Golub and LeVeque, Amer. Statist. 37, 1983); a1 and a2 add
+    up the magnitudes each update rounds, so that the exact sums lie within
+    4*eps*a1 and 8*eps*a2 of the kept ones.  It searches suffixes again
+    once the window's bound would clear for L = n - 8.
     """
     limit = tol * tol * (1.0 + 1e-9) + 1e-300
-    due = 1  # sample count at which the sums are next recomputed (and first set)
+    size = min(2, n)  # L, the suffix length tried first
+    full, last = 0, -1  # consultations in a row that needed L = n; the last one's count
     while True:
         count = len(samples)
-        if count >= due or not (math.isfinite(s1) and math.isfinite(s2)):
-            c = samples[-1]
-            dev = [x - c for x in samples[-n:]]
-            try:
-                s1, s2 = math.fsum(dev), math.fsum([e * e for e in dev])
-            except (OverflowError, ValueError):  # an overflow, or inf - inf
-                s1 = s2 = math.nan
-            a1, a2 = sum(map(abs, dev)), s2
-            due = count + n
-        else:
-            d = samples[-1] - c  # the newest sample enters
-            s1, s2 = s1 + d, s2 + d * d
-            a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
-            if count > n:  # and the oldest leaves
-                d = samples[-n - 1] - c
+        if full >= 2 and count == last + 1:
+            if count < due and math.isfinite(s1) and math.isfinite(s2):
+                d = samples[-1] - c  # the newest sample enters
+                s1, s2 = s1 + d, s2 + d * d
+                a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
+                d = samples[-n - 1] - c  # and the oldest leaves
                 s1, s2 = s1 - d, s2 - d * d
                 a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
-        if count < n:
-            yield False
-            continue
-        p = (s2 - 8.0 * _EPS * a2) / n
-        m = (abs(s1) + 4.0 * _EPS * a1) / n
-        q = m * m
-        # Not "<=": a nan bound (a non-finite sample) may pass too.
-        yield not p - q - 8.0 * _EPS * (abs(p) + q) > limit
+            else:
+                c = samples[-1]
+                dev = [x - c for x in samples[-n:]]
+                try:
+                    s1, s2 = math.fsum(dev), math.fsum([e * e for e in dev])
+                except (OverflowError, ValueError):  # an overflow, or inf - inf
+                    s1 = s2 = math.nan
+                a1, a2 = sum(map(abs, dev)), s2
+                due = count + n  # the count at which the sums are next recomputed
+            p = (s2 - 8.0 * _EPS * a2) / n
+            m = (abs(s1) + 4.0 * _EPS * a1) / n
+            q = m * m
+            spread = p - q - 8.0 * _EPS * (abs(p) + q)
+            wake = count + 1
+            if n > 8 and (n - 8) * spread > n * limit:
+                full, size = 0, n - 8
+        else:
+            while True:
+                suffix = samples[-size:]
+                mean = sum(suffix) / size
+                spread = 0.0  # the lower bound on sum over S of (x - mean_S)**2, over n
+                if math.isfinite(mean):
+                    d = math.dist(suffix, [mean] * size)
+                    delta = 2.0 * _EPS * (size * abs(mean) + math.sqrt(size) * d)
+                    spread = (d * d * (1.0 - 8.0 * _EPS) - size * delta * delta) / n
+                if spread > limit or size == n:
+                    break
+                size = min(n, size + max(1, size // 4))
+            wake = count + n - size + 1
+            full, due = (full + 1 if size == n else 0), count  # running sums start afresh
+            if size > 2 and (size - 1) * spread > size * limit:
+                size -= 1
+        last = count
+        # Not "<=": a nan bound (a non-finite sample, or an overflow) may pass too.
+        yield wake if spread > limit else count
 
 
 def compute_tle(
@@ -390,7 +425,7 @@ def compute_tle(
 
     n, tol, cap = settings.sample_window, settings.std_tolerance, settings.max_periods
     log_sum, samples, warnings, imag_events = 0.0, [], [], []
-    screen = _std_screen(samples, n, tol)
+    screen, wake = _std_screen(samples, n, tol), n  # wake: the count of its next consultation
     powers: dict[int, tuple] = {}  # take -> free_steps(take), as applied
     j, converged = 0, False  # the march's grid index
     # entries[i] is the next window, starting at w_start; past the last one
@@ -433,7 +468,9 @@ def compute_tle(
         # Every sample whose grid index the march has reached.
         while j >= next_sample_j and k <= cap and not converged:
             samples.append(log_sum / (j * h))
-            converged = next(screen) and float(np.std(samples[-n:])) < tol
+            if k >= wake:
+                wake = next(screen)
+                converged = wake == k and float(np.std(samples[-n:])) < tol
             k += 1
             next_sample_j = math.ceil(k * period / h)
 

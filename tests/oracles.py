@@ -606,7 +606,9 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     mat_exp with np.real and the Frobenius norm of np.imag (summed in
     row-major order), where compute_tle works in scalars.  Returns the
     TLEResult or raises what the kernels raise at the point the march
-    reaches them.
+    reaches them.  Like compute_tle it splits each free stretch into powers
+    of at most msf._FREE_GROWTH / rate cells, rate the largest |Re| of the
+    free step's coupled generator's eigenvalues (here from numpy).
     """
     from msflab import msf
 
@@ -617,10 +619,19 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     coupling = np.asarray(coupling, dtype=float)
     h = settings.scan_step
     real_query = query.beta == 0.0
-    free_steps = exp_flow(
-        msf.mat_log(msf.segment_propagator(p, h))
-        + (query.alpha + 1j * query.beta) * coupling * h
-    )
+    generator = (msf.mat_log(msf.segment_propagator(p, h))
+                 + (query.alpha + 1j * query.beta) * coupling * h)
+    free_steps = exp_flow(generator)
+    rate = max(abs(z.real) for z in np.linalg.eigvals(generator).tolist())
+    max_take = max(1, int(msf._FREE_GROWTH / max(rate, 1e-300)))
+
+    def split_free(steps):
+        for n, tau_c, start, est in steps:
+            while est is None and n > max_take:
+                yield max_take, None, None, None
+                n -= max_take
+            yield n, tau_c, start, est
+
     warnings, imag_events = [], []
 
     def window(state, tau_c, width):
@@ -654,7 +665,8 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
         return p_event
 
     samples, converged = _march_samples(
-        _record_steps(p, settings, base_state, window), settings, p.forcing_period, to_step
+        split_free(_record_steps(p, settings, base_state, window)), settings, p.forcing_period,
+        to_step,
     )
     return msf.TLEResult(
         alpha=query.alpha, beta=query.beta, tle=samples[-1] if samples else 0.0,

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -359,18 +360,29 @@ class TestProtocolMetadata:
         assert all(d >= 0.0 for d in r.imag_discard_events)
 
 
-def _pushed(samples, n, tol):
-    """(window, may_pass) after each sample, from compute_tle's screen fed in order."""
-    seen, out = [], []
+def _verdicts(samples, n, tol):
+    """compute_tle's screen fed samples in order and consulted at the counts it
+    names, as if np.std never passed: (may_pass for the windows at counts n,
+    n + 1, ..., the counts consulted).  A window may pass when its count is
+    consulted and answers itself."""
+    seen, verdicts, wake, consulted = [], [], n, []
     screen = msf._std_screen(seen, n, tol)
     for x in samples:
         seen.append(x)
-        out.append((seen[-n:], next(screen)))
-    return out
+        if len(seen) >= wake:
+            wake = next(screen)
+            consulted.append(len(seen))
+        if len(seen) >= n:
+            verdicts.append(wake == len(seen))
+    return verdicts, consulted
+
+
+# Examples of the screen's property; CI runs it with 3000 as well.
+SCREEN_EXAMPLES = int(os.environ.get("MSFLAB_SCREEN_EXAMPLES", "300"))
 
 
 class TestWindowMoments:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=SCREEN_EXAMPLES, deadline=None)
     @given(
         n=st.integers(1, 200),
         history=st.integers(0, 250),
@@ -389,7 +401,8 @@ class TestWindowMoments:
     def test_never_rules_out_a_pass(
         self, n, history, mean, spread, drift, constant_tail, bad, ulps, tol, seed
     ):
-        # Whenever np.std of the window is below tol, the screen must say "may pass".
+        # Whenever np.std of a full window is below tol, the screen must be
+        # consulted at its count and say "may pass".
         count = n + history
         k = np.arange(count) / count
         x = mean + spread * (np.random.default_rng(seed).standard_normal(count) + drift * k)
@@ -406,21 +419,58 @@ class TestWindowMoments:
                 for _ in range(abs(ulps)):
                     tol = float(np.nextafter(tol, math.inf if ulps > 0 else 0.0))
                 tol = max(tol, 5e-324)
-            for window, may_pass in _pushed(x.tolist(), n, tol):
-                if len(window) == n and float(np.std(window)) < tol:
+            verdicts, _ = _verdicts(x.tolist(), n, tol)
+            for end, may_pass in enumerate(verdicts, n):
+                if float(np.std(x[end - n:end])) < tol:
                     assert may_pass
 
     def test_rules_out_wide_windows(self):
-        # A spread twice the tolerance is ruled out, also after a nan leaves the window.
+        # A spread twice the tolerance is ruled out.  A window holding a nan
+        # (np.std nan, so it never passes) is ruled out behind a certified
+        # suffix, and may pass while every suffix holds the nan.
         n, tol = 100, 1e-5
         wide = [1e3 + 2e-5 * (-1) ** i for i in range(3 * n)]
         wide[n // 2] = math.nan
-        verdicts = [may_pass for _, may_pass in _pushed(wide, n, tol)]
-        assert not any(verdicts[:n - 1])
-        assert all(verdicts[n - 1:n + n // 2])  # the nan is in the window
-        assert not any(verdicts[n + n // 2:])
+        assert _verdicts(wide, n, tol)[0] == [False] * (2 * n + 1)
+        wide[n // 2], wide[n - 1] = wide[n // 2 + 2], math.nan
+        assert _verdicts(wide, n, tol)[0] == [True] * n + [False] * (n + 1)
         narrow = [0.25 + 1e-7 * (-1) ** i for i in range(2 * n)]
-        assert all(may_pass for _, may_pass in _pushed(narrow, n, tol)[n - 1:])
+        assert _verdicts(narrow, n, tol)[0] == [True] * (n + 1)
+
+    def test_skips_windows_behind_a_drifting_suffix(self):
+        # Running averages settling like 1/k, up to the first window with
+        # np.std < tol: the screen rules out every earlier window, in fewer
+        # consultations than a tenth of the samples.
+        n, tol = 100, 1e-5
+        x = [0.3 + 0.2 / k + 1e-6 * math.sin(k) for k in range(1, 813)]
+        verdicts, consulted = _verdicts(x, n, tol)
+        stds = [float(np.std(x[end - n:end])) for end in range(n, len(x) + 1)]
+        assert verdicts == [std < tol for std in stds] == [False] * (len(x) - n) + [True]
+        assert len(consulted) < len(x) // 10
+
+    def test_hovering_window_is_screened_at_every_count(self):
+        # A window 0.1% above the tolerance needs every sample: the screen is
+        # consulted at each count and rules each window out.  Once the spread
+        # widens it skips again, and once it narrows the windows may pass.
+        n, tol = 100, 1e-5
+        hover = [0.3 + 1.001e-5 * (-1) ** i for i in range(3 * n)]
+        wide = [0.3 + 3e-5 * (-1) ** i for i in range(2 * n)]
+        x = hover + wide + [0.3] * (2 * n)
+        verdicts, consulted = _verdicts(x, n, tol)
+        stds = [float(np.std(x[end - n:end])) for end in range(n, len(x) + 1)]
+        assert all(may_pass for std, may_pass in zip(stds, verdicts) if std < tol)
+        assert not any(verdicts[:len(hover) + len(wide) - n])
+        assert set(range(n + 2, len(hover) + 1)) <= set(consulted)
+        assert len([c for c in consulted if len(hover) < c <= len(hover) + len(wide)]) < n // 4
+
+    def test_windows_of_nearly_equal_samples(self):
+        # Windows one ulp apart hover at these tolerances, also for n <= 8,
+        # where the running sums never hand back to the suffix search.
+        x = [1.0 + (i % 3 == 0) * 2.0**-52 for i in range(30)]
+        for n, tol in itertools.product(range(1, 10), (5e-324, 1e-300)):
+            verdicts, _ = _verdicts(x, n, tol)
+            stds = [float(np.std(x[end - n:end])) for end in range(n, len(x) + 1)]
+            assert all(may_pass for std, may_pass in zip(stds, verdicts) if std < tol)
 
 
 class TestEventWindows:
@@ -910,6 +960,16 @@ STOP_RULE_CASES = [
     ("elastic", MSFQuery(-0.4, 0.6), TLESettings(max_periods=60, sample_window=10, std_tolerance=2e-3)),
     ("inelastic", MSFQuery(-1.0), TLESettings(max_periods=40, sample_window=10, std_tolerance=1e-3)),
     ("inelastic", MSFQuery(0.0, 0.5), TLESettings(max_periods=40, sample_window=10, std_tolerance=1e-6)),
+    # A free stretch past the growth bound, split into several powers.
+    (None, MSFQuery(1e4), TLESettings(max_periods=6, sample_window=3)),
+    (None, MSFQuery(1e4, 50.0), TLESettings(max_periods=6, sample_window=3)),
+    # The paper's window and cap: the cap, late and early stops, real and complex.
+    (None, MSFQuery(-3.0), TLESettings()),
+    (None, MSFQuery(-1.5), TLESettings()),
+    (None, MSFQuery(0.0), TLESettings()),
+    (None, MSFQuery(-1.5, 1.0), TLESettings()),
+    (None, MSFQuery(0.9, 0.5), TLESettings()),
+    (None, MSFQuery(1.2, 1.0), TLESettings()),
 ]
 
 
