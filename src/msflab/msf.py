@@ -306,65 +306,27 @@ def _std_screen(samples: list[float], n: int, tol: float):
     leaves m non-finite and rules nothing out.  Each consultation starts
     from the last L, one shorter when the bound, shrunk in proportion, would
     still clear, and lengthens it by a quarter until it clears or L = n.
-
-    After two consultations in a row that needed L = n, the window hovers
-    near the tolerance and is consulted at every count.  There the screen
-    keeps the sum and the sum of squares of the window about a shift c,
-    updated as samples enter and leave and recomputed with math.fsum every
-    n samples and whenever a sum is not finite (Welford, Technometrics 4,
-    1962; Chan, Golub and LeVeque, Amer. Statist. 37, 1983); a1 and a2 add
-    up the magnitudes each update rounds, so that the exact sums lie within
-    4*eps*a1 and 8*eps*a2 of the kept ones.  It searches suffixes again
-    once the window's bound would clear for L = n - 8.
     """
     limit = tol * tol * (1.0 + 1e-9) + 1e-300
     size = min(2, n)  # L, the suffix length tried first
-    full, last = 0, -1  # consultations in a row that needed L = n; the last one's count
     while True:
         count = len(samples)
-        if full >= 2 and count == last + 1:
-            if count < due and math.isfinite(s1) and math.isfinite(s2):
-                d = samples[-1] - c  # the newest sample enters
-                s1, s2 = s1 + d, s2 + d * d
-                a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
-                d = samples[-n - 1] - c  # and the oldest leaves
-                s1, s2 = s1 - d, s2 - d * d
-                a1, a2 = a1 + (abs(d) + abs(s1)), a2 + (d * d + abs(s2))
-            else:
-                c = samples[-1]
-                dev = [x - c for x in samples[-n:]]
-                try:
-                    s1, s2 = math.fsum(dev), math.fsum([e * e for e in dev])
-                except (OverflowError, ValueError):  # an overflow, or inf - inf
-                    s1 = s2 = math.nan
-                a1, a2 = sum(map(abs, dev)), s2
-                due = count + n  # the count at which the sums are next recomputed
-            p = (s2 - 8.0 * _EPS * a2) / n
-            m = (abs(s1) + 4.0 * _EPS * a1) / n
-            q = m * m
-            spread = p - q - 8.0 * _EPS * (abs(p) + q)
-            wake = count + 1
-            if n > 8 and (n - 8) * spread > n * limit:
-                full, size = 0, n - 8
-        else:
-            while True:
-                suffix = samples[-size:]
-                mean = sum(suffix) / size
-                spread = 0.0  # the lower bound on sum over S of (x - mean_S)**2, over n
-                if math.isfinite(mean):
-                    d = math.dist(suffix, [mean] * size)
-                    delta = 2.0 * _EPS * (size * abs(mean) + math.sqrt(size) * d)
-                    spread = (d * d * (1.0 - 8.0 * _EPS) - size * delta * delta) / n
-                if spread > limit or size == n:
-                    break
-                size = min(n, size + max(1, size // 4))
-            wake = count + n - size + 1
-            full, due = (full + 1 if size == n else 0), count  # running sums start afresh
-            if size > 2 and (size - 1) * spread > size * limit:
-                size -= 1
-        last = count
-        # Not "<=": a nan bound (a non-finite sample, or an overflow) may pass too.
-        yield wake if spread > limit else count
+        while True:
+            suffix = samples[-size:]
+            mean = sum(suffix) / size
+            spread = 0.0  # the lower bound on sum over S of (x - mean_S)**2, over n
+            if math.isfinite(mean):
+                d = math.dist(suffix, [mean] * size)
+                delta = 2.0 * _EPS * (size * abs(mean) + math.sqrt(size) * d)
+                spread = (d * d * (1.0 - 8.0 * _EPS) - size * delta * delta) / n
+            if spread > limit or size == n:
+                break
+            size = min(n, size + max(1, size // 4))
+        # Not "<=": a nan bound (an overflow) may pass too.
+        wake = count + n - size + 1 if spread > limit else count
+        if size > 2 and (size - 1) * spread > size * limit:
+            size -= 1
+        yield wake
 
 
 def compute_tle(

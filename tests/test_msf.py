@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,48 @@ def _verdicts(samples, n, tol):
     return verdicts, consulted
 
 
+def _exact_spreads(x, n):
+    """n*Var of each window of x, in order, exactly."""
+    spreads = []
+    for end in range(n, len(x) + 1):
+        window = [Fraction(v) for v in x[end - n:end]]
+        centre = sum(window) / n
+        spreads.append(sum((v - centre) ** 2 for v in window))
+    return spreads
+
+
+def _tols_near(spread, n, offsets):
+    """The tol at which n*tol**2*(1 + 1e-9) equals spread, 6 ulps either
+    side of it, and it moved by each relative offset of its square."""
+    base = math.sqrt(float(spread) / n / (1.0 + 1e-9))
+    tols = [base * math.sqrt(1.0 + r) for r in offsets]
+    tol = base
+    for _ in range(6):
+        tol = math.nextafter(tol, 0.0)
+    for _ in range(13):
+        tols.append(tol)
+        tol = math.nextafter(tol, math.inf)
+    return tols
+
+
+def _bound_holds(x, n, exact, tols):
+    """Checks that at each tol the screen rules out only windows of x whose
+    exact n*Var (exact, per window) clears n*tol**2 by the room it keeps for
+    np.std's rounding, a relative 1e-9, and so never one whose np.std is
+    below tol.  Returns how many windows it ruled out."""
+    ruled_out = 0
+    for tol in tols:
+        room = n * Fraction(tol) ** 2 * (1 + Fraction(1, 10**9))
+        verdicts, _ = _verdicts(x, n, tol)
+        for end, may_pass, spread in zip(range(n, len(x) + 1), verdicts, exact):
+            if float(np.std(x[end - n:end])) < tol:
+                assert may_pass
+            if not may_pass:
+                assert spread > room
+                ruled_out += 1
+    return ruled_out
+
+
 # Examples of the screen's property; CI runs it with 3000 as well.
 SCREEN_EXAMPLES = int(os.environ.get("MSFLAB_SCREEN_EXAMPLES", "300"))
 
@@ -449,9 +492,10 @@ class TestWindowMoments:
         assert len(consulted) < len(x) // 10
 
     def test_hovering_window_is_screened_at_every_count(self):
-        # A window 0.1% above the tolerance needs every sample: the screen is
-        # consulted at each count and rules each window out.  Once the spread
-        # widens it skips again, and once it narrows the windows may pass.
+        # A window 0.1% above the tolerance needs the whole window as its
+        # suffix: the screen is consulted at each count and rules each window
+        # out.  Once the spread widens it skips again, and once it narrows
+        # the windows may pass.
         n, tol = 100, 1e-5
         hover = [0.3 + 1.001e-5 * (-1) ** i for i in range(3 * n)]
         wide = [0.3 + 3e-5 * (-1) ** i for i in range(2 * n)]
@@ -465,12 +509,57 @@ class TestWindowMoments:
 
     def test_windows_of_nearly_equal_samples(self):
         # Windows one ulp apart hover at these tolerances, also for n <= 8,
-        # where the running sums never hand back to the suffix search.
+        # where the suffix search starts at or near the whole window.
         x = [1.0 + (i % 3 == 0) * 2.0**-52 for i in range(30)]
         for n, tol in itertools.product(range(1, 10), (5e-324, 1e-300)):
             verdicts, _ = _verdicts(x, n, tol)
             stds = [float(np.std(x[end - n:end])) for end in range(n, len(x) + 1)]
             assert all(may_pass for std, may_pass in zip(stds, verdicts) if std < tol)
+
+    @pytest.mark.parametrize("mean, std, n, pad", [
+        (0.3, 1e-5, 100, 0),
+        (-2.0, 3e-7, 100, 0),
+        (1e3, 2e-9, 100, 0),
+        (-3e5, 1e-6, 100, 0),
+        (0.3, 1e-5, 40, 15),
+        (7.0, 2e-9, 40, 15),
+    ])
+    def test_bound_holds_near_the_tolerance(self, mean, std, n, pad):
+        # Windows whose exact n*Var sits within 1e-12 to 1e-2, relative, and
+        # within 6 ulps of tol, of n*tol**2; some about a mean 10**11 times
+        # their std, where the suffix's computed mean is off by a share of
+        # the spread that the 1e-9 room does not cover.  pad > 0 puts the
+        # n - pad spread samples between runs of their rounded mean, so that
+        # the suffix that rules windows out is shorter than n.
+        spread = (mean + std * np.random.default_rng(27).standard_normal(n - pad)).tolist()
+        x = [float(np.mean(spread))] * pad + spread + [float(np.mean(spread))] * pad
+        exact = _exact_spreads(x, n)
+        offsets = (-1e-2, -1e-4, -1e-6, -1e-8, -1e-10, -1e-12, 1e-12, 1e-10, 1e-8, 1e-6)
+        assert _bound_holds(x, n, exact, _tols_near(max(exact), n, offsets))
+
+    def test_bound_holds_within_ulps_of_the_tolerance(self):
+        # Short windows at tolerances 6 ulps either side of their exact
+        # spread: some dozen of them land between the exact n*Var and the
+        # bound computed without its 8*eps shrink.
+        rng = np.random.default_rng(27)
+        for _ in range(1000):
+            n = int(rng.integers(2, 30))
+            x = (0.3 + 1e-5 * rng.standard_normal(n)).tolist()
+            exact = _exact_spreads(x, n)
+            _bound_holds(x, n, exact, _tols_near(exact[0], n, ()))
+
+    def test_window_may_pass_just_above_its_own_std(self):
+        # At the next float above its np.std a window passes, so the screen
+        # must say it may.  About a mean of 1e3 the L*delta**2 term is what
+        # keeps such windows; elsewhere either of the 8*eps shrink and the
+        # 1e-9 room does, and without both about one window in 100 is ruled
+        # out.
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            n = int(rng.integers(2, 101))
+            mean = float(rng.choice([0.0, 0.3, -2.0, 1e3]))
+            x = (mean + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(n)).tolist()
+            assert _verdicts(x, n, math.nextafter(float(np.std(x)), math.inf))[0] == [True]
 
 
 class TestEventWindows:
