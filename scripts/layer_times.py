@@ -1,18 +1,21 @@
 """Per-layer wall time of one benchmark workload's query passes.
 
-Wraps five msflab functions, the LAYERS, with perf_counter spans:
+Wraps seven msflab functions, the LAYERS, with perf_counter spans:
 settle_transient (the transient from rest), compute_tle (named march: the
-exponent march, the event record's build excepted), detect_next_impact
-(named _next_impact: the long scan to the next impact, which the event
-record's builder makes), msf._estimate (the event-window Jacobian with its
-free flight to the window start) and run_probe (the coupled probe).  Each is
-replaced in every msflab module that binds it, so calls msflab makes
-internally are timed too.  Builds the workload's set-up once, untimed,
+exponent march, the event record's build excepted but for its free
+flights), detect_next_impact (named _next_impact: the long scan to the
+next impact, which the event record's builder makes), window_central_run
+(named central: each event window's central run, in the record's walk),
+window_batch (named batch: the perturbed runs of the walked windows, at
+once), msf._estimate (each window's Jacobian from the batch's estimate,
+else event_window_jacobian's, and its logarithm) and run_probe (the
+coupled probe).  Each is replaced in every msflab module that binds it, so
+calls msflab makes internally are timed too.  Builds the workload's set-up once, untimed,
 then runs its query set --passes times and prints per pass, per layer,
 the self time (minus the time of enclosed spans) and the call count, plus
 the remainder of the pass outside every span.
 
-Four layers are split further by spans on the msflab functions of PARTS.
+Five layers are split further by spans on the msflab functions of PARTS.
 A LAYERS or PARTS name the timed checkout lacks is an error, so a rename
 cannot silently empty a span; time an older checkout with that checkout's
 copy of this script.  A part's span counts only inside its own layer, so
@@ -22,10 +25,13 @@ runs) is timed as part of the layer's own part there:
     and np.std being the rest;
   - _next_impact: the scan (scalar points, table chunks and their
     recomputation) and the bisection;
-  - _estimate: the window's three runs, the window body (the rest of
+  - batch: the lanes (one_impact_runs, the numpy runs), the per-window
+    difference quotients and estimates being the rest;
+  - _estimate: the three runs of the windows the batch leaves to
+    event_window_jacobian, the window body (the rest of
     event_window_jacobian: the difference quotient, the checks and the
-    result) and the logarithm, the free flight to the window start and
-    the reading of phi's entries being the rest;
+    result) and the logarithm, the reading of phi's entries and the
+    warnings being the rest;
   - run_probe: the table scan, the crossing refinement, the closed-form
     recomputation and the sync bookkeeping.
 A line per pass and split layer prints each part, then the layer's own
@@ -61,6 +67,8 @@ LAYERS = {
     "settle_transient": "msf.settle_transient",
     "march": "msf.compute_tle",
     "_next_impact": "msf.detect_next_impact",
+    "central": "jacobian.window_central_run",
+    "batch": "jacobian.window_batch",
     "_estimate": "msf._estimate",
     "run_probe": "network.run_probe",
 }
@@ -75,6 +83,9 @@ PARTS = {
     "_next_impact": {
         "scan": ("oscillator._crossing_offset",),
         "bisection": ("oscillator.bisect_crossing",),
+    },
+    "batch": {
+        "lanes": ("jacobian.one_impact_runs",),
     },
     "_estimate": {
         "runs": ("jacobian._runner()",),

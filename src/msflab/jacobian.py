@@ -11,6 +11,13 @@ as the central one inside the window.  The event counts of all runs are
 recorded so callers can see when that assumption broke.
 estimate_jacobian is the generic estimator, for any flow map and dtype;
 event_window_jacobian takes its quotient in place, bit for bit.
+
+The event record estimates many windows at once: window_central_run makes
+each window's central run as the record walks, and window_batch the two
+perturbed runs of all of them as numpy lanes (oscillator.one_impact_runs),
+each estimate equal to event_window_jacobian's where the lanes equal the
+scalar runs.  A window the batch cannot vouch for is left to
+event_window_jacobian, so every failure and warning has one implementation.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .oscillator import (
     OscState,
     _impact_record,
     _runner,
+    one_impact_runs,
     segment_states,
     simulate,
 )
@@ -186,10 +194,9 @@ def event_window_jacobian(
     if window <= 0.0:
         raise InvalidWindowError(f"window must be positive, got {window!r}")
     _check_delta(delta)
-    # The window spans at most a couple of scan steps; a finer internal
-    # scan keeps sub-window impact ordering exact.  The three runs share one _runner.
-    run = _runner(p, s_pre.tau, window, window / 16.0)
-    x, v, tau, impacts = run(s_pre.x, s_pre.v)
+    run = _window_runner(p, s_pre, window)
+    central = run(s_pre.x, s_pre.v)
+    x, v, _, impacts = central
     if len(impacts) != 1:
         raise InvalidWindowError(
             f"window starting at tau={s_pre.tau:.6f} (width {window:.3g}) contains "
@@ -198,10 +205,9 @@ def event_window_jacobian(
     if not (math.isfinite(x) and math.isfinite(v)):
         raise PropagationError("flow returned a non-finite central state")
     x0, v0 = float(s_pre.x), float(s_pre.v)
-    counts, columns = [1], []
+    counts, finals = [1], []
     for i, start in enumerate(((x0 + delta, v0), (x0, v0 + delta))):
-        realized = start[i] - (x0, v0)[i]
-        if realized == 0.0:
+        if start[i] - (x0, v0)[i] == 0.0:
             raise InvalidWindowError(
                 f"perturbation delta={delta!r} in direction {i} vanishes against the "
                 f"window start state at tau={s_pre.tau:.6f}: (x0 + delta) - x0 is 0"
@@ -209,13 +215,11 @@ def event_window_jacobian(
         xi, vi, _, hits = run(*start)
         if not (math.isfinite(xi) and math.isfinite(vi)):
             raise PropagationError(f"flow returned a non-finite state for direction {i}")
-        columns.append(((xi - x) / realized, (vi - v) / realized))
+        finals.append((xi, vi))
         counts.append(len(hits))
-    (a, c), (b, d) = columns
+    a, b, c, d = _quotient(x0, v0, delta, x, v, finals)
     phi = np.array([[a, b], [c, d]])
-    # sv_min/sv_max = |det|/sv_max**2 >= |det|/|phi|_F**2, so a determinant
-    # clear of that bound, rounding included, needs no decomposition.
-    if not abs(a * d - b * c) > 2e-12 * (a * a + b * b + c * c + d * d):
+    if not _clear_of_singular(a, b, c, d):
         sv = np.linalg.svd(phi, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
             raise GrazingSingularityError(
@@ -223,6 +227,82 @@ def event_window_jacobian(
                 f"(singular values {sv[-1]:.3e}/{sv[0]:.3e}); the impact is too close "
                 f"to grazing for a logarithm to exist"
             )
+    return _along(p, phi, delta, counts, central)
+
+
+def window_central_run(p: ImpactOscillatorParams, s_pre: OscState, window: float, delta: float):
+    """event_window_jacobian's central run, (x, v, tau, impacts) as _runner returns
+    it, where window_batch can take the window; else None.
+
+    None where the window is not positive, the start perturbed in x lies beyond
+    the wall (the impact is near grazing), or the run meets the wall other than
+    once or ends in a state that is not finite: there event_window_jacobian
+    must estimate the window, raising what it raises.  A run that raises
+    raises here what it raises there.
+    """
+    if not (window > 0.0 and (s_pre.x + delta) - p.x_w <= 0.0):
+        return None
+    central = _window_runner(p, s_pre, window)(s_pre.x, s_pre.v)
+    x, v, _, impacts = central
+    return central if len(impacts) == 1 and math.isfinite(x) and math.isfinite(v) else None
+
+
+def window_batch(p: ImpactOscillatorParams, windows, delta: float) -> list:
+    """event_window_jacobian(p, s_pre, window, delta) for each (s_pre, window, central)
+    of windows, central being window_central_run's, or None.
+
+    The two perturbed runs of every window are made at once, as lanes of
+    one_impact_runs.  A window's estimate is None where a lane is not one
+    such run, a perturbation vanishes or the singular-value test would be
+    needed: event_window_jacobian then makes every failure and warning of
+    the window.  Each estimate is event_window_jacobian's bit for bit
+    wherever the lanes equal _runner's runs (see one_impact_runs).
+    """
+    if not windows:
+        return []
+    lanes = []
+    for s_pre, window, _ in windows:
+        x0, v0 = float(s_pre.x), float(s_pre.v)
+        lanes += [(s_pre.tau, window, window / 16.0, x0 + delta, v0),
+                  (s_pre.tau, window, window / 16.0, x0, v0 + delta)]
+    xs, vs, ok = (a.tolist() for a in one_impact_runs(p, *map(np.array, zip(*lanes))))
+    out = []
+    for i, (s_pre, _, central) in enumerate(windows):
+        x0, v0, est = float(s_pre.x), float(s_pre.v), None
+        if ok[2 * i] and ok[2 * i + 1] and (x0 + delta) - x0 != 0.0 and (v0 + delta) - v0 != 0.0:
+            finals = (xs[2 * i], vs[2 * i]), (xs[2 * i + 1], vs[2 * i + 1])
+            a, b, c, d = _quotient(x0, v0, delta, central[0], central[1], finals)
+            if _clear_of_singular(a, b, c, d):
+                est = _along(p, np.array([[a, b], [c, d]]), delta, (1, 1, 1), central)
+        out.append(est)
+    return out
+
+
+def _window_runner(p: ImpactOscillatorParams, s_pre: OscState, window: float):
+    """The _runner of a window's three runs.  The window spans at most a couple of
+    scan steps; a finer internal scan keeps sub-window impact ordering exact."""
+    return _runner(p, s_pre.tau, window, window / 16.0)
+
+
+def _quotient(x0: float, v0: float, delta: float, x: float, v: float, finals) -> tuple:
+    """phi's row-major entries: the final (x, v) of the runs from (x0 + delta, v0)
+    and (x0, v0 + delta), in finals, less the central run's (x, v), each over its
+    realized perturbation (x0 + delta) - x0 or (v0 + delta) - v0."""
+    (xa, va), (xb, vb) = finals
+    rx, rv = (x0 + delta) - x0, (v0 + delta) - v0
+    return (xa - x) / rx, (xb - x) / rv, (va - v) / rx, (vb - v) / rv
+
+
+def _clear_of_singular(a: float, b: float, c: float, d: float) -> bool:
+    """Whether [[a, b], [c, d]] passes event_window_jacobian's singular-value test
+    without a decomposition: sv_min/sv_max = |det|/sv_max**2 >= |det|/|phi|_F**2,
+    so a determinant clear of that bound, rounding included, passes it."""
+    return abs(a * d - b * c) > 2e-12 * (a * a + b * b + c * c + d * d)
+
+
+def _along(p: ImpactOscillatorParams, phi: np.ndarray, delta: float, counts, central) -> WindowEstimate:
+    """The WindowEstimate of phi along the central run (x, v, tau, impacts)."""
+    x, v, tau, impacts = central
     return WindowEstimate(
         phi, float(delta), tuple(counts), counts.count(1) == 3, OscState(x, v, tau),
         (_impact_record(p, *impacts[0]),),

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import PropagationError, event_window_jacobian
+from .jacobian import PropagationError, event_window_jacobian, window_batch, window_central_run
 from .matfuncs import _entries, mat_log, scalar_exp_flow, scalar_log
 from .oscillator import (
     _EPS,
@@ -194,17 +194,22 @@ def settle_transient(p: ImpactOscillatorParams, settings: TLESettings) -> OscSta
     return state
 
 
-def _estimate(p, settings: TLESettings, base_state: OscState, state: OscState,
-              tau_c: float, w_start: int, w_end: int):
-    """The window of the impact at tau_c, from the central run's state where its
-    scan started: ((log Phi, warnings), the central run's state at w_end)."""
-    h, delta = settings.scan_step, settings.jacobi_delta
-    state = propagate_free(p, state, (base_state.tau + w_start * h) - state.tau)
-    window = (w_end - w_start) * h
+def _window(p, s_pre: OscState, window: float, delta: float, est=None):
+    """The record's one window seam: est, window_batch's estimate of the window at
+    delta, or event_window_jacobian's where the batch made none.  Every estimate
+    the record takes, retries included, passes here."""
+    return est if est is not None else event_window_jacobian(p, s_pre, window, delta)
+
+
+def _estimate(p, settings: TLESettings, start: OscState, tau_c: float, window: float, est=None):
+    """The window of the impact at tau_c from the central run's state at its start:
+    ((log Phi, warnings), the central run's state at its end).  est is
+    window_batch's estimate at jacobi_delta, where it made one."""
+    delta = settings.jacobi_delta
     warnings = []
-    est = event_window_jacobian(p, state, window, delta)
+    est = _window(p, start, window, delta, est)
     if not est.consistent:
-        est = event_window_jacobian(p, state, window, delta / 10.0)
+        est = _window(p, start, window, delta / 10.0)
         if est.consistent:
             warnings.append(
                 f"event counts disagreed at tau_c={tau_c:.6f}; "
@@ -247,29 +252,77 @@ def _event_record(p, base_state: OscState, settings: TLESettings) -> tuple:
     query that gets there raises a fresh copy.  The process keeps the
     record of the base state it last ran on; code that patches a kernel
     clears it with _event_record.cache_clear().
+
+    The build walks, then batches (see _walk): the walk finds each impact
+    and runs its window's central run, and window_batch makes the perturbed
+    runs of all walked windows at once.
     """
     h = settings.scan_step
     log_free = mat_log(segment_propagator(p, h))
     log_free.flags.writeable = False  # every query of the base state shares it
     final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
-    state, j, entries = base_state, 0, []  # the central run at grid index j
+    entries = []
+    for entry in _walk(p, base_state, settings, final_j):
+        entries.append(entry)
+        if isinstance(entry[3], Exception):
+            break
+    return log_free, final_j, tuple(entries)
+
+
+def _walk(p, base_state: OscState, settings: TLESettings, final_j: int):
+    """_event_record's entries in march order; the caller stops at the first failure.
+
+    The walk is sequential: for each impact the long scan
+    (detect_next_impact), the free flight to the window start and the
+    window's central run (window_central_run), along which it goes on.  The
+    windows it walks wait; window_batch makes their perturbed runs at once,
+    and each is then estimated in march order (_estimated).  A window the
+    batch cannot take, near grazing for one, is estimated by
+    event_window_jacobian in the walk, after the windows walked before it,
+    so a failure there ends the walk at once.
+    """
+    h, delta = settings.scan_step, settings.jacobi_delta
+    state, j, walked = base_state, 0, []  # the central run at grid index j; windows waiting
     while True:
-        tau_c, w_start, w_end = None, j, j  # where a failed impact search stops the march
+        tau_c, w_start, w_end, failure = None, j, j, None  # where a failed impact search stops
         try:
             tau_c = detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
-            if tau_c is None:
-                break
-            rel, eps = tau_c - base_state.tau, 1e-9 * h
-            cell = int(math.floor((rel + eps) / h))
-            on_grid = abs(rel - cell * h) <= eps  # then the window spans both cells around tau_c
-            w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
-            window, state = _estimate(p, settings, base_state, state, tau_c, w_start, w_end)
+            if tau_c is not None:
+                rel, eps = tau_c - base_state.tau, 1e-9 * h
+                cell = int(math.floor((rel + eps) / h))
+                on_grid = abs(rel - cell * h) <= eps  # then the window spans both cells around tau_c
+                w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
+                start = propagate_free(p, state, (base_state.tau + w_start * h) - state.tau)
+                window = (w_end - w_start) * h
+                central = window_central_run(p, start, window, delta)
         except Exception as exc:
-            entries.append((tau_c, w_start, w_end, copy.copy(exc)))  # no traceback or cause
-            break
-        entries.append((tau_c, w_start, w_end, window))
-        j = w_end
-    return log_free, final_j, tuple(entries)
+            failure = copy.copy(exc)  # no traceback or cause
+        if failure is None and tau_c is not None and central is not None:
+            walked.append((tau_c, w_start, w_end, start, window, central))
+            state, j = OscState(*central[:3]), w_end
+            continue
+        yield from _estimated(p, settings, walked)
+        if failure is None and tau_c is None:
+            return
+        if failure is None:
+            try:
+                result, state = _estimate(p, settings, start, tau_c, window)
+            except Exception as exc:
+                failure = copy.copy(exc)
+        yield tau_c, w_start, w_end, result if failure is None else failure
+        walked, j = [], w_end
+
+
+def _estimated(p, settings: TLESettings, walked: list):
+    """The entries of walked windows in march order, each estimated from
+    window_batch's estimate; a failure is copied as _walk copies it."""
+    batch = window_batch(p, [w[3:] for w in walked], settings.jacobi_delta)
+    for (tau_c, w_start, w_end, start, window, _), est in zip(walked, batch):
+        try:
+            result = _estimate(p, settings, start, tau_c, window, est)[0]
+        except Exception as exc:
+            result = copy.copy(exc)
+        yield tau_c, w_start, w_end, result
 
 
 def _norm(x0, x1) -> float:

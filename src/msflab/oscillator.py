@@ -26,7 +26,10 @@ The impact times are segment_states' on the grid and at each midpoint, bit
 for bit, wherever math.cos and math.sin round as numpy's cos and sin do and
 numpy's exp rounds a float as an array element.  They did on every argument
 checked on x86-64 with numpy 2.4; a numpy build with its own float64 cos or
-sin may move impact times in the last bit.
+sin may move impact times in the last bit.  The same condition makes
+one_impact_runs, which runs many short one-impact runs at once as numpy
+lanes in segment_states' expression, equal to _runner's runs; on x86-64
+with numpy 2.4 it held with numpy's AVX-512 kernels and with its AVX2 ones.
 
 All closed-form evaluation helpers preserve the floating dtype of their
 inputs, so callers that need extended precision can pass np.longdouble
@@ -227,29 +230,35 @@ def segment_states(p, x0, v0, tau0, dts):
     scalar dts).  Valid only while no wall crossing occurs; callers are
     responsible for event handling.
     """
-    a_p, b_p = steady_state_coefficients(p)
-    zeta = p.zeta
-    wd = p.omega_d
-    eta = p.eta
-    cos, sin = np.cos, np.sin
+    c = _constants(p)
+    return _segment_at(c, tau0, *_segment_start(c, x0, v0, tau0), dts)
 
+
+def _segment_start(c, x0, v0, tau0):
+    """segment_states' per-start coefficients: (y0, w0, k0), the homogeneous part
+    of (x0, v0) at tau0 and k0 = (w0 + zeta*y0)/wd, in numpy's cos and sin;
+    elementwise over arrays of starts.  c is _constants(p)."""
+    zeta, wd, eta, _, a_p, b_p = c
     ph0 = eta * tau0
-    xp0 = a_p * cos(ph0) + b_p * sin(ph0)
-    vp0 = eta * (b_p * cos(ph0) - a_p * sin(ph0))
+    cp, sp = np.cos(ph0), np.sin(ph0)
+    y0 = x0 - (a_p * cp + b_p * sp)
+    w0 = v0 - eta * (b_p * cp - a_p * sp)
+    return y0, w0, (w0 + zeta * y0) / wd
 
-    y0 = x0 - xp0
-    w0 = v0 - vp0
 
+def _segment_at(c, tau0, y0, w0, k0, dts):
+    """segment_states' evaluation: (x, v) at offsets dts from tau0, from the
+    start's _segment_start coefficients, broadcast over starts and offsets;
+    x alone where w0 is None."""
+    zeta, wd, eta, _, a_p, b_p = c
     decay = np.exp(-zeta * dts)
-    c = cos(wd * dts)
-    s = sin(wd * dts)
-    xh = decay * (y0 * c + ((w0 + zeta * y0) / wd) * s)
-    vh = decay * (w0 * c - ((y0 + zeta * w0) / wd) * s)
-
+    cs, sn = np.cos(wd * dts), np.sin(wd * dts)
     ph = eta * (tau0 + dts)
-    xp = a_p * cos(ph) + b_p * sin(ph)
-    vp = eta * (b_p * cos(ph) - a_p * sin(ph))
-    return xh + xp, vh + vp
+    cp, sp = np.cos(ph), np.sin(ph)
+    x = decay * (y0 * cs + k0 * sn) + (a_p * cp + b_p * sp)
+    if w0 is None:
+        return x
+    return x, decay * (w0 * cs - ((y0 + zeta * w0) / wd) * sn) + eta * (b_p * cp - a_p * sp)
 
 
 def segment_propagator(p: ImpactOscillatorParams, dt: float) -> np.ndarray:
@@ -708,6 +717,72 @@ def _runner(p, tau0: float, duration: float, scan_step: float):
         return x, v, tau, impacts
 
     return run
+
+
+def one_impact_runs(p, tau0, duration, scan_step, x0, v0):
+    """_runner's runs that meet the wall once, in numpy arrays over lanes.
+
+    Lane i runs from (x0[i], v0[i]) at tau0[i] over duration[i], scanned at
+    scan_step[i], as _runner(p, tau0[i], duration[i], scan_step[i]) runs it,
+    in its plain form: the first segment's grid points (_runner's scalar
+    scan, skipped points evaluated) to the first one beyond the wall, plain
+    bisection of that cell to BISECTION_TOL (bisect_crossing's midpoints
+    and result), the velocity at the crossing, the reset, and the second
+    segment to the run's end, its grid points evaluated too.  Every value is
+    segment_states' expression (_segment_start and _segment_at), so a lane
+    equals the scalar run bit for bit under the module docstring's
+    condition on cos, sin and exp.
+
+    Returns (x, v, ok): the final states and where the lane is such a run.
+    A lane that has no positive duration, starts beyond the wall, finds no
+    crossing in its first segment, meets the wall at its end, has a grid
+    point beyond the wall in its second segment or a value that is not
+    finite is not ok, and its x and v mean nothing: its run needs _runner.
+    Lanes are finite, at least one, and a few scan steps long, as an event
+    window's runs (every grid point is evaluated).
+    """
+    c = _constants(p)
+    x_w = c[3]
+    tau0, duration, scan_step, x0, v0 = map(np.asarray, (tau0, duration, scan_step, x0, v0))
+    with np.errstate(all="ignore"):  # lanes that overflow or turn NaN are not ok
+        t_end = tau0 + duration
+        ts = _scan_points(t_end - tau0, scan_step)
+        y, w, k = _segment_start(c, x0, v0, tau0)
+        beyond = _segment_at(c, tau0[:, None], y[:, None], None, k[:, None], ts) - x_w > 0.0
+        first = beyond.argmax(axis=1)
+        ok = (t_end - tau0 > 0.0) & (x0 - x_w <= 0.0) & beyond[np.arange(first.size), first]
+        lo, hi = first * scan_step, ts[np.arange(first.size), first]
+        for _ in range(200):
+            live = ok & (hi - lo >= BISECTION_TOL)
+            if not live.any():
+                break
+            mid = 0.5 * (lo + hi)
+            rise = _segment_at(c, tau0, y, None, k, mid) - x_w > 0.0
+            hi, lo = np.where(live & rise, mid, hi), np.where(live & ~rise, mid, lo)
+        tau_c = tau0 + 0.5 * (lo + hi)
+        # As _runner: the state at tau_c == tau0 is the start's.
+        v_pre = np.where(tau_c != tau0, _segment_at(c, tau0, y, w, k, tau_c - tau0)[1], v0)
+        v1 = -p.R * v_pre
+        remaining = t_end - tau_c
+        ok &= remaining > 0.0
+        remaining = np.where(ok, remaining, scan_step)
+        y, w, k = _segment_start(c, x_w, v1, tau_c)
+        ts = _scan_points(remaining, scan_step)
+        g = _segment_at(c, tau_c[:, None], y[:, None], None, k[:, None], ts) - x_w
+        ok &= ~(g > 0.0).any(axis=1)
+        x, v = _segment_at(c, tau_c, y, w, k, remaining)
+        ok &= np.isfinite(x) & np.isfinite(v)
+    return x, v, ok
+
+
+def _scan_points(horizon, scan_step):
+    """_crossing_offset's grid offsets for each lane's horizon > 0, one lane a row:
+    k*scan_step for k < n = ceil(horizon/scan_step), then the last, min(n*scan_step,
+    horizon), which also pads the row to the longest lane's n."""
+    n = np.ceil(horizon / scan_step)
+    last = np.minimum(n * scan_step, horizon)
+    k = np.arange(1, int(n.max()) + 1)
+    return np.where(k < n[:, None], k * scan_step[:, None], last[:, None])
 
 
 def sample_trajectory(

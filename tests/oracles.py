@@ -568,6 +568,39 @@ def _record_steps(p: ImpactOscillatorParams, settings, base_state: OscState, win
         state, j = est.final, w_end
 
 
+def scalar_event_record(p: ImpactOscillatorParams, base_state: OscState, settings):
+    """msf._event_record built one window at a time: the reference for its batch.
+
+    The record's loop before window_batch: detect_next_impact, the window's
+    placement and free flight, then msf._estimate with no batch estimate,
+    which runs event_window_jacobian's three runs in scalars, window after
+    window; a failure, kept as raised, ends it.
+    """
+    from msflab import msf
+
+    h = settings.scan_step
+    log_free = msf.mat_log(msf.segment_propagator(p, h))
+    final_j = int(math.ceil(settings.max_periods * p.forcing_period / h))
+    state, j, entries = base_state, 0, []
+    while True:
+        tau_c, w_start, w_end = None, j, j
+        try:
+            tau_c = msf.detect_next_impact(p, state, (final_j - j) * h, scan_step=h)
+            if tau_c is None:
+                break
+            cell = int(math.floor((tau_c - base_state.tau + 1e-9 * h) / h))
+            on_grid = abs(tau_c - base_state.tau - cell * h) <= 1e-9 * h
+            w_start, w_end = max(cell - 1 if on_grid else cell, j), cell + 1
+            start = msf.propagate_free(p, state, (base_state.tau + w_start * h) - state.tau)
+            window, state = msf._estimate(p, settings, start, tau_c, (w_end - w_start) * h)
+        except Exception as exc:
+            entries.append((tau_c, w_start, w_end, exc))
+            break
+        entries.append((tau_c, w_start, w_end, window))
+        j = w_end
+    return log_free, final_j, tuple(entries)
+
+
 def _march_samples(steps, settings, period: float, to_step):
     """The running-average samples of compute_tle's march over steps.
 
@@ -606,7 +639,9 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     mat_exp with np.real and the Frobenius norm of np.imag (summed in
     row-major order), where compute_tle works in scalars.  Returns the
     TLEResult or raises what the kernels raise at the point the march
-    reaches them.  Like compute_tle it splits each free stretch into powers
+    reaches them.  Each window is estimated by event_window_jacobian through
+    the record's seam msf._window, with no batch estimate, so a test that
+    patches the seam reaches both.  Like compute_tle it splits each free stretch into powers
     of at most msf._FREE_GROWTH / rate cells, rate the largest |Re| of the
     free step's coupled generator's eigenvalues (here from numpy).
     """
@@ -635,9 +670,9 @@ def direct_tle(p: ImpactOscillatorParams, coupling, query, settings, base_state:
     warnings, imag_events = [], []
 
     def window(state, tau_c, width):
-        est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta)
+        est = msf._window(p, state, width, settings.jacobi_delta)
         if not est.consistent:
-            est = msf.event_window_jacobian(p, state, width, settings.jacobi_delta / 10.0)
+            est = msf._window(p, state, width, settings.jacobi_delta / 10.0)
             warnings.append(
                 f"event counts disagreed at tau_c={tau_c:.6f}; retry with delta/10 succeeded"
                 if est.consistent else

@@ -1,14 +1,17 @@
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from oracles import loop_event_window, saltation_matrix
+from oracles import loop_event_window, saltation_matrix, scalar_event_record
 from msflab import msf
 from msflab.config import load_preset
+from msflab.oscillator import ChatterError
 from msflab.jacobian import (
     DEFAULT_DELTA,
     GrazingSingularityError,
@@ -23,7 +26,9 @@ from msflab.msf import TLESettings, settle_transient
 from msflab.oscillator import (
     ImpactOscillatorParams,
     OscState,
+    _runner,
     detect_next_impact,
+    one_impact_runs,
     propagate_free,
     simulate,
 )
@@ -318,13 +323,13 @@ class TestWindowEqualsLoop:
         )
         settings_ = TLESettings(transient_periods=100, max_periods=150)
         starts = []
-        real = msf.event_window_jacobian
+        real = msf._window
 
         def recording(p_, s_pre, window, *args):
             starts.append((s_pre, window))
             return real(p_, s_pre, window, *args)
 
-        monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        monkeypatch.setattr(msf, "_window", recording)
         _, _, entries = msf._event_record(p, settle_transient(p, settings_), settings_)
         assert type(entries[-1][3]) is GrazingSingularityError
         assert len(starts) == len(entries)
@@ -335,3 +340,135 @@ class TestWindowEqualsLoop:
         for s_pre, window in starts[-4:-1]:
             lean, loop = self._both(p, s_pre, window)
             assert lean == loop
+
+
+# The random_impacting protocol (perfbench/workloads.py) and points of
+# scripts/domain_census.py's draws (seed 2026) whose records end in each
+# way: points 0, 59, 130 and 211.
+_IMPACTING = TLESettings(transient_periods=100, max_periods=150, sample_window=50)
+_CENSUS_POINTS = {
+    "value": ImpactOscillatorParams(
+        zeta=0.043997614598332874, eta=2.0277655474309175, x_w=0.15331532950824042,
+        R=0.7336342005717426,
+    ),
+    "grazing": ImpactOscillatorParams(
+        zeta=0.06610048544900513, eta=2.1328404506945837, x_w=0.14786452373419898,
+        R=0.6828675277900002,
+    ),
+    "chatter": ImpactOscillatorParams(
+        zeta=0.14606574961995963, eta=2.762598814470055, x_w=0.09579605151396392,
+        R=0.9632881914323254,
+    ),
+    "invalid": ImpactOscillatorParams(
+        zeta=0.1419703661858342, eta=2.7056682462642327, x_w=0.07739851453188352,
+        R=0.7411004308741422,
+    ),
+}
+_CENSUS_ENDS = {
+    "value": None, "grazing": GrazingSingularityError, "chatter": ChatterError,
+    "invalid": InvalidWindowError,
+}
+# Catalogue points of tests/catalogue_points.json: two with a value and
+# point 48, whose window at tau = 630.488 is too close to grazing.
+_CATALOGUE = json.loads((Path(__file__).parent / "catalogue_points.json").read_text())
+_CATALOGUE_ENDS = {0: None, 1: None, 48: GrazingSingularityError}
+
+
+def _record_outcome(record):
+    """A record with its failure, if any, as (type, message)."""
+    log_free, final_j, entries = record
+    return log_free.tobytes(), final_j, [
+        (*entry[:3], (type(entry[3]), str(entry[3])) if isinstance(entry[3], Exception) else entry[3])
+        for entry in entries
+    ]
+
+
+def _assert_record_equals_scalar(p, base, settings_, end):
+    """The event record equals scalar_event_record's, entry for entry, and ends
+    in a failure of type end (None: it reaches the horizon)."""
+    built = _record_outcome(msf._event_record.__wrapped__(p, base, settings_))
+    assert built == _record_outcome(scalar_event_record(p, base, settings_))
+    last = built[2][-1][3]
+    assert (last[0] if isinstance(last[0], type) else None) is end
+
+
+@st.composite
+def _lanes(draw):
+    """(p, lanes): runs of one_impact_runs, each (tau0, duration, scan_step, x0, v0).
+
+    Each lane runs over one or two cells, scanned at a sixteenth of the
+    window as an event window is, from a state of a preset's trajectory
+    moved by up to 1e-6 in x and in v.  It starts near an impact: up to a
+    quarter of the window after it or a quarter past the window before it,
+    or at the impact or a nanosecond before, so that some starts lie beyond
+    the wall.
+    """
+    p, base, starts, impacts = _trajectory(draw(st.sampled_from(["elastic", "inelastic"])))
+    h = TLESettings().scan_step
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        window = draw(st.integers(1, 2)) * h
+        ahead = draw(st.sampled_from([0.0, 1e-9]) | st.floats(-0.25, 1.25).map(lambda u: u * window))
+        tau0 = impacts[draw(st.integers(0, len(impacts) - 1))] - ahead
+        j = max(k for k in range(len(starts)) if starts[k].tau <= tau0)
+        s = propagate_free(p, starts[j], tau0 - starts[j].tau)
+        dx, dv = (draw(st.sampled_from([0.0, 1e-7, -1e-7]) | st.floats(-1e-6, 1e-6)) for _ in "xv")
+        lanes.append((s.tau, window, window / 16.0, s.x + dx, s.v + dv))
+    return p, lanes
+
+
+@pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
+class TestWindowBatch:
+    """The batch of perturbed runs against the scalar runs and record it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_lanes())
+    def test_lanes_equal_runner(self, case):
+        # A lane is ok exactly where its scalar run starts inside the wall
+        # and meets it once before its end, and then ends where the run does.
+        p, lanes = case
+        xs, vs, ok = one_impact_runs(p, *map(np.array, zip(*lanes)))
+        for (tau0, duration, scan_step, x0, v0), x, v, good in zip(lanes, xs.tolist(), vs.tolist(), ok):
+            fx, fv, _, impacts = _runner(p, tau0, duration, scan_step)(x0, v0)
+            single = (len(impacts) == 1 and x0 - p.x_w <= 0.0 and impacts[0][0] < tau0 + duration
+                      and math.isfinite(fx) and math.isfinite(fv))
+            assert good == single
+            if good:
+                assert (x, v) == (fx, fv)
+
+    def test_crossing_on_the_end_is_not_ok(self, elastic):
+        # A run whose crossing rounds onto its end time ends on the wall,
+        # with no second segment: the batch leaves it to _runner.
+        s = OscState(x=1.9997562346315854, v=0.34859884056446433, tau=4429.926064385024)
+        duration = 0.000699999999596912
+        x, _, tau, impacts = _runner(elastic, s.tau, duration, duration / 16.0)(s.x, s.v)
+        assert len(impacts) == 1 and impacts[0][0] == tau == s.tau + duration and x == elastic.x_w
+        lane = ([value] for value in (s.tau, duration, duration / 16.0, s.x, s.v))
+        assert one_impact_runs(elastic, *lane)[2].tolist() == [False]
+
+    @pytest.mark.parametrize("preset", ["elastic", "inelastic"])
+    def test_preset_records(self, preset, request):
+        p = load_preset(preset).oscillator
+        _assert_record_equals_scalar(p, request.getfixturevalue(f"{preset}_base"), TLESettings(), None)
+
+    @pytest.mark.parametrize("end", list(_CENSUS_POINTS))
+    def test_census_records(self, end):
+        p = _CENSUS_POINTS[end]
+        _assert_record_equals_scalar(p, settle_transient(p, _IMPACTING), _IMPACTING, _CENSUS_ENDS[end])
+
+    @pytest.mark.parametrize("index", list(_CATALOGUE_ENDS))
+    def test_catalogue_records(self, index):
+        p = ImpactOscillatorParams(**_CATALOGUE[index])
+        _assert_record_equals_scalar(p, settle_transient(p, _IMPACTING), _IMPACTING, _CATALOGUE_ENDS[index])
+
+    @pytest.mark.parametrize("case, end", zip(_DISAGREEING_WINDOWS, [None, ChatterError]))
+    def test_disagreeing_windows(self, case, end):
+        # From the window's start, the record's first window is the case's
+        # window, which the batch leaves to event_window_jacobian's retry;
+        # the second case's record ends in the census's chatter failure.
+        p, s_pre, window, _, _ = case
+        settings_ = TLESettings(max_periods=3, sample_window=1)
+        _assert_record_equals_scalar(p, s_pre, settings_, end)
+        tau_c, w_start, w_end, (_, warnings) = msf._event_record.__wrapped__(p, s_pre, settings_)[2][0]
+        assert (w_end - w_start) * settings_.scan_step == window
+        assert warnings == (f"event counts disagreed at tau_c={tau_c:.6f}; retry with delta/10 succeeded",)

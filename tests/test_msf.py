@@ -566,10 +566,14 @@ class TestEventWindows:
     def test_three_flow_runs_and_advance_along_central_run(
         self, elastic, elastic_base, monkeypatch
     ):
-        runs, windows, starts = [], [], []
+        # Each window makes one central run, in the walk, and two perturbed
+        # runs, as lanes of the batch, from its start; the march goes on
+        # along the central run.
+        runs, lanes, windows, starts = [], [], [], []
         real_simulate = jacobian.simulate
         real_runner = jacobian._runner
-        real_window = msf.event_window_jacobian
+        real_lanes = jacobian.one_impact_runs
+        real_window = msf._window
         real_detect = msf.detect_next_impact
 
         def counting_simulate(*args, **kwargs):
@@ -585,10 +589,13 @@ class TestEventWindows:
 
             return counted
 
+        def counting_lanes(p, tau0, duration, scan_step, x0, v0):
+            lanes.extend(zip(tau0.tolist(), x0.tolist(), v0.tolist()))
+            return real_lanes(p, tau0, duration, scan_step, x0, v0)
+
         def recording_window(p, s_pre, window, *args, **kwargs):
-            before = len(runs)
             est = real_window(p, s_pre, window, *args, **kwargs)
-            windows.append((s_pre, window, est, len(runs) - before))
+            windows.append((s_pre, window, est))
             return est
 
         def recording_detect(p, s, *args, **kwargs):
@@ -597,17 +604,22 @@ class TestEventWindows:
 
         monkeypatch.setattr(jacobian, "simulate", counting_simulate)
         monkeypatch.setattr(jacobian, "_runner", counting_runner)
+        monkeypatch.setattr(jacobian, "one_impact_runs", counting_lanes)
         monkeypatch.setattr(msf, "simulate", counting_simulate)
-        monkeypatch.setattr(msf, "event_window_jacobian", recording_window)
+        monkeypatch.setattr(msf, "_window", recording_window)
         monkeypatch.setattr(msf, "detect_next_impact", recording_detect)
         compute_tle(
             elastic, SPRING_COUPLING, MSFQuery(-0.5, 0.0),
             TLESettings(max_periods=4, sample_window=2), base_state=elastic_base,
         )
+        delta = TLESettings().jacobi_delta
         assert len(windows) >= 2
-        assert len(runs) == 3 * len(windows)
-        for i, (s_pre, window, est, n_runs) in enumerate(windows):
-            assert n_runs == 3
+        assert runs == [s_pre for s_pre, _, _ in windows]
+        assert lanes == [
+            lane for s_pre, _, _ in windows
+            for lane in ((s_pre.tau, s_pre.x + delta, s_pre.v), (s_pre.tau, s_pre.x, s_pre.v + delta))
+        ]
+        for i, (s_pre, window, est) in enumerate(windows):
             final, events = real_simulate(elastic, s_pre, window, scan_step=window / 16.0)
             assert est.final == final
             assert list(est.events) == events
@@ -687,7 +699,7 @@ def grazing_base():
 
 def _flag_windows(monkeypatch):
     """Make some event windows inconsistent and some grazing, so they warn."""
-    real = msf.event_window_jacobian
+    real = msf._window
 
     def flagged(p, s_pre, *args, **kwargs):
         est = real(p, s_pre, *args, **kwargs)
@@ -699,7 +711,7 @@ def _flag_windows(monkeypatch):
             est = dataclasses.replace(est, events=events)
         return est
 
-    monkeypatch.setattr(msf, "event_window_jacobian", flagged)
+    monkeypatch.setattr(msf, "_window", flagged)
 
 
 class TestEventRecord:
@@ -736,18 +748,18 @@ class TestEventRecord:
     def test_retry_at_reduced_delta(self, elastic, elastic_base, monkeypatch):
         # The first window's runs disagree on their event counts at delta and
         # agree at delta/10, whose estimate the march then takes.
-        real = msf.event_window_jacobian
+        real = msf._window
         first = []
 
-        def disagreeing_once(p, s_pre, window, delta):
-            est = real(p, s_pre, window, delta)
+        def disagreeing_once(p, s_pre, window, delta, *batch):
+            est = real(p, s_pre, window, delta, *batch)
             if not first:
                 first.append(s_pre.tau)
             if s_pre.tau == first[0] and delta == REPLAY_SETTINGS.jacobi_delta:
                 est = dataclasses.replace(est, consistent=False)
             return est
 
-        monkeypatch.setattr(msf, "event_window_jacobian", disagreeing_once)
+        monkeypatch.setattr(msf, "_window", disagreeing_once)
         query = MSFQuery(-0.5)
         r = compute_tle(elastic, SPRING_COUPLING, query, REPLAY_SETTINGS, base_state=elastic_base)
         tau_c = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)[2][0][0]
@@ -800,7 +812,7 @@ class TestEventRecord:
 
     def test_failure_replays_constructor_state(self, elastic, elastic_base, monkeypatch):
         # ChatterError's constructor takes (tau, count, period), not a message.
-        real = msf.event_window_jacobian
+        real = msf._window
         calls = []
 
         def chatter_on_third(p, s_pre, *args, **kwargs):
@@ -809,7 +821,7 @@ class TestEventRecord:
                 raise ChatterError(s_pre.tau, 10_001, p.forcing_period)
             return real(p, s_pre, *args, **kwargs)
 
-        monkeypatch.setattr(msf, "event_window_jacobian", chatter_on_third)
+        monkeypatch.setattr(msf, "_window", chatter_on_third)
         s = TLESettings(max_periods=30, sample_window=20)
         raised = []
         for _ in range(2):
@@ -827,13 +839,13 @@ class TestEventRecord:
         # the record estimates every window of the base state to the horizon,
         # each once.
         calls = []
-        real = msf.event_window_jacobian
+        real = msf._window
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(msf, "event_window_jacobian", counting)
+        monkeypatch.setattr(msf, "_window", counting)
         alphas = [-3.0, -0.5, -1.0]
         estimated, stops = [], []
         for alpha in alphas:
@@ -868,13 +880,13 @@ class TestEventRecord:
         s = TLESettings(max_periods=6, sample_window=2)
         first = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
         seen = []
-        real = msf.event_window_jacobian
+        real = msf._window
 
         def recording(p, s_pre, *args, **kwargs):
             seen.append(s_pre)
             return real(p, s_pre, *args, **kwargs)
 
-        monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        monkeypatch.setattr(msf, "_window", recording)
         kept = compute_tle(elastic, SPRING_COUPLING, MSFQuery(-0.5), s, base_state=elastic_base)
         assert seen == []
         msf._event_record.cache_clear()
@@ -889,7 +901,7 @@ class TestEventRecord:
         # window with the logarithm's message, naming the impact, and every
         # query that reaches the window raises it.
         s = TLESettings(max_periods=6, sample_window=2)
-        real = msf.event_window_jacobian
+        real = msf._window
         calls = []
 
         def corrupt_second(p, s_pre, *args, **kwargs):
@@ -901,7 +913,7 @@ class TestEventRecord:
                 est = dataclasses.replace(est, phi=phi)
             return est
 
-        monkeypatch.setattr(msf, "event_window_jacobian", corrupt_second)
+        monkeypatch.setattr(msf, "_window", corrupt_second)
         raised = []
         for _ in range(2):
             with pytest.raises(ValueError) as info:
@@ -935,7 +947,7 @@ class TestEventRecord:
         n = len(stop.imag_discard_events)
         _, _, entries = msf._event_record(elastic, elastic_base, REPLAY_SETTINGS)
         assert n == 46 and entries[n][1] >= _stop_index(stop, elastic, REPLAY_SETTINGS)
-        real = msf.event_window_jacobian
+        real = msf._window
         calls, raised = [], []
 
         def failing(p, s_pre, *args, **kwargs):
@@ -945,7 +957,7 @@ class TestEventRecord:
                 raise raised[0]
             return real(p, s_pre, *args, **kwargs)
 
-        monkeypatch.setattr(msf, "event_window_jacobian", failing)
+        monkeypatch.setattr(msf, "_window", failing)
         msf._event_record.cache_clear()
         assert _outcome(run(-3.0)) == _outcome(stop)
         assert len(calls) == n + 1 and len(raised) == 1
@@ -1028,7 +1040,7 @@ def _assert_stop_rule(r, settings):
 
 def _flag_every_event(monkeypatch):
     """Flag every impact of every window as grazing, so each window warns."""
-    real = msf.event_window_jacobian
+    real = msf._window
 
     def flagged(*args, **kwargs):
         est = real(*args, **kwargs)
@@ -1036,7 +1048,7 @@ def _flag_every_event(monkeypatch):
             est, events=tuple(dataclasses.replace(e, grazing=True) for e in est.events)
         )
 
-    monkeypatch.setattr(msf, "event_window_jacobian", flagged)
+    monkeypatch.setattr(msf, "_window", flagged)
 
 
 STOP_RULE_CASES = [
