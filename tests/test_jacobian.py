@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from oracles import loop_event_window, saltation_matrix, scalar_event_record
-from msflab import msf
+from msflab import jacobian, msf
 from msflab.config import load_preset
-from msflab.oscillator import ChatterError
 from msflab.jacobian import (
     DEFAULT_DELTA,
     GrazingSingularityError,
@@ -24,6 +23,7 @@ from msflab.jacobian import (
 )
 from msflab.msf import TLESettings, settle_transient
 from msflab.oscillator import (
+    ChatterError,
     ImpactOscillatorParams,
     OscState,
     _runner,
@@ -274,6 +274,13 @@ _DISAGREEING_WINDOWS = [
 ]
 
 
+# The ROADMAP grazing point, whose record ends in a singular window.
+_GRAZING_POINT = ImpactOscillatorParams(
+    zeta=0.015380737517637964, eta=0.6355648465488226, x_w=2.011873244080891, R=0.823594755787125,
+)
+_GRAZING_SETTINGS = TLESettings(transient_periods=100, max_periods=150)
+
+
 class TestWindowEqualsLoop:
     """event_window_jacobian against estimate_jacobian on simulate's reference loop."""
 
@@ -316,12 +323,8 @@ class TestWindowEqualsLoop:
 
     @pytest.mark.usefixtures("libm_trig_matches_numpy", "numpy_exp_scalar_matches_array")
     def test_grazing_window(self, monkeypatch):
-        # The ROADMAP grazing point: the window at tau = 1174.72 is singular.
-        p = ImpactOscillatorParams(
-            zeta=0.015380737517637964, eta=0.6355648465488226,
-            x_w=2.011873244080891, R=0.823594755787125,
-        )
-        settings_ = TLESettings(transient_periods=100, max_periods=150)
+        # The grazing point's window at tau = 1174.72 is singular.
+        p, settings_ = _GRAZING_POINT, _GRAZING_SETTINGS
         starts = []
         real = msf._window
 
@@ -472,3 +475,35 @@ class TestWindowBatch:
         tau_c, w_start, w_end, (_, warnings) = msf._event_record.__wrapped__(p, s_pre, settings_)[2][0]
         assert (w_end - w_start) * settings_.scan_step == window
         assert warnings == (f"event counts disagreed at tau_c={tau_c:.6f}; retry with delta/10 succeeded",)
+
+    def test_near_singular_window_goes_to_the_scalar_window(self, elastic, elastic_base, monkeypatch):
+        # Where the determinant is not clear of the singular-value test, the
+        # batch makes no estimate and event_window_jacobian runs the test.
+        monkeypatch.setattr(jacobian, "_clear_of_singular", lambda a, b, c, d: False)
+        settings_ = TLESettings(max_periods=6, sample_window=2)
+        _assert_record_equals_scalar(elastic, elastic_base, settings_, None)
+        real, starts = msf.event_window_jacobian, []
+
+        def recording(p, s_pre, *args):
+            starts.append(s_pre)
+            return real(p, s_pre, *args)
+
+        monkeypatch.setattr(msf, "event_window_jacobian", recording)
+        _, _, entries = msf._event_record.__wrapped__(elastic, elastic_base, settings_)
+        assert len(starts) == len(entries) > 0
+
+    def test_walk_stops_at_a_window_near_grazing(self, monkeypatch):
+        # The singular window's start moved by delta in x lies beyond the
+        # wall, so the walk estimates it at once and searches no further.
+        p, settings_ = _GRAZING_POINT, _GRAZING_SETTINGS
+        base = settle_transient(p, settings_)
+        real, searches = msf.detect_next_impact, []
+
+        def counting(*args, **kwargs):
+            searches.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(msf, "detect_next_impact", counting)
+        _, _, entries = msf._event_record.__wrapped__(p, base, settings_)
+        assert type(entries[-1][3]) is GrazingSingularityError
+        assert len(searches) == len(entries)
