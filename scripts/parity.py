@@ -125,7 +125,8 @@ def tle_records(seed: int, reference: dict) -> list[dict]:
     return records
 
 
-def probe_records() -> list[dict]:
+def probe_records(seeds=None) -> list[dict]:
+    """The probe suite's records; with seeds, only the probes of those probe seeds."""
     params = workloads.preset_params()
     bases = {n: msflab.settle_transient(p, workloads.TLE_SETTINGS) for n, p in params.items()}
     two, three = msflab.TWO_NODE_GRAPH, msflab.all_to_all_graph(3)
@@ -145,6 +146,7 @@ def probe_records() -> list[dict]:
     runs += [(two, "critical_point", CRITICAL, CRITICAL_BASE, probe_seed, msflab.ProbeSettings(
         sigma=-0.5, rng_seed=(probe_seed, 0), max_periods=workloads.PROBE_MAX_PERIODS))
              for probe_seed in range(CRITICAL_SEEDS)]
+    runs = [run for run in runs if seeds is None or run[4] in seeds]
     return [
         record(f"probe nodes={graph.n_nodes} {name} probe_seed={probe_seed} sigma={s.sigma!r}",
                lambda p=p, s=s, g=graph, b=base: msflab.run_probe(

@@ -44,9 +44,11 @@ from .oscillator import (
     steady_state_coefficients,
 )
 
-_CHUNK = 4096
+_CHUNK = 4096  # samples per table product: a slice of a span
+_SPAN = 4 * _CHUNK  # samples between anchors without an impact
 _DIFF_GUARD = 1e-12  # |dev - threshold| and |d_j - d_(j-1)| per unit bound below
                      # which a table sample is recomputed with the closed form
+_FINITE_BOUND = 1e300  # a span bound below this leaves every state of the span finite
 _POINTS = 8  # at most this many offsets are recomputed one by one, in floats
 ZERO_MODE_TOL = 1e-9
 # The recomputation's scalar flow functions (see _ModeSegments).
@@ -232,6 +234,34 @@ class ProbeResult:
     impact_times: list[float] = field(default_factory=list, repr=False)
 
 
+def _symmetric_eigen(m: np.ndarray) -> tuple:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a symmetric matrix,
+    by cyclic Jacobi rotations in Python floats: unlike LAPACK's eigh, the same bits
+    under every BLAS kernel.  A rotation zeroes a_ij and moves a_ii, a_jj by t*a_ij."""
+    n = len(m)
+    a, v = m.tolist(), np.eye(n).tolist()
+    for _ in range(50):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j] != 0.0]
+        if not pairs:
+            break
+        for i, j in pairs:
+            aij, aii, ajj = a[i][j], a[i][i], a[j][j]
+            if aij == 0.0:  # zeroed by an earlier rotation of the sweep
+                continue
+            theta = (ajj - aii) / (2.0 * aij)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            sn = t * c
+            for row in a + v:
+                row[i], row[j] = c * row[i] - sn * row[j], sn * row[i] + c * row[j]
+            both = list(zip(a[i], a[j]))
+            a[i], a[j] = [c * x - sn * y for x, y in both], [sn * x + c * y for x, y in both]
+            a[i][j] = a[j][i] = 0.0
+            a[i][i], a[j][j] = aii - t * aij, ajj + t * aij
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return np.array([a[k][k] for k in order]), np.array(v)[:, order]
+
+
 class _ModeSegments:
     """Closed-form segment evaluation in the graph eigenbasis.
 
@@ -245,12 +275,13 @@ class _ModeSegments:
     the complex form's values bit for bit wherever these functions round
     as the complex ones' parts do (numpy's SIMD array cosh and sinh may not).
 
-    Every evaluation reads a window's u and A_k u from terms, the one
-    product with A_k.  eval takes arrays of offsets, point one offset in
-    Python floats: math's cos and sin, numpy's exp, cosh and sinh on floats
-    (math's exp, cosh and sinh round differently from numpy's arrays on
-    x86-64), the modes summed in eval's order.  So point gives eval's bits
-    wherever those functions round as numpy's array functions do.
+    Every evaluation reads a span's u and A_k u from terms, the one
+    product with A_k; to_modes and terms sum in Python floats.  eval takes
+    arrays of offsets, point one offset in Python floats: math's cos and
+    sin, numpy's exp, cosh and sinh on floats (math's exp, cosh and sinh
+    round differently from numpy's arrays on x86-64), the modes summed in
+    one order.  So point gives eval's bits wherever those functions round
+    as numpy's array functions do.
     """
 
     def __init__(self, p, graph: CouplingGraph, coupling, sigma: float):
@@ -260,7 +291,7 @@ class _ModeSegments:
             )
         self.p = p
         self.n = graph.n_nodes
-        gammas, self.q = np.linalg.eigh(graph.matrix)
+        gammas, self.q = _symmetric_eigen(graph.matrix)
         base = np.array([[0.0, 1.0], [-1.0, -2.0 * p.zeta]])
         coupling = _check_coupling(coupling)
         self.half_traces, self.traceless, self.s_squares = [], [], []
@@ -285,7 +316,6 @@ class _ModeSegments:
         self._q_rows, self._q_cols = self.q.tolist(), self.q.T.tolist()
         self._dq_cols = [[q_ik - q_k[0] for q_ik in q_k[1:]] for q_k in self._q_cols]
         self._entries = [a.ravel().tolist() for a in self.traceless]
-        self._traceless = np.array(self.traceless)
         self._scan_flows = [(flow_functions(s2, math), m, r) for s2, m, r in self._generators]
         self._point_flows = [
             (*flow_functions(s2, _POINT_LIB), m, r, 1.0 / r) for s2, m, r in self._generators
@@ -313,15 +343,25 @@ class _ModeSegments:
         c, s = math.cos(ph), math.sin(ph)
         return self._ap * c + self._bp * s, self.p.eta * (self._bp * c - self._ap * s)
 
-    def to_modes(self, state, tau: float) -> np.ndarray:
-        """Mode coordinates (n, 2) of the deviation of (x_0, v_0, x_1, ...) from the steady state."""
+    def to_modes(self, state, tau: float) -> list:
+        """Mode coordinates (u_0, u_1) per mode of the deviation of (x_0, v_0, x_1, ...)
+        from the steady state: q^T times it, summed over the nodes in order."""
         xp, vp = self._steady_at(tau)
-        return self.q.T @ np.array([[x - xp, v - vp] for x, v in zip(state[0::2], state[1::2])])
+        devs = [(x - xp, v - vp) for x, v in zip(state[0::2], state[1::2])]
+        modes = []
+        for q_k in self._q_cols:
+            u0 = u1 = 0.0
+            for qik, (dx, dv) in zip(q_k, devs):
+                u0, u1 = u0 + qik * dx, u1 + qik * dv
+            modes.append((u0, u1))
+        return modes
 
-    def terms(self, modes: np.ndarray) -> list:
+    def terms(self, modes) -> list:
         """(u_0, u_1, (A u)_0, (A u)_1) per mode of mode coordinates u, read by every evaluation."""
-        au = np.matmul(self._traceless, modes[:, :, None])
-        return [(*u, *w) for u, w in zip(modes.tolist(), au[:, :, 0].tolist())]
+        return [
+            (u0, u1, a00 * u0 + a01 * u1, a10 * u0 + a11 * u1)
+            for (u0, u1), (a00, a01, a10, a11) in zip(modes, self._entries)
+        ]
 
     def eval(self, terms: list, tau_a: float, dts: np.ndarray):
         """Node positions and velocities at offsets dts from the anchor, from the window's terms."""
@@ -336,7 +376,9 @@ class _ModeSegments:
         for k in range(self.n):
             ch, shc, env = flows[self._generator_of[k]]
             mode_states[k] = env * (ch * terms[k, :2, None] + shc * terms[k, 2:, None])
-        node_states = np.einsum("ik,kcm->icm", self.q, mode_states)
+        node_states = 0.0  # summed over the modes in point's order
+        for k in range(self.n):
+            node_states = node_states + self.q[:, k, None, None] * mode_states[k]
         xp, vp = self.steady(tau_a + dts)
         return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
@@ -431,33 +473,34 @@ class _ModeSegments:
         return distance, model
 
     def scan_table(self, step: float) -> tuple:
-        """The per-run table of scan: flow_table on one window, transposed, with
+        """The per-run table of scan: flow_table on one span, transposed, with
         each column's largest |value| and, per generator, the least and
         largest norm of its column pair on the grid."""
-        values = np.ascontiguousarray(flow_table(self._generators, self.p.eta, step, _CHUNK).T)
+        values = np.ascontiguousarray(flow_table(self._generators, self.p.eta, step, _SPAN).T)
         norms = [np.hypot(values[2 * g], values[2 * g + 1]) for g in range(len(self._generators))]
         return values, np.abs(values).max(axis=1).tolist(), [(float(r.min()), float(r.max())) for r in norms]
 
-    def scan(self, terms: list, tau_a: float, tau_g: float, size: int, table: tuple):
-        """One window's table values at the size grid offsets from tau_g, their bound and floor.
+    def scan(self, terms: list, tau_a: float, tau_g: float, table: tuple):
+        """One span's coefficients on the scan_table's rows, its bound and its floor.
 
         The mode state at tau_a is carried to the grid point tau_g in
         scalar math and folded with the eigenvectors and the forcing phase
         into coefficients on flow_table's columns: rows for x of every node,
         then x_i - x_0 and v_i - v_0 of each node i >= 1 in turn (q_i - q_0
-        applied to the modes, without the steady state); the values are
-        their product with the scan_table.  The bound, each mode's larger
+        applied to the modes, without the steady state); the table values
+        at the grid offsets j + 1, j + 2, ... from tau_g are their product
+        with the scan_table's columns j, j + 1, ....  The bound, each mode's larger
         sum |coef|*col_max over its x and v columns summed over the modes
         (|q| <= 1) plus the forcing's, exceeds every node's |x| and |v| in
-        the window.  The floor is a lower bound of the table's first node
-        pair deviation sqrt(dx^2 + dv^2) over the window: per generator the
+        the span.  The floor is a lower bound of the table's first node
+        pair deviation sqrt(dx^2 + dv^2) over the span: per generator the
         pair's 2x2 block M maps its column pair, of norm between lo and hi,
         so one generator's part is at least sigma_min(M)*lo >= |det M|/|M|_F*lo
         and each other's at most |M|_F*hi; less the product's rounding,
         width*eps times the pair's sums |coef|*col_max.  Zero or negative
         where no such bound shows.
         """
-        values, col_max, spans = table
+        _, col_max, spans = table
         n, width = self.n, len(col_max)
         dt = tau_g - tau_a
         flows = []
@@ -502,13 +545,13 @@ class _ModeSegments:
             sums += (abs(a) + abs(c)) * col_max[j] + (abs(b) + abs(d)) * col_max[j + 1]
         others = sum(hi for _, hi in parts)
         floor = max(lo - (others - hi) for lo, hi in parts) * (1.0 - 1e-9) - width * _EPS * sums
-        return np.array(rows) @ values[:, :size], bound, floor
+        return np.array(rows), bound, floor
 
 
 def _first_crossing(x_rows: np.ndarray, g0: list, x_w: float, guard: float, positions):
     """The first column where a node's x - x_w turns positive, and the nodes that do so there.
 
-    x_rows holds a window's table positions, g0 each node's exact x - x_w
+    x_rows holds a slice's table positions, g0() each node's exact x - x_w
     before its first column and positions(cols) eval's positions at
     columns.  Columns within guard of the wall take eval's signs, the others
     the table's, which differs from eval's by far less.  Usually the first
@@ -522,8 +565,9 @@ def _first_crossing(x_rows: np.ndarray, g0: list, x_w: float, guard: float, posi
     hot = x_rows > x_w - guard
     a = min(j for i, j in enumerate(hot.argmax(axis=1).tolist()) if hot[i, j])
     column = x_rows[:, a].tolist()  # every node's column a - 1 lies inside by more than guard
+    prev = None if a else g0()
     if all(abs(x - x_w) >= guard for x in column):
-        nodes = [i for i, x in enumerate(column) if x > x_w and (a or g0[i] <= 0.0)]
+        nodes = [i for i, x in enumerate(column) if x > x_w and (a or prev[i] <= 0.0)]
         if nodes:
             return a, nodes
     g = x_rows[:, a:] - x_w
@@ -533,7 +577,7 @@ def _first_crossing(x_rows: np.ndarray, g0: list, x_w: float, guard: float, posi
     rises = g > 0.0
     rises[:, 1:] &= g[:, :-1] <= 0.0
     if not a:
-        rises[:, 0] &= np.array(g0) <= 0.0
+        rises[:, 0] &= np.array(prev) <= 0.0
     cols = np.flatnonzero(rises.any(axis=0))
     if not cols.size:
         return size, []
@@ -641,7 +685,8 @@ class _SyncObserver:
 
 # A diverging run squares node differences past the float range before its
 # state stops being finite; inf and nan already fail every threshold and
-# crossing test, and PropagationError reports the first non-finite anchor.
+# crossing test, and PropagationError reports the first non-finite state
+# at an anchor or a slice end.
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_coupled(
     p: ImpactOscillatorParams,
@@ -657,30 +702,34 @@ def _simulate_coupled(
     check and the position difference of the first two nodes for the
     bifurcation record.  Terminates early once the deviation has stayed
     below sync_threshold for one full forcing period; raises
-    PropagationError at the first anchor state that is not finite, and
-    ChatterError where one node's impacts accumulate or pass the cap, as
-    simulate does (each node keeps its own _ChatterGuard).
+    PropagationError at the first state that is not finite, anchor or
+    slice end, and ChatterError where one node's impacts accumulate or
+    pass the cap, as simulate does (each node keeps its own _ChatterGuard).
 
-    Anchors sit at each impact and every _CHUNK samples after an anchor.
-    Every sample of the window up to the next anchor comes from one matrix
-    product of _ModeSegments.scan's rows with a per-run flow_table, which
-    differs from _ModeSegments.eval by rounding only.  Those values only
-    decide booleans, and eval recomputes, in floats through
-    _ModeSegments.point, each sample whose decision they cannot certify or
-    whose value is kept: |x - x_w| below _SCAN_GUARD times the window's
-    bound, and the samples _SyncObserver asks for with a margin of
-    _DIFF_GUARD times the bound.  Where the scan's floor puts the first node
-    pair's deviation above threshold by twice that margin, no deviation is
-    compared at all.  The margins hold with room to spare: the table's values
-    and eval's both differ from the exact solution by about 1e-15 times the
-    bound in node differences (plus |v_i - v_0|*ulp(tau), small wherever a
-    decision on them is close), and in absolute positions by at most about
-    |v|*ulp(tau) + ulp(eta*tau)*|A|, near 1e-11 at tau = 2e4.  So every result
-    equals evaluating each sample with eval, bit for bit, wherever numpy's
-    elementwise functions give an element the same bits whatever the array
-    around it and point rounds as eval.  Each crossing is refined by
-    bisect_crossing with the crossing node's certified model, which keeps the
-    plain bisection's midpoints.
+    Anchors sit at the start, at each impact and at the last sample of each
+    span of _SPAN samples without one.  A span's samples come _CHUNK at a
+    time, a slice, from one product of _ModeSegments.scan's coefficients
+    with a per-run flow_table, which differs from _ModeSegments.eval by
+    rounding only; each slice's tests start from the state at the sample
+    before it.  Those values only decide booleans, and eval recomputes, in
+    floats through _ModeSegments.point, each sample whose decision they
+    cannot certify or whose value is kept: |x - x_w| below _SCAN_GUARD
+    times the span's bound, and the samples _SyncObserver asks for with a
+    margin of _DIFF_GUARD times the bound.  Where the scan's floor puts the
+    first node pair's deviation above threshold by twice that margin, no
+    deviation is compared at all.  The margins hold with room to spare at
+    every offset of a span, up to 16.4 time units at the default step: the
+    table and eval round the flow arguments r*dt and eta*dt within
+    ulp(16.4*max(r, eta)), so both differ from the exact solution by about
+    1e-14 times the bound in node differences (plus |v_i - v_0|*ulp(tau),
+    small wherever a decision on them is close), and in absolute positions
+    by at most about |v|*ulp(tau) + ulp(eta*tau)*|A|, near 1e-11 at
+    tau = 2e4.  So every result equals evaluating each sample with eval,
+    bit for bit, wherever numpy's elementwise functions give an element the
+    same bits whatever the array around it and point rounds as eval; the
+    table product is the one BLAS call, so no result depends on the BLAS
+    kernel.  Each crossing is refined by bisect_crossing with the crossing
+    node's certified model, which keeps the plain bisection's midpoints.
     """
     segs = _ModeSegments(p, graph, coupling, settings.sigma)
     n = graph.n_nodes
@@ -694,58 +743,68 @@ def _simulate_coupled(
     if state.shape != (2 * n,):
         raise ValueError(f"state must have length {2 * n}, got shape {state.shape}")
     state = state.tolist()
-    anchor_tau = tau0
+    state_tau = tau0
 
     record_from = tau0 + (settings.max_periods - settings.record_window) * period
     obs = _SyncObserver(tau0, h, abs(state[0] - state[2]), period, threshold, record_from)
     impact_times: list[float] = []
     guards = [_ChatterGuard(p) for _ in range(n)]
 
-    k = 1  # grid index of the window's first sample
+    k = span_end = 1  # grid index of the slice's first sample; one past the span's last
     while k <= total:
-        if not all(map(math.isfinite, state)):
-            raise PropagationError(f"coupled probe state is not finite at tau={anchor_tau:.6f}")
-        terms = segs.terms(segs.to_modes(state, anchor_tau))
-        size = min(_CHUNK, total + 1 - k)
-        vals, bound, floor = segs.scan(terms, anchor_tau, tau0 + (k - 1) * h, size, table)
+        if state is not None and not all(map(math.isfinite, state)):
+            raise PropagationError(f"coupled probe state is not finite at tau={state_tau:.6f}")
+        if k == span_end:  # anchor at the start, an impact or the span's last sample
+            anchor_tau = state_tau
+            terms = segs.terms(segs.to_modes(state, anchor_tau))
+            coefs, bound, floor = segs.scan(terms, anchor_tau, tau0 + (k - 1) * h, table)
+            margin = _DIFF_GUARD * bound
+            limit = (threshold + 2.0 * margin) * (1.0 + 1e-12)
+            k_span, span_end = k, min(k + _SPAN, total + 1)
+        size = min(_CHUNK, span_end - k)
+        vals = coefs @ table[0][:, k - k_span:k - k_span + size]
+
+        def before():  # each node's x - x_w at the sample before the slice
+            xs = segs.point(terms, anchor_tau, state_tau - anchor_tau)[0] if state is None else state[0::2]
+            return [x - p.x_w for x in xs]
 
         ci, nodes = size, []  # ci: first sample past a wall crossing
         if p.wall_enabled:
             ci, nodes = _first_crossing(
-                vals[:n], [x - p.x_w for x in state[0::2]], p.x_w, _SCAN_GUARD * bound,
+                vals[:n], before, p.x_w, _SCAN_GUARD * bound,
                 lambda cols: segs.eval(terms, anchor_tau, tau0 + (k + cols) * h - anchor_tau)[0],
             )
         if ci > 0:
-            margin = _DIFF_GUARD * bound
-            limit = (threshold + 2.0 * margin) * (1.0 + 1e-12)
             dev = None if floor > limit else _sync_measures(vals[n::2, :ci], vals[n + 1::2, :ci])[0]
 
-            def exact(idx):  # eval's measures at samples idx of this window, called at once
+            def exact(idx):  # eval's measures at samples idx of this slice, called at once
                 return segs.measures(terms, anchor_tau, tau0 + (k + np.asarray(idx)) * h - anchor_tau)
 
             if obs.observe(k, dev, vals[n, :ci], margin, exact):
                 break
-        # The next anchor: the window's last sample, or the impact point.
         if ci == size:
-            dt = tau0 + (k + size - 1) * h - anchor_tau
-        else:
-            lo = tau0 + (k + ci - 1) * h - anchor_tau if ci > 0 else 0.0
-            hi = tau0 + (k + ci) * h - anchor_tau
-            walls = [segs.wall_distance(terms, anchor_tau, node) for node in nodes]
-            dt = min(bisect_crossing(distance, lo, hi, model(lo, hi)) for distance, model in walls)
+            k += size
+            state_tau = tau0 + (k - 1) * h
+            # Inside a span, a bound below _FINITE_BOUND vouches for every state: none is made.
+            state = None
+            if k == span_end or not bound < _FINITE_BOUND:
+                xs, vs = segs.point(terms, anchor_tau, state_tau - anchor_tau)
+                state = [c for xv in zip(xs, vs) for c in xv]
+            continue
+        lo = (tau0 + (k + ci - 1) * h if ci > 0 else state_tau) - anchor_tau
+        hi = tau0 + (k + ci) * h - anchor_tau
+        walls = [segs.wall_distance(terms, anchor_tau, node) for node in nodes]
+        dt = min(bisect_crossing(distance, lo, hi, model(lo, hi)) for distance, model in walls)
         xs, vs = segs.point(terms, anchor_tau, dt)
         state = [c for xv in zip(xs, vs) for c in xv]
-        if ci == size:
-            anchor_tau = tau0 + (k + size - 1) * h
-        else:
-            anchor_tau += dt
-            for node in range(n):
-                if abs(state[2 * node] - p.x_w) <= WALL_POSITION_TOL and state[2 * node + 1] > 0.0:
-                    state[2 * node] = p.x_w
-                    state[2 * node + 1] = -p.R * state[2 * node + 1]
-                    impact_times.append(anchor_tau)
-                    guards[node].push(anchor_tau)
-        k += ci  # with an impact: the first grid index past it
+        state_tau = anchor_tau + dt
+        for node in range(n):
+            if abs(state[2 * node] - p.x_w) <= WALL_POSITION_TOL and state[2 * node + 1] > 0.0:
+                state[2 * node] = p.x_w
+                state[2 * node + 1] = -p.R * state[2 * node + 1]
+                impact_times.append(state_tau)
+                guards[node].push(state_tau)
+        k = span_end = k + ci  # the first grid index past the impact
 
     synchronized = obs.sync_time is not None
     periods_run = min(

@@ -353,7 +353,7 @@ def flow_table(generators, eta: float, step: float, rows: int) -> np.ndarray:
         c, sn = flow_functions(s2, np)
         envelope = np.exp(m * t)
         columns += [envelope * c(r * t), envelope * sn(r * t)]
-    table = np.column_stack(columns + [np.cos(eta * t), np.sin(eta * t)])
+    table = np.array(columns + [np.cos(eta * t), np.sin(eta * t)]).T  # column-major
     table.flags.writeable = False
     return table
 

@@ -198,7 +198,36 @@ def _complex_rate(a: np.ndarray) -> complex:
     return complex(np.sqrt(complex(a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0])))
 
 
-def complex_mode_eval(segs, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
+def _plain_modes(segs, state, tau: float) -> list:
+    """Mode coordinates of a state's deviation from the steady state: q^T times
+    it as plain sums over the nodes in order, from 0.0."""
+    xp, vp = segs._steady_at(tau)
+    modes = []
+    for k in range(segs.n):
+        u0 = u1 = 0.0
+        for i in range(segs.n):
+            u0 += float(segs.q[i, k]) * (float(state[2 * i]) - xp)
+            u1 += float(segs.q[i, k]) * (float(state[2 * i + 1]) - vp)
+        modes.append((u0, u1))
+    return modes
+
+
+def _plain_au(a: np.ndarray, u) -> tuple:
+    """A u for a 2x2 A as plain sums."""
+    a00, a01, a10, a11 = a.ravel().tolist()
+    return a00 * u[0] + a01 * u[1], a10 * u[0] + a11 * u[1]
+
+
+def _plain_node_sum(segs, mode_states: np.ndarray) -> np.ndarray:
+    """q times the mode states per node, summed over the modes in order from 0.0."""
+    node_states = np.zeros_like(mode_states)
+    for i in range(segs.n):
+        for k in range(segs.n):
+            node_states[i] = node_states[i] + segs.q[i, k] * mode_states[k]
+    return node_states
+
+
+def complex_mode_eval(segs, modes0, tau_a: float, dts: np.ndarray):
     """_ModeSegments.eval through complex cosh(s dt) and sinh(s dt)/s.
 
     The probe's original formula, kept as the reference for the real-arithmetic
@@ -207,17 +236,17 @@ def complex_mode_eval(segs, modes0: np.ndarray, tau_a: float, dts: np.ndarray):
     dts = np.asarray(dts, dtype=float)
     mode_states = np.empty((segs.n, 2, dts.size))
     for k in range(segs.n):
-        u = modes0[k]
+        u = [float(c) for c in modes0[k]]
         a = segs.traceless[k]
         s = _complex_rate(a)
         z = s * dts
         ch = np.cosh(z)
         shc = dts.astype(complex) if s == 0.0 else np.sinh(z) / s
-        au = a @ u
+        au = _plain_au(a, u)
         env = np.exp(segs.half_traces[k] * dts)
         mode_states[k, 0] = env * np.real(ch * u[0] + shc * au[0])
         mode_states[k, 1] = env * np.real(ch * u[1] + shc * au[1])
-    node_states = np.einsum("ik,kcm->icm", segs.q, mode_states)
+    node_states = _plain_node_sum(segs, mode_states)
     xp, vp = segs.steady(tau_a + dts)
     return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
@@ -229,13 +258,13 @@ def complex_position_of(segs, modes0: np.ndarray, tau_a: float, node: int, dt: f
     """
     x = 0.0
     for k in range(segs.n):
-        u = modes0[k]
+        u = [float(c) for c in modes0[k]]
         a = segs.traceless[k]
         s = _complex_rate(a)
         z = s * dt
         ch = np.cosh(z)
         shc = complex(dt) if s == 0.0 else np.sinh(z) / s
-        au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
+        au0 = _plain_au(a, u)[0]
         x += segs.q[node, k] * math.exp(segs.half_traces[k] * dt) * (ch * u[0] + shc * au0).real
     ph = segs.p.eta * (tau_a + dt)
     return x + segs._ap * math.cos(ph) + segs._bp * math.sin(ph)
@@ -258,8 +287,10 @@ def _fixed_chunk_eval(segs, modes0, tau_a: float, dts: np.ndarray):
         u = modes0[k]
         ch, shc = _fixed_chunk_flow(segs.s_squares[k], dts, np)
         env = np.exp(segs.half_traces[k] * dts)
-        mode_states[k] = env * (ch * u[:, None] + shc * (segs.traceless[k] @ u)[:, None])
-    node_states = np.einsum("ik,kcm->icm", segs.q, mode_states)
+        au = _plain_au(segs.traceless[k], u)
+        for c in range(2):
+            mode_states[k, c] = env * (ch * u[c] + shc * au[c])
+    node_states = _plain_node_sum(segs, mode_states)
     xp, vp = segs.steady(tau_a + dts)
     return node_states[:, 0, :] + xp, node_states[:, 1, :] + vp
 
@@ -269,16 +300,15 @@ def _fixed_chunk_position(segs, modes0, tau_a: float, node: int, dt: float) -> f
     x = 0.0
     for k in range(segs.n):
         u = modes0[k]
-        a = segs.traceless[k]
         ch, shc = _fixed_chunk_flow(segs.s_squares[k], dt, math)
-        au0 = a[0, 0] * u[0] + a[0, 1] * u[1]
+        au0 = _plain_au(segs.traceless[k], u)[0]
         x += segs.q[node, k] * math.exp(segs.half_traces[k] * dt) * (ch * u[0] + shc * au0)
     ph = segs.p.eta * (tau_a + dt)
     return x + segs._ap * math.cos(ph) + segs._bp * math.sin(ph)
 
 
 def fixed_chunk_probe(p, graph, coupling, sigma: float, x0, tau0: float, settings):
-    """The coupled probe evaluating whole 4096-sample chunks: the reference for
+    """The coupled probe evaluating whole 16384-sample chunks: the reference for
     network._simulate_coupled.
 
     Every chunk starts at an anchor (the start, each impact, each chunk
@@ -288,13 +318,13 @@ def fixed_chunk_probe(p, graph, coupling, sigma: float, x0, tau0: float, setting
     Returns (impact_times, local_maxima, sync_time, periods_run), which
     _simulate_coupled must reproduce bit for bit.
     """
-    chunk = 4096
+    chunk = 16384
     segs = _ModeSegments(p, graph, coupling, sigma)
     n, period, h = graph.n_nodes, p.forcing_period, settings.scan_step
     total = int(math.ceil(settings.max_periods * period / h))
     state = np.asarray(x0, dtype=float).copy()
     anchor_tau = tau0
-    modes = segs.to_modes(state, anchor_tau)
+    modes = _plain_modes(segs, state, anchor_tau)
     record_from = tau0 + (settings.max_periods - settings.record_window) * period
     obs = LoopObserver(tau0, abs(state[0] - state[2]), period, settings.sync_threshold, record_from)
     impact_times = []
@@ -315,7 +345,7 @@ def fixed_chunk_probe(p, graph, coupling, sigma: float, x0, tau0: float, setting
         if not hit_cols.size:
             state = np.column_stack([xs[:, -1], vs[:, -1]]).reshape(-1)
             anchor_tau, k_next = float(taus[-1]), k_stop + 1
-            modes = segs.to_modes(state, anchor_tau)
+            modes = _plain_modes(segs, state, anchor_tau)
             continue
         lo_dt = float(dts[ci - 1]) if ci > 0 else 0.0
         tau_c_dt = min(
@@ -336,7 +366,7 @@ def fixed_chunk_probe(p, graph, coupling, sigma: float, x0, tau0: float, setting
                 full[2 * node + 1] = -p.R * full[2 * node + 1]
                 impact_times.append(tau_c)
         state, anchor_tau, k_next = full, tau_c, k_next + ci
-        modes = segs.to_modes(state, anchor_tau)
+        modes = _plain_modes(segs, state, anchor_tau)
 
     synchronized = obs.sync_time is not None
     periods_run = min(int(math.floor((obs.prev_diff_tau - tau0) / period)), settings.max_periods)

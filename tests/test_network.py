@@ -20,6 +20,7 @@ from msflab.network import (
     TWO_NODE_GRAPH,
     _ModeSegments,
     _simulate_coupled,
+    _symmetric_eigen,
     _SyncObserver,
     _sync_measures,
     all_to_all_graph,
@@ -37,6 +38,7 @@ from msflab.oscillator import (
     bisect_crossing,
     segment_states,
     simulate,
+    steady_state_coefficients,
 )
 from conftest import ELASTIC, INELASTIC
 
@@ -91,6 +93,31 @@ class TestCouplingGraph:
         path.write_text("-1.0 nope\n1.0 -1.0\n")
         with pytest.raises(InvalidGraphError):
             load_graph(path)
+
+
+class TestSymmetricEigen:
+    """The probe's eigenbasis: Jacobi rotations in floats against LAPACK."""
+
+    def test_two_node_basis_is_lapack_bit_for_bit(self):
+        values, vectors = _symmetric_eigen(TWO_NODE_GRAPH.matrix)
+        ref_values, ref_vectors = np.linalg.eigh(TWO_NODE_GRAPH.matrix)
+        assert values.tolist() == ref_values.tolist() == [-2.0, 0.0]
+        assert np.array_equal(np.abs(vectors), np.abs(ref_vectors))
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_decomposes_symmetric_matrices(self, n, seed, repeated):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        if repeated:  # a graph with repeated eigenvalues
+            m = all_to_all_graph(n).matrix * rng.uniform(0.5, 2.0)
+        values, vectors = _symmetric_eigen(m)
+        scale = max(1.0, float(np.abs(m).max()))
+        assert np.all(np.diff(values) >= 0.0)
+        assert np.allclose(values, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-13 * n * scale)
+        assert np.allclose(vectors.T @ vectors, np.eye(n), rtol=0.0, atol=1e-13 * n)
+        assert np.allclose(m @ vectors, vectors * values, rtol=0.0, atol=1e-13 * n * scale)
 
 
 def _fake_result(alpha: float, tle: float) -> TLEResult:
@@ -320,6 +347,59 @@ class TestBlockedProbeMatchesFixedChunks:
             ref = fixed_chunk_probe(elastic, TWO_NODE_GRAPH, COUPLING, 0.0, x0, 0.0, settings)
             assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
             assert abs(res.impact_times[0] - tau_hit) < 1e-9
+
+
+    @pytest.mark.parametrize("cell", [4096, 3 * 4096, 16384])
+    def test_crossing_between_slices(self, elastic, cell):
+        # Both nodes ride the forced steady state, which is free of impacts for
+        # more than a span before it rises through the wall between sample cell,
+        # the last of a slice (of the span at 16384), and the next one.
+        settings = ProbeSettings(sigma=0.0, max_periods=1, record_window=1)
+        p = replace(elastic, eta=0.25)
+        a, b = steady_state_coefficients(p)
+        tau_hit = (math.atan2(b, a) - math.pi / 4) / p.eta + 3 * p.forcing_period
+        tau0 = tau_hit - (cell + 0.5) * settings.scan_step
+        p = replace(p, x_w=math.hypot(a, b) / math.sqrt(2))
+        ph = p.eta * tau0
+        x, v = a * math.cos(ph) + b * math.sin(ph), p.eta * (b * math.cos(ph) - a * math.sin(ph))
+        x0 = np.array([x, v, x - 1e-5, v])
+        res = _simulate_coupled(p, TWO_NODE_GRAPH, COUPLING, x0, tau0, settings)
+        ref = fixed_chunk_probe(p, TWO_NODE_GRAPH, COUPLING, 0.0, x0, tau0, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+        assert abs(min(res.impact_times) - tau_hit) < 0.1 * settings.scan_step
+
+
+    def test_anchors_at_the_start_impacts_and_span_ends(self, elastic, monkeypatch):
+        # Slow forcing: stretches of more than a span without an impact, and
+        # gaps between impacts longer than a slice of 4096 samples.
+        anchors = []
+        scan = _ModeSegments.scan
+        monkeypatch.setattr(
+            _ModeSegments, "scan",
+            lambda segs, terms, tau_a, tau_g, table:
+                anchors.append((tau_a, tau_g)) or scan(segs, terms, tau_a, tau_g, table),
+        )
+        p = replace(elastic, eta=0.25)
+        p = replace(p, x_w=math.hypot(*steady_state_coefficients(p)) / math.sqrt(2))
+        settings = ProbeSettings(sigma=0.2, max_periods=6, record_window=1)
+        x0 = np.array([0.0, 0.0, 0.1, 0.0])
+        res = _simulate_coupled(p, TWO_NODE_GRAPH, COUPLING, x0, 0.0, settings)
+        ref = fixed_chunk_probe(p, TWO_NODE_GRAPH, COUPLING, 0.2, x0, 0.0, settings)
+        assert (res.impact_times, res.local_maxima, res.sync_time, res.periods_run) == ref
+        h = settings.scan_step
+        firsts = [round(tau_g / h) + 1 for _, tau_g in anchors]  # each span's first sample
+        assert anchors[0] == (0.0, 0.0) and firsts[0] == 1
+        impacts = set(res.impact_times)
+        assert impacts <= {tau_a for tau_a, _ in anchors}
+        gaps = {"impact": [], "span end": []}
+        for (tau_a, tau_g), k0, k1 in zip(anchors[1:], firsts, firsts[1:]):
+            if tau_a in impacts:
+                gaps["impact"].append(k1 - k0)
+            else:
+                assert tau_a == tau_g == (k1 - 1) * h
+                gaps["span end"].append(k1 - k0)
+        assert set(gaps["span end"]) == {16384}
+        assert all(gap < 16384 for gap in gaps["impact"]) and max(gaps["impact"]) > 4096
 
 
 class TestProbe:

@@ -1,5 +1,5 @@
 """scripts/parity.py's record and compare, on hand-made results, and its
-exponent suite under two BLAS kernels."""
+exponent and probe suites under two BLAS kernels."""
 
 import importlib.util
 import json
@@ -75,7 +75,7 @@ def test_compare_equal_records(capsys):
 
 
 # Run in a subprocess: a canary, numpy's complex 2x2 dot on seeded cases,
-# and parity's exponent records for workload seed 3.
+# and the parity records that sys.argv[2] names.
 _KERNEL_RUN = """
 import importlib.util, json, sys
 import numpy as np
@@ -88,22 +88,28 @@ canary = [
     .dot(rng.standard_normal(2) + 1j * rng.standard_normal(2)).tobytes().hex()
     for _ in range(8)
 ]
-records = parity.tle_records(3, parity.workloads.load_reference())
+if sys.argv[2] == "tle":  # the exponent records for workload seed 3
+    records = parity.tle_records(3, parity.workloads.load_reference())
+else:  # the probe records of probe seed 0
+    records = parity.probe_records(seeds=(0,))
 print(json.dumps({"canary": canary, "records": records}))
 """
 
 
-def test_exponents_do_not_depend_on_the_blas_kernel():
-    # OPENBLAS_CORETYPE=Prescott makes a DYNAMIC_ARCH OpenBLAS take its
-    # kernels without FMA; the canary shows whether that changes numpy's
-    # rounding here at all.
+def _records_under_both_kernels(suite: str) -> tuple:
+    """The suite's records under the default kernel and under the non-FMA one.
+
+    OPENBLAS_CORETYPE=Prescott makes a DYNAMIC_ARCH OpenBLAS take its
+    kernels without FMA; the canary shows whether that changes numpy's
+    rounding here at all, and the test skips where it does not.
+    """
     src = str(Path(msf.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
 
     def run(**kernel):
         out = subprocess.run(
-            [sys.executable, "-c", _KERNEL_RUN, str(_PATH)], env=dict(env, **kernel),
+            [sys.executable, "-c", _KERNEL_RUN, str(_PATH), suite], env=dict(env, **kernel),
             capture_output=True, text=True, timeout=600,
         )
         assert out.returncode == 0, out.stderr
@@ -113,5 +119,18 @@ def test_exponents_do_not_depend_on_the_blas_kernel():
     if default["canary"] == prescott["canary"]:
         pytest.skip("OPENBLAS_CORETYPE=Prescott does not change numpy's complex dot here "
                     "(no FMA, no DYNAMIC_ARCH OpenBLAS, or another BLAS)")
-    assert len(default["records"]) == 130
-    assert parity.compare(default["records"], prescott["records"], "Prescott") == 0
+    return default["records"], prescott["records"]
+
+
+def test_exponents_do_not_depend_on_the_blas_kernel():
+    default, prescott = _records_under_both_kernels("tle")
+    assert len(default) == 130
+    assert parity.compare(default, prescott, "Prescott") == 0
+
+
+def test_probes_do_not_depend_on_the_blas_kernel():
+    # Two- and three-node preset probes, the overdamped, chatter and critical
+    # points: every kind of probe record.
+    default, prescott = _records_under_both_kernels("probe")
+    assert len(default) == 20
+    assert parity.compare(default, prescott, "Prescott") == 0
