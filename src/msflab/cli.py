@@ -2,12 +2,14 @@
 
 Subcommands mirror the library layers: ``tle`` for one exponent query,
 ``msf-sweep`` for a grid, ``probe`` and ``bifurcation`` for the direct
-two-oscillator experiment, ``network`` for a per-mode verdict on an
-arbitrary diffusive graph, and ``simulate`` for a raw trajectory dump.
+two-oscillator experiment, ``study`` for the paper's check of both over
+one sigma grid, ``network`` for a per-mode verdict on an arbitrary
+diffusive graph, and ``simulate`` for a raw trajectory dump.
 
-Every run writes CSV output plus an ``effective.ini`` capturing the full
-configuration actually used.  Floats are serialized with repr, so repeated
-runs (and runs with different ``--jobs``) produce byte-identical files.
+Every run whose configuration is accepted, even one that fails later,
+writes CSV output plus an ``effective.ini`` capturing the full configuration
+actually used.  Floats are serialized with repr, so repeated runs (and runs
+with different ``--jobs``) produce byte-identical files.
 
 Exit codes: 0 success, 1 at least one grid point failed outright,
 2 configuration or usage error, 3 run finished but some exponent did not
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_POINT_FAILURES = 1
 EXIT_CONFIG = 2
 EXIT_UNCONVERGED = 3
+AMBIGUOUS = 0.01  # study: an |exponent| at or below this predicts no probe outcome
 
 
 def _fval(v) -> str:
@@ -125,44 +128,46 @@ def _cmd_tle(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
-    for grid in ("alphas", "betas"):
-        if not getattr(cfg, grid):
-            raise ConfigError(f"msf-sweep needs a non-empty [sweep] {grid} grid")
+def _sweep(cfg: RunConfig, args, alphas, betas):
+    """msf_sweep over the grid; returns (points, failures, unconverged)."""
     points = msf_sweep(
-        cfg.oscillator,
-        SPRING_COUPLING,
-        cfg.alphas,
-        cfg.betas,
-        cfg.tle,
-        jobs=args.jobs,
+        cfg.oscillator, SPRING_COUPLING, alphas, betas, cfg.tle, jobs=args.jobs
     )
-    rows = []
-    failures = 0
-    unconverged = 0
+    failures = unconverged = 0
     for pt in points:
         if pt.result is None:
             failures += 1
             print(f"point alpha={pt.alpha:g} beta={pt.beta:g} failed: {pt.error}", file=sys.stderr)
-            rows.append((pt.alpha, pt.beta, None, False, 0))
-        else:
-            r = pt.result
-            if not r.converged:
-                unconverged += 1
-            rows.append((r.alpha, r.beta, r.tle, r.converged, r.periods_used))
+        elif not pt.result.converged:
+            unconverged += 1
+    return points, failures, unconverged
+
+
+def _plot_exponents(args, out: Path, name: str, xs, points, **labels) -> None:
+    """Plot each sweep point's exponent at its x, flagging the unconverged; failed points drop."""
+    good = [(x, pt.result) for x, pt in zip(xs, points) if pt.result is not None]
+    _maybe_plot(
+        args, out, name, xs=[x for x, _ in good], ys=[r.tle for _, r in good],
+        flagged=[not r.converged for _, r in good], **labels,
+    )
+
+
+def _cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
+    for grid in ("alphas", "betas"):
+        if not getattr(cfg, grid):
+            raise ConfigError(f"msf-sweep needs a non-empty [sweep] {grid} grid")
+    points, failures, unconverged = _sweep(cfg, args, cfg.alphas, cfg.betas)
+    rows = [
+        (pt.alpha, pt.beta, None, False, 0)
+        if pt.result is None
+        else (pt.alpha, pt.beta, pt.result.tle, pt.result.converged, pt.result.periods_used)
+        for pt in points
+    ]
     _write_csv(out / "msf_sweep.csv", "alpha,beta,tle,converged,periods_used", rows)
     if len(cfg.betas) == 1:
-        good = [pt for pt in points if pt.result is not None]
-        _maybe_plot(
-            args,
-            out,
-            "msf_sweep.svg",
-            xs=[pt.alpha for pt in good],
-            ys=[pt.result.tle for pt in good],
-            flagged=[not pt.result.converged for pt in good],
-            title="master stability curve",
-            xlabel="alpha",
-            ylabel="largest transversal exponent",
+        _plot_exponents(
+            args, out, "msf_sweep.svg", [pt.alpha for pt in points], points,
+            title="master stability curve", xlabel="alpha", ylabel="largest transversal exponent",
         )
     print(
         f"swept {len(points)} points: {failures} failed, {unconverged} unconverged, "
@@ -206,9 +211,10 @@ def _cmd_probe(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_bifurcation(cfg: RunConfig, args, out: Path) -> int:
+def _scan(cfg: RunConfig, args, out: Path):
+    """bifurcation_scan over [sweep] sigmas, written to bifurcation.csv; returns (points, failures)."""
     if not cfg.sigmas:
-        raise ConfigError("bifurcation needs a non-empty [sweep] sigmas grid")
+        raise ConfigError(f"{args.command} needs a non-empty [sweep] sigmas grid")
     points = bifurcation_scan(
         cfg.oscillator, SPRING_COUPLING, cfg.sigmas, cfg.probe, jobs=args.jobs
     )
@@ -233,12 +239,52 @@ def _cmd_bifurcation(cfg: RunConfig, args, out: Path) -> int:
         xlabel="sigma",
         ylabel="|x1 - x2| local maxima",
     )
+    return points, failures
+
+
+def _cmd_bifurcation(cfg: RunConfig, args, out: Path) -> int:
+    points, failures = _scan(cfg, args, out)
     n_sync = sum(1 for pt in points if pt.result is not None and pt.result.synchronized)
     print(
         f"scanned {len(points)} sigma values: {n_sync} synchronized, "
         f"{failures} failed, results in {out / 'bifurcation.csv'}"
     )
     return EXIT_POINT_FAILURES if failures else EXIT_OK
+
+
+def _cmd_study(cfg: RunConfig, args, out: Path) -> int:
+    scan, scan_failures = _scan(cfg, args, out)
+    points, failures, unconverged = _sweep(cfg, args, [-2.0 * s for s in cfg.sigmas], [0.0])
+    _write_csv(
+        out / "sigma_exponents.csv",
+        "sigma,alpha,tle,converged",
+        [
+            (s, pt.alpha, None, False) if pt.result is None
+            else (s, pt.alpha, pt.result.tle, pt.result.converged)
+            for s, pt in zip(cfg.sigmas, points)
+        ],
+    )
+    _write_csv(
+        out / "probe_outcomes.csv",
+        "sigma,synchronized,sync_time",
+        [(pt.sigma, pt.result.synchronized, pt.result.sync_time) for pt in scan if pt.result],
+    )
+    _plot_exponents(
+        args, out, "sigma_exponents.svg", cfg.sigmas, points,
+        title="transversal exponent at alpha = -2 sigma", xlabel="sigma", ylabel="lambda",
+    )
+    pairs = [
+        (probe.sigma, sweep.result.tle, probe.result.synchronized)
+        for sweep, probe in zip(points, scan)
+        if sweep.result and probe.result and abs(sweep.result.tle) > AMBIGUOUS
+    ]
+    mismatches = [(s, tle, sync) for s, tle, sync in pairs if (tle < 0.0) != sync]
+    print(f"sign agreement: {len(pairs) - len(mismatches)}/{len(pairs)} (|lambda| > {AMBIGUOUS} only)")
+    for s, tle, sync in mismatches:
+        print(f"  sigma={s!r}: lambda={tle!r}, probe {'synchronized' if sync else 'not synchronized'}")
+    if failures or scan_failures:
+        return EXIT_POINT_FAILURES
+    return EXIT_UNCONVERGED if unconverged else EXIT_OK
 
 
 def _cmd_network(cfg: RunConfig, args, out: Path) -> int:
@@ -311,7 +357,7 @@ def _cmd_simulate(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, handler, overrides=None) -> None:
+def _add_common(sub, handler, overrides=None, grid=False) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--config", help="path to an INI run configuration")
     group.add_argument(
@@ -321,7 +367,8 @@ def _add_common(sub, handler, overrides=None) -> None:
         "--out",
         help="output directory (default: config [output], then $MSFLAB_OUT, then .)",
     )
-    sub.add_argument("--jobs", type=int, help="worker processes for grid commands")
+    if grid:
+        sub.add_argument("--jobs", type=int, help="worker processes for the grid")
     sub.add_argument(
         "--plot", action="store_true", help="also write SVG plots next to the CSVs"
     )
@@ -342,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=float, help="override [query] beta")
 
     sub = subs.add_parser("msf-sweep", help="exponents over the [sweep] grid")
-    _add_common(sub, _cmd_sweep)
+    _add_common(sub, _cmd_sweep, grid=True)
 
     sub = subs.add_parser("probe", help="direct two-oscillator probe at one sigma")
     _add_common(sub, _cmd_probe, {"sigma": "probe.sigma"})
@@ -351,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "bifurcation", help="probe maxima over the [sweep] sigmas grid"
     )
-    _add_common(sub, _cmd_bifurcation)
+    _add_common(sub, _cmd_bifurcation, grid=True)
+
+    sub = subs.add_parser("study", help="exponent at alpha = -2 sigma vs probe over sigmas")
+    _add_common(sub, _cmd_study, grid=True)
 
     sub = subs.add_parser("network", help="per-mode verdict for a coupling graph")
     _add_common(sub, _cmd_network, {"sigma": "network_sigma"})
@@ -391,24 +441,33 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _error(exc: Exception) -> int:
+    if isinstance(exc, ConfigError):
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_POINT_FAILURES
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.jobs is not None and args.jobs < 1:
-            raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
+        jobs = getattr(args, "jobs", None)
+        if jobs is not None and jobs < 1:
+            raise ConfigError(f"--jobs: must be at least 1, got {jobs}")
         cfg = _apply_overrides(_resolve_config(args), args)
         out = Path(args.out or cfg.out_dir or os.environ.get("MSFLAB_OUT") or ".")
         out.mkdir(parents=True, exist_ok=True)
-        code = args.handler(cfg, args, out)
-        (out / "effective.ini").write_text(effective_ini(cfg))
-        return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_POINT_FAILURES
+        return _error(exc)
+    try:
+        code = args.handler(cfg, args, out)
+    except Exception as exc:
+        code = _error(exc)
+        if code == EXIT_CONFIG:
+            return code
+    (out / "effective.ini").write_text(effective_ini(cfg))
+    return code
 
 
 if __name__ == "__main__":

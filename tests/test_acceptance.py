@@ -296,6 +296,7 @@ def test_outputs_byte_identical(tmp_path):
     )
     sweep_runs = []
     scan_runs = []
+    study_runs = []
     for jobs, name in (("1", "a"), ("1", "b"), ("2", "c")):
         out = tmp_path / f"sweep_{name}"
         code = main(
@@ -315,13 +316,29 @@ def test_outputs_byte_identical(tmp_path):
         )
         assert code == EXIT_OK
         scan_runs.append((code, (out / "bifurcation.csv").read_bytes()))
+        out = tmp_path / f"study_{name}"
+        code = main(["study", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert code in (EXIT_OK, EXIT_UNCONVERGED)
+        study_runs.append(
+            (code,)
+            + tuple(
+                (out / f).read_bytes()
+                for f in (
+                    "sigma_exponents.csv",
+                    "probe_outcomes.csv",
+                    "bifurcation.csv",
+                    "effective.ini",
+                )
+            )
+        )
     elapsed = time.perf_counter() - t0
     ok = (
         sweep_runs[0] == sweep_runs[1] == sweep_runs[2]
         and scan_runs[0] == scan_runs[1] == scan_runs[2]
+        and study_runs[0] == study_runs[1] == study_runs[2]
     )
     _report(
         "byte-identical outputs",
         ok,
-        f"3 sweep runs and 3 scan runs across 1 and 2 workers, {elapsed:.0f}s",
+        f"3 sweep, 3 scan and 3 study runs across 1 and 2 workers, {elapsed:.0f}s",
     )

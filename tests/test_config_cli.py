@@ -1,9 +1,11 @@
 import os
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from msflab import cli
 from msflab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -21,6 +23,8 @@ from msflab.config import (
     parse_grid,
     preset_names,
 )
+from msflab.msf import SweepPoint
+from msflab.network import BifurcationPoint, ProbeResult
 
 SMOOTH_INI = """\
 [oscillator]
@@ -359,10 +363,11 @@ class TestCli:
             ["simulate", "--periods", "-1"],
             ["msf-sweep", "--jobs", "-3"],
             ["bifurcation", "--jobs", "0"],
+            ["study", "--jobs", "0"],
         ],
         ids=[
             "tle_alpha", "tle_beta", "probe_sigma", "network_sigma", "simulate_periods",
-            "sweep_jobs", "bifurcation_jobs",
+            "sweep_jobs", "bifurcation_jobs", "study_jobs",
         ],
     )
     def test_bad_override_is_config_error(self, tmp_path, argv, capsys):
@@ -370,6 +375,23 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert f"error: {argv[1]}:" in capsys.readouterr().err
         assert not (out / "effective.ini").exists()
+
+    @pytest.mark.parametrize("command", ["tle", "probe", "network", "simulate"])
+    def test_jobs_is_a_grid_command_flag(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_writes_effective_ini(self, tmp_path, capsys):
+        # The config is accepted, then the exponent march overflows.
+        cfg = _write(tmp_path, SHORT_INI + "\n[query]\nalpha = 1e12\n")
+        out = tmp_path / "out"
+        assert main(["tle", "--config", str(cfg), "--out", str(out)]) == EXIT_POINT_FAILURES
+        assert capsys.readouterr().err.startswith("error: PropagationError: ")
+        assert sorted(path.name for path in out.iterdir()) == ["effective.ini"]
+        assert load_config(out / "effective.ini") == load_config(cfg)
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["tle", "--preset", "bouncy", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -498,3 +520,91 @@ sigma = 0.25
             outputs.append((out / "effective.ini").read_bytes())
         assert outputs[0] == outputs[2] == outputs[4]
         assert outputs[1] == outputs[3] == outputs[5]
+
+
+class TestStudy:
+    GATE_INI = (
+        "[oscillator]\n"
+        "zeta = 0.05\neta = 0.712\nf = 1.0\nx_w = 2.0\nR = 1.0\n"
+        "wall_enabled = true\n"
+        "[tle]\nmax_periods = 120\n"
+        "[sweep]\nalphas = 0.0,-0.5,-1.0\nbetas = 0.0\nsigmas = 0.5,0.55\n"
+    )
+
+    def test_matches_msf_sweep_and_bifurcation(self, tmp_path):
+        cfg = _write(tmp_path, self.GATE_INI)
+        study = tmp_path / "study"
+        assert main(["study", "--config", str(cfg), "--out", str(study), "--plot"]) == EXIT_UNCONVERGED
+        assert "<polyline" in (study / "sigma_exponents.svg").read_text()
+        assert "<circle" in (study / "bifurcation.svg").read_text()
+        scan = tmp_path / "scan"
+        assert main(["bifurcation", "--config", str(cfg), "--out", str(scan)]) == EXIT_OK
+        assert (study / "bifurcation.csv").read_bytes() == (scan / "bifurcation.csv").read_bytes()
+
+        # msf-sweep on the same config, its alphas set to -2 sigma.
+        alphas = ",".join(repr(-2.0 * s) for s in (0.5, 0.55))
+        cfg = _write(tmp_path, self.GATE_INI.replace("0.0,-0.5,-1.0", alphas), "sweep.ini")
+        sweep = tmp_path / "sweep"
+        assert main(["msf-sweep", "--config", str(cfg), "--out", str(sweep)]) == EXIT_UNCONVERGED
+        exponents = (study / "sigma_exponents.csv").read_text().splitlines()
+        assert exponents[0] == "sigma,alpha,tle,converged"
+        swept = (sweep / "msf_sweep.csv").read_text().splitlines()
+        assert len(exponents) == len(swept) == 3
+        for sigma, row, sweep_row in zip(("0.5", "0.55"), exponents[1:], swept[1:]):
+            alpha, beta, tle, converged, _ = sweep_row.split(",")
+            assert row == f"{sigma},{alpha},{tle},{converged}"
+        outcomes = (study / "probe_outcomes.csv").read_text().splitlines()
+        assert outcomes[0] == "sigma,synchronized,sync_time"
+        assert [line.split(",")[:2] for line in outcomes[1:]] == [
+            ["0.5", "true"], ["0.55", "true"],
+        ]
+
+    def test_without_sigmas_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SHORT_INI)
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: study needs a non-empty [sweep] sigmas grid\n"
+        assert list(out.iterdir()) == []
+
+    def test_agreement_mismatches_and_failures(self, tmp_path, monkeypatch, capsys):
+        # Stand-in grids: sigma 0 agrees, 0.5 disagrees, 1 is too close to
+        # zero to count, and 1.5 fails in both halves.
+        tles = {-0.0: 0.03, -1.0: -0.02, -2.0: 0.005}
+        synced = {0.0: False, 0.5: False, 1.0: True}
+
+        def fake_sweep(p, coupling, alphas, betas, settings, jobs=None):
+            return [
+                SweepPoint(a, 0.0, SimpleNamespace(tle=tles[a], converged=False))
+                if a in tles else SweepPoint(a, 0.0, error="ChatterError: stand-in")
+                for a in alphas
+            ]
+
+        def fake_scan(p, coupling, sigmas, settings, jobs=None):
+            return [
+                BifurcationPoint(s, ProbeResult(s, synced[s], 7.5 if synced[s] else None, [0.25]))
+                if s in synced else BifurcationPoint(s, error="PropagationError: stand-in")
+                for s in sigmas
+            ]
+
+        monkeypatch.setattr(cli, "msf_sweep", fake_sweep)
+        monkeypatch.setattr(cli, "bifurcation_scan", fake_scan)
+        cfg = _write(tmp_path, "[sweep]\nsigmas = 0.0,0.5,1.0,1.5\n")
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_POINT_FAILURES
+        printed = capsys.readouterr()
+        assert printed.out == (
+            "sign agreement: 1/2 (|lambda| > 0.01 only)\n"
+            "  sigma=0.5: lambda=-0.02, probe not synchronized\n"
+        )
+        assert printed.err == (
+            "sigma=1.5 failed: PropagationError: stand-in\n"
+            "point alpha=-3 beta=0 failed: ChatterError: stand-in\n"
+        )
+        assert (out / "sigma_exponents.csv").read_text() == (
+            "sigma,alpha,tle,converged\n"
+            "0.0,-0.0,0.03,false\n0.5,-1.0,-0.02,false\n1.0,-2.0,0.005,false\n1.5,-3.0,,false\n"
+        )
+        assert (out / "probe_outcomes.csv").read_text() == (
+            "sigma,synchronized,sync_time\n0.0,false,\n0.5,false,\n1.0,true,7.5\n"
+        )
+        assert (out / "effective.ini").is_file()
